@@ -17,7 +17,6 @@ from .errors import (
     NotUnitSpherical,
     NumericalFailure,
     OutsideTleq,
-    ParallelVectors,
     ParseError,
     PoleAt,
     PreconditionViolated,
@@ -26,21 +25,17 @@ from .linalg import (
     DEFAULT_TOL,
     EigDecomp,
     TolerancePolicy,
-    is_psd,
     nullspace_basis,
     pinv,
-    rank2_sym_eigs,
     rank_of,
     sym_eig,
 )
 from .model import (
     DistanceMatrix,
     EdmProfile,
-    GramChoice,
     bdag_identity,
     bprime_dag_identity,
     cm_dag_block,
-    gram,
     is_edm,
     profile,
 )
@@ -63,10 +58,7 @@ from .perturbation import (
     TeqSet,
     TleqSet,
     classify,
-    radius_coefficients,
     radius_squared,
-    t_eq,
-    t_leq,
 )
 from .cayley import (
     CayleyMengerView,

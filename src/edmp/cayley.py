@@ -9,8 +9,10 @@ with radius at most one, and the radius satisfies
 For a unit spherical source the bordered matrix is a nonspherical EDM of
 the same embedding dimension, its Gale matrix has the explicit block
 form [[-1/2, 0], [w, Z]], and e~.w~(t) for the perturbed source has a
-closed form in theta_lower, theta_upper, theta_c.  Everything here is
-used to cross-check the direct perturbation formulas.
+closed form in theta_lower, theta_upper, theta_c.  cm_w_inner reads
+those values, the radius coefficients and the singleton verdict from the
+entry's PerturbationReport.  Everything here is used to cross-check the
+direct perturbation formulas.
 """
 
 from __future__ import annotations
@@ -19,11 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAnEdm, NotUnitSpherical, NumericalFailure, PoleAt
+from .errors import (
+    NotAnEdm,
+    NotUnitSpherical,
+    NumericalFailure,
+    PoleAt,
+    PreconditionViolated,
+)
 from .linalg import DEFAULT_TOL, TolerancePolicy, pinv, rank_of
 from .model import DistanceMatrix, EdmProfile, centroid_gram, is_edm, profile
-from .perturbation import SINGLETON_BAND, radius_coefficients
-from .yielding import EntryIndex, theta_bounds, theta_c
+from .perturbation import CaseTag, PerturbationReport
 
 __all__ = [
     "CayleyMengerView",
@@ -136,25 +143,26 @@ def cm_gale(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     return gale
 
 
-def cm_w_inner(prof: EdmProfile, entry: EntryIndex, t: float) -> float:
+def cm_w_inner(report: PerturbationReport, t: float) -> float:
     """Closed form of e~.w~(t) for the bordered matrix of D + t E^kl.
 
-    Requires the same premise as the rational radius formula.  The
-    generic branch has poles at theta_lower and theta_upper; when
-    theta_c collides with one of them the pole cancels and only the
-    other remains.
+    Requires the same premise as the rational radius formula, that is a
+    report with radius coefficients.  The generic branch has poles at
+    theta_lower and theta_upper; in the singleton case theta_c collides
+    with one of them, the pole cancels and only the other remains.
     """
-    coeffs = radius_coefficients(prof, entry)
-    lo, hi = theta_bounds(prof, entry)
-    tc = theta_c(prof, entry, coeffs.c)
+    coeffs = report.coefficients
+    if coeffs is None:
+        raise PreconditionViolated(
+            "the bordered closed form needs w_k = c w_l != 0 and r = n-1 or zero Gale rows"
+        )
+    lo = report.yielding_report.theta_lower
+    hi = report.yielding_report.theta_upper
+    tc = report.theta_c
     pole_scale = 1.0 + abs(lo) + abs(hi)
 
-    kk = float(prof.B_dag[entry.i, entry.i])
-    cll = coeffs.c**2 * float(prof.B_dag[entry.j, entry.j])
-    collided = abs(kk - cll) <= SINGLETON_BAND * max(kk, cll, 1e-300)
-
     prefactor = 8.0 * coeffs.w_l**2 * coeffs.c * t / (tc * coeffs.beta2)
-    if collided:
+    if report.case_tag is CaseTag.SINGLETON_UNIT:
         # theta_c equals theta_lower (c > 0) or theta_upper (c < 0).
         other = hi if coeffs.c > 0 else lo
         if abs(t - other) <= POLE_TOL * pole_scale:

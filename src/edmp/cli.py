@@ -133,8 +133,8 @@ def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
     return block
 
 
-def _cross_check_block(d: DistanceMatrix, prof: EdmProfile,
-                       report: PerturbationReport, tol: TolerancePolicy) -> dict:
+def _cross_check_block(d: DistanceMatrix, report: PerturbationReport,
+                       tol: TolerancePolicy) -> dict:
     entry = report.entry
     tleq = report.t_leq.interval
     if tleq.width == 0.0:
@@ -144,12 +144,12 @@ def _cross_check_block(d: DistanceMatrix, prof: EdmProfile,
     worst_oracle = 0.0
     worst_border = None
     for t in ts:
-        closed = radius_squared(prof, entry, t)
+        closed = radius_squared(report, t)
         direct = radius_sq_direct(d, entry, t, tol)
         worst_oracle = max(worst_oracle, abs(closed - direct) / max(1.0, abs(direct)))
         if report.coefficients is not None:
             try:
-                border = 1.0 - 0.5 * cm_w_inner(prof, entry, t)
+                border = 1.0 - 0.5 * cm_w_inner(report, t)
             except PoleAt:
                 continue
             diff = abs(border - closed) / max(1.0, abs(closed))
@@ -215,7 +215,7 @@ def cmd_entry(args, tol: TolerancePolicy) -> int:
         return EXIT_OK
     doc["diagnostics"]["warnings"].extend(report.warnings)
     doc["entry"] = _entry_block(prof, report)
-    doc["entry"]["cross_check"] = _cross_check_block(d, prof, report, tol)
+    doc["entry"]["cross_check"] = _cross_check_block(d, report, tol)
     sys.stdout.write(report_json(doc))
     return EXIT_OK
 
@@ -239,7 +239,7 @@ def cmd_sweep(args, tol: TolerancePolicy) -> int:
         closed = ""
         if report.coefficients is not None:
             try:
-                closed = fmt_float(radius_squared(prof, entry, rec.t, extrapolate=True))
+                closed = fmt_float(radius_squared(report, rec.t, extrapolate=True))
             except (PoleAt, OutsideTleq):
                 closed = ""
         oracle = "" if rec.radius_sq is None else fmt_float(rec.radius_sq)

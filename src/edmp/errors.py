@@ -9,10 +9,6 @@ class NumericalFailure(EdmpError):
     """A numerical routine did not converge or an internal identity broke."""
 
 
-class ParallelVectors(EdmpError):
-    """Two vectors are parallel where the operation requires otherwise."""
-
-
 class NotAnEdm(EdmpError):
     """The input matrix is not a Euclidean distance matrix."""
 

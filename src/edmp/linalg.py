@@ -1,18 +1,20 @@
 """Dense symmetric linear-algebra kernel.
 
-Rank, definiteness and pseudoinversion decisions for the whole package
-funnel through this module so that a single tolerance policy governs
-every numerical cutoff.  All inputs are symmetrized explicitly before
-factorization; there is no unsymmetric code path.
+The rank cut, the semidefiniteness bound and the spectral inverse are
+each written once, as methods of one eigendecomposition, so a caller that
+already holds a factorization reuses it for all three.  All inputs are
+symmetrized explicitly before factorization; there is no unsymmetric
+code path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NumericalFailure, ParallelVectors
+from .errors import NumericalFailure
 
 __all__ = [
     "TolerancePolicy",
@@ -23,9 +25,7 @@ __all__ = [
     "pinv",
     "rank_of",
     "nullspace_basis",
-    "is_psd",
     "min_eigenvalue",
-    "rank2_sym_eigs",
     "fix_column_signs",
 ]
 
@@ -46,8 +46,12 @@ class TolerancePolicy:
     recon_rel: float = 1e-8
 
     def __post_init__(self):
-        if min(self.rank_rel, self.psd_abs_scale, self.recon_rel) <= 0.0:
-            raise ValueError("all tolerances must be strictly positive")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"tolerance {field.name}={value!r} must be finite and strictly positive"
+                )
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -71,6 +75,26 @@ class EigDecomp:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.T
 
+    def _kept(self, tol: TolerancePolicy) -> np.ndarray:
+        """Mask of eigenvalues above rank_rel * max|lambda| in magnitude."""
+        cut = tol.rank_rel * (np.abs(self.values).max() if self.values.size else 0.0)
+        return np.abs(self.values) > cut
+
+    def rank(self, tol: TolerancePolicy = DEFAULT_TOL) -> int:
+        """Numerical rank under the shared cutoff."""
+        return int(np.count_nonzero(self._kept(tol)))
+
+    def pinv(self, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+        """Moore-Penrose inverse: kept eigenvalues inverted, the rest zeroed."""
+        inv = np.zeros_like(self.values)
+        np.divide(1.0, self.values, out=inv, where=self._kept(tol))
+        return symmetrize((self.vectors * inv) @ self.vectors.T)
+
+    def is_psd(self, scale: float) -> bool:
+        """Smallest eigenvalue at least -scale * max(1, max|lambda|)."""
+        bound = scale * max(1.0, np.abs(self.values).max())
+        return bool(self.values[-1] >= -bound)
+
 
 def sym_eig(a) -> EigDecomp:
     """Eigendecomposition of the symmetrized input, eigenvalues descending."""
@@ -82,28 +106,14 @@ def sym_eig(a) -> EigDecomp:
     return EigDecomp(values[::-1].copy(), vectors[:, ::-1].copy())
 
 
-def _rank_cut(values: np.ndarray, tol: TolerancePolicy) -> float:
-    return tol.rank_rel * (np.abs(values).max() if values.size else 0.0)
-
-
 def pinv(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via its spectrum.
-
-    Eigenvalues with |lambda| above rank_rel * max|lambda| are inverted,
-    the rest are zeroed.
-    """
-    dec = sym_eig(a)
-    cut = _rank_cut(dec.values, tol)
-    keep = np.abs(dec.values) > cut
-    inv = np.zeros_like(dec.values)
-    np.divide(1.0, dec.values, out=inv, where=keep)
-    return symmetrize((dec.vectors * inv) @ dec.vectors.T)
+    """Moore-Penrose inverse of a symmetric matrix via its spectrum."""
+    return sym_eig(a).pinv(tol)
 
 
 def rank_of(a, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Numerical rank of a symmetric matrix under the shared cutoff."""
-    values = sym_eig(a).values
-    return int(np.count_nonzero(np.abs(values) > _rank_cut(values, tol)))
+    return sym_eig(a).rank(tol)
 
 
 def nullspace_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -120,36 +130,9 @@ def nullspace_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return fix_column_signs(vt[rank:].T.copy())
 
 
-def is_psd(a, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness up to the policy's absolute slack."""
-    values = sym_eig(a).values
-    if values.size == 0:
-        return True
-    bound = tol.psd_abs_scale * max(1.0, np.abs(values).max())
-    return values.min() >= -bound
-
-
 def min_eigenvalue(a) -> float:
     """Smallest eigenvalue of the symmetrized input."""
     return float(sym_eig(a).values[-1])
-
-
-def rank2_sym_eigs(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, float]:
-    """Extreme eigenvalues of a b^T + b a^T for nonparallel a, b.
-
-    The matrix has exactly one positive and one negative eigenvalue,
-    a.b + |a||b| and a.b - |a||b|; everything else is zero.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError("vectors must have equal length")
-    sing = np.linalg.svd(np.column_stack([a, b]), compute_uv=False)
-    if sing[0] == 0.0 or sing[1] <= tol.rank_rel * sing[0]:
-        raise ParallelVectors("rank-two eigenvalue formula needs nonparallel vectors")
-    dot = float(a @ b)
-    prod = float(np.linalg.norm(a) * np.linalg.norm(b))
-    return dot + prod, dot - prod
 
 
 def fix_column_signs(m: np.ndarray, rel: float = 1e-12) -> np.ndarray:

@@ -109,8 +109,6 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 

@@ -10,7 +10,6 @@ domain of the perturbation machinery in the rest of the package.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import NotAnEdm, NotUnitSpherical, NumericalFailure
 from .linalg import (
     DEFAULT_TOL,
+    EigDecomp,
     TolerancePolicy,
     fix_column_signs,
     nullspace_basis,
@@ -29,13 +29,12 @@ from .linalg import (
 __all__ = [
     "DistanceMatrix",
     "EdmProfile",
-    "GramChoice",
     "SPHERICITY_TOL",
     "UNIT_RADIUS_TOL",
     "is_edm",
     "is_edm_array",
+    "is_unit_radius",
     "profile",
-    "gram",
     "bdag_identity",
     "bprime_dag_identity",
     "cm_dag_block",
@@ -47,6 +46,11 @@ SPHERICITY_TOL = 1e-8
 
 # |2 e.w - 1| <= UNIT_RADIUS_TOL * n decides unit sphericity.
 UNIT_RADIUS_TOL = 1e-8
+
+
+def is_unit_radius(e_dot_w: float, n: int) -> bool:
+    """Unit-radius decision for a spherical EDM of order n with D w = e."""
+    return abs(2.0 * e_dot_w - 1.0) <= UNIT_RADIUS_TOL * n
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,12 @@ class DistanceMatrix:
         n = a.shape[0]
         if n < 3:
             raise ValueError("distance matrices of order < 3 are not supported")
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"squared distances must be finite, got {a[i, j]} at entry ({i + 1},{j + 1})"
+            )
         a = 0.5 * (a + a.T)
         scale = max(float(np.abs(a).max()), 1.0)
         if np.abs(np.diag(a)).max() > 1e-12 * scale:
@@ -91,13 +101,6 @@ class DistanceMatrix:
     def perturbed(self, k: int, l: int, t: float) -> "DistanceMatrix":
         """Validated copy with t added to the (k,l) and (l,k) entries (0-based)."""
         return DistanceMatrix(self.perturbed_array(k, l, t))
-
-
-class GramChoice(enum.Enum):
-    """Origin convention for the Gram matrix of the generating points."""
-
-    CENTROID = "centroid"  # B = -JDJ/2, satisfies Be = 0
-    WVECTOR = "wvector"    # B' = E - D/2, satisfies B'w = 0 (unit spherical only)
 
 
 @dataclass(frozen=True)
@@ -130,10 +133,6 @@ class EdmProfile:
             return np.zeros(0)
         return self.Z[i]
 
-    def tilde_row(self, i: int) -> np.ndarray:
-        """Row i of [w Z] (of w alone when r = n-1)."""
-        return self.Z_tilde[i]
-
 
 def centroid_gram(a: np.ndarray) -> np.ndarray:
     """B = -JDJ/2 with J the centering projector."""
@@ -142,18 +141,21 @@ def centroid_gram(a: np.ndarray) -> np.ndarray:
     return symmetrize(-0.5 * j @ a @ j)
 
 
-def is_edm_array(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def is_edm_array(
+    a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL, gram: EigDecomp | None = None
+) -> bool:
     """EDM test for a raw hollow symmetric array.
 
     A negative entry fails immediately (it cannot be a squared distance);
     otherwise the matrix must be negative semidefinite on the complement
-    of the ones vector.
+    of the ones vector.  `gram` is the eigendecomposition of
+    centroid_gram(a) when the caller already holds it.
     """
     if a.min() < -1e-12 * max(float(np.abs(a).max()), 1.0):
         return False
-    values = sym_eig(centroid_gram(a)).values
-    bound = tol.psd_abs_scale * max(1.0, np.abs(values).max())
-    return bool(values.min() >= -bound)
+    if gram is None:
+        gram = sym_eig(centroid_gram(a))
+    return gram.is_psd(tol.psd_abs_scale)
 
 
 def is_edm(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -168,18 +170,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile:
-    """Full derived profile of an EDM; raises NotAnEdm otherwise."""
-    if not is_edm(d, tol):
-        raise NotAnEdm("input matrix is not a Euclidean distance matrix")
+    """Full derived profile of an EDM; raises NotAnEdm otherwise.
+
+    B is factored once: the EDM verdict, r, P and B+ all come from that
+    decomposition.  D+ comes from a second one.
+    """
     a = d.d
     n = d.n
     e = np.ones(n)
 
     b = centroid_gram(a)
     dec = sym_eig(b)
-    lead = np.abs(dec.values).max()
-    cut = tol.rank_rel * lead
-    r = int(np.count_nonzero(np.abs(dec.values) > cut))
+    if not is_edm_array(a, tol, gram=dec):
+        raise NotAnEdm("input matrix is not a Euclidean distance matrix")
+    r = dec.rank(tol)
 
     # Deterministic configuration: columns ordered by descending eigenvalue,
     # signs fixed so the first significant entry of each column is positive.
@@ -188,13 +192,13 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
 
     d_dag = pinv(a, tol)
     w = d_dag @ e
-    b_dag = pinv(b, tol)
+    b_dag = dec.pinv(tol)
 
     etw = float(e @ w)
     mean_sq = float(e @ a @ e) / n**2
     spherical = etw * mean_sq > SPHERICITY_TOL
 
-    unit = spherical and abs(2.0 * etw - 1.0) <= UNIT_RADIUS_TOL * n
+    unit = spherical and is_unit_radius(etw, n)
     radius = float(np.sqrt(1.0 / (2.0 * etw))) if spherical else None
 
     center = None
@@ -238,32 +242,24 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     )
 
 
-def _unit_w(d: DistanceMatrix, tol: TolerancePolicy) -> np.ndarray:
-    """w = pinv(D) e, after checking the unit-sphere normalization 2 e.w = 1."""
-    w = pinv(d.d, tol) @ np.ones(d.n)
-    if abs(2.0 * float(w.sum()) - 1.0) > UNIT_RADIUS_TOL * d.n:
+def _unit_w(d: DistanceMatrix, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """w = pinv(D) e and pinv(D), after checking the unit-sphere normalization 2 e.w = 1."""
+    d_dag = pinv(d.d, tol)
+    w = d_dag @ np.ones(d.n)
+    if not is_unit_radius(float(w.sum()), d.n):
         raise NotUnitSpherical("operation requires a unit spherical EDM")
-    return w
-
-
-def gram(d: DistanceMatrix, choice: GramChoice, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Gram matrix of the generating points for the chosen origin."""
-    if choice is GramChoice.CENTROID:
-        return centroid_gram(d.d)
-    _unit_w(d, tol)
-    return symmetrize(np.ones((d.n, d.n)) - 0.5 * d.d)
+    return w, d_dag
 
 
 def bdag_identity(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse of the centroid Gram matrix as -2 pinv(D) + 4 w w^T."""
-    w = _unit_w(d, tol)
-    return symmetrize(-2.0 * pinv(d.d, tol) + 4.0 * np.outer(w, w))
+    w, d_dag = _unit_w(d, tol)
+    return symmetrize(-2.0 * d_dag + 4.0 * np.outer(w, w))
 
 
 def bprime_dag_identity(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse of E - D/2 expressed through pinv(D) and w alone."""
-    w = _unit_w(d, tol)
-    d_dag = pinv(d.d, tol)
+    w, d_dag = _unit_w(d, tol)
     ww = float(w @ w)
     dw = d_dag @ w
     correction = (
@@ -277,7 +273,7 @@ def cm_dag_block(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
 
     Equals [[-2, 2w^T], [2w, -pinv(B)/2]] for unit spherical D.
     """
-    w = _unit_w(d, tol)
+    w, _ = _unit_w(d, tol)
     b_dag = pinv(centroid_gram(d.d), tol)
     n = d.n
     out = np.empty((n + 1, n + 1))

@@ -18,10 +18,10 @@ from .errors import Infeasible, InfeasibleSpec, NumericalFailure
 from .linalg import DEFAULT_TOL, TolerancePolicy, min_eigenvalue, pinv, sym_eig
 from .model import (
     SPHERICITY_TOL,
-    UNIT_RADIUS_TOL,
     DistanceMatrix,
     EdmProfile,
     centroid_gram,
+    is_unit_radius,
     profile,
 )
 from .yielding import EntryIndex
@@ -141,12 +141,9 @@ def _affine_rank_ok(points: np.ndarray, r: int) -> bool:
 
 
 def _points_generic(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
-    return _unit_rows(rng, n, r)
-
-
-def _points_parallel_gale(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
-    # n = r+2: the Gale matrix is a single column, generically with all
-    # entries nonzero, so z^k and z^l are automatically parallel scalars.
+    # Also serves the parallel-gale structure: with n = r+2 the Gale matrix
+    # is a single column, generically with all entries nonzero, so z^k and
+    # z^l are automatically parallel scalars.
     return _unit_rows(rng, n, r)
 
 
@@ -327,10 +324,8 @@ def gen_unit_spherical(
     spec.validate()
     rng = np.random.default_rng(np.uint64(spec.seed))
     for _ in range(MAX_ATTEMPTS):
-        if spec.structure is Structure.GENERIC:
+        if spec.structure in (Structure.GENERIC, Structure.PARALLEL_GALE_PAIR):
             points = _points_generic(rng, spec.n, spec.r)
-        elif spec.structure is Structure.PARALLEL_GALE_PAIR:
-            points = _points_parallel_gale(rng, spec.n, spec.r)
         elif spec.structure is Structure.ZERO_GALE_PAIR:
             points = _points_zero_gale(rng, spec.n, spec.r, spec.entry)
         elif spec.structure is Structure.MIRROR_PAIR:
@@ -382,10 +377,6 @@ def gen_nonspherical(
     raise NumericalFailure("nonspherical generation did not converge")
 
 
-def _psd_bound(values: np.ndarray, tol: TolerancePolicy) -> float:
-    return tol.psd_abs_scale * max(1.0, float(np.abs(values).max()))
-
-
 def in_t_leq_oracle(
     d: DistanceMatrix,
     entry: EntryIndex,
@@ -399,10 +390,7 @@ def in_t_leq_oracle(
     tighter value since interior eigenvalue noise sits at ~1e-15.
     """
     m = 2.0 * np.ones((d.n, d.n)) - d.perturbed_array(entry.i, entry.j, t)
-    values = sym_eig(m).values
-    scale = tol.psd_abs_scale if psd_scale is None else psd_scale
-    bound = scale * max(1.0, float(np.abs(values).max()))
-    return bool(values[-1] >= -bound)
+    return sym_eig(m).is_psd(tol.psd_abs_scale if psd_scale is None else psd_scale)
 
 
 def membership_scan(
@@ -419,8 +407,7 @@ def membership_scan(
     for t in np.asarray(ts, dtype=float):
         t = float(t)
         pert = d.perturbed_array(entry.i, entry.j, t)
-        gram_vals = sym_eig(centroid_gram(pert)).values
-        edm_ok = bool(gram_vals[-1] >= -_psd_bound(gram_vals, tol))
+        edm_ok = sym_eig(centroid_gram(pert)).is_psd(tol.psd_abs_scale)
 
         spherical = False
         radius_sq = None
@@ -434,7 +421,7 @@ def membership_scan(
                 radius_sq = 1.0 / (2.0 * etw)
 
         leq = edm_ok and in_t_leq_oracle(d, entry, t, tol)
-        eq = leq and spherical and abs(2.0 * etw - 1.0) <= UNIT_RADIUS_TOL
+        eq = leq and spherical and is_unit_radius(etw, n)
         records.append(SweepRecord(t, edm_ok, spherical, radius_sq, leq, eq))
     return records
 

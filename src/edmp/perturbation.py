@@ -19,6 +19,10 @@ pinv(B):
     f(t) = 1 + 2 D+_kl t + ((D+_kl)^2 - D+_kk D+_ll) t^2
     g(t) = 1 - B+_kl t + ((B+_kl)^2 - B+_kk B+_ll)/4 t^2
          = beta2 (t - theta_lower)(t - theta_upper)
+
+classify makes this case split once per entry and returns it as a
+PerturbationReport; radius_squared evaluates the radius from that report
+without classifying again.
 """
 
 from __future__ import annotations
@@ -55,9 +59,6 @@ __all__ = [
     "TeqSet",
     "RadiusCoefficients",
     "PerturbationReport",
-    "t_leq",
-    "t_eq",
-    "radius_coefficients",
     "radius_squared",
     "classify",
 ]
@@ -135,7 +136,11 @@ class RadiusCoefficients:
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Aggregated per-entry result with an exhaustive case tag."""
+    """Every per-entry answer, from one classification of the entry.
+
+    radius_squared and cayley.cm_w_inner read this report instead of
+    classifying the entry again.
+    """
 
     entry: EntryIndex
     yielding_report: YieldingReport
@@ -145,19 +150,17 @@ class PerturbationReport:
     coefficients: RadiusCoefficients | None
     warnings: tuple[str, ...] = ()
 
+    @property
+    def theta_c(self) -> float | None:
+        """theta_c of the [w Z] scalar c in the rational case, else None.
 
-@dataclass(frozen=True)
-class _EntryCase:
-    """Internal joint view of one entry used by every public operation."""
-
-    yrep: YieldingReport
-    tilde_relation: ParallelRelation
-    tleq: Interval
-    tag: CaseTag
-    coefficients: RadiusCoefficients | None
-    singleton: bool
-    warnings: tuple[str, ...]
-    theta_c_tilde: float | None = None
+        It is the nonzero end of T<=: [theta_c, 0] for c > 0, [0, theta_c]
+        for c < 0.
+        """
+        if self.coefficients is None:
+            return None
+        tleq = self.t_leq.interval
+        return tleq.lo if self.coefficients.c > 0 else tleq.hi
 
 
 def _require_unit(prof: EdmProfile) -> None:
@@ -212,25 +215,33 @@ def _near_parallel_ratio(u: np.ndarray, v: np.ndarray) -> float:
     return float(sing[1] / sing[0])
 
 
-def _analyze(prof: EdmProfile, entry: EntryIndex) -> _EntryCase:
+def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
+    """Complete per-entry report: yielding data, T<=, T=, case tag, coefficients.
+
+    This is the only code that classifies an entry.
+    """
     _require_unit(prof)
     yrep = yielding_report(prof, entry)
-    trel = tilde_pair_relation(prof, entry)
-    warnings: list[str] = []
+    zero_only = TeqSet(TeqKind.SINGLETON, points=(0.0,))
+
+    def report(tag, tleq, teq, coefficients=None, warnings=()):
+        return PerturbationReport(
+            entry, yrep, tag, TleqSet(tleq), teq, coefficients, tuple(warnings)
+        )
 
     if not yrep.yielding:
+        warnings = []
         ratio = _near_parallel_ratio(prof.gale_row(entry.i), prof.gale_row(entry.j))
         if PARALLEL_TOL < ratio <= NEAR_PARALLEL_BAND:
             warnings.append(
                 f"near-parallel Gale rows (singular ratio {ratio:.3e}): the "
                 "unyielding verdict is tolerance-sensitive"
             )
-        return _EntryCase(
-            yrep, trel, Interval(0.0, 0.0), CaseTag.NOT_YIELDING, None, False,
-            tuple(warnings)
-        )
+        return report(CaseTag.NOT_YIELDING, Interval(0.0, 0.0), zero_only, warnings=warnings)
 
+    trel = tilde_pair_relation(prof, entry)
     if trel.kind is ParallelKind.NOT_PARALLEL:
+        warnings = []
         zt = prof.Z_tilde
         ratio = _near_parallel_ratio(zt[entry.i], zt[entry.j])
         if PARALLEL_TOL < ratio <= NEAR_PARALLEL_BAND:
@@ -238,20 +249,18 @@ def _analyze(prof: EdmProfile, entry: EntryIndex) -> _EntryCase:
                 f"near-parallel stacked rows (singular ratio {ratio:.3e}): "
                 "the trivial radius-one set is tolerance-sensitive"
             )
-        return _EntryCase(
-            yrep, trel, Interval(0.0, 0.0), CaseTag.TLEQ_TRIVIAL, None, False,
-            tuple(warnings)
-        )
+        return report(CaseTag.TLEQ_TRIVIAL, Interval(0.0, 0.0), zero_only, warnings=warnings)
 
     if trel.kind is ParallelKind.BOTH_ZERO:
         # w_k = w_l = 0 (and z^k = z^l = 0): the radius stays 1 on the whole
         # yielding interval.
         tleq = Interval(yrep.theta_lower, yrep.theta_upper)
-        return _EntryCase(yrep, trel, tleq, CaseTag.CONTINUUM_UNIT, None, False, ())
+        return report(CaseTag.CONTINUUM_UNIT, tleq, TeqSet(TeqKind.CONTINUUM, interval=tleq))
 
     c = float(trel.c)
     tc = theta_c(prof, entry, c)
     tleq = Interval(tc, 0.0) if c > 0 else Interval(0.0, tc)
+    continuum = TeqSet(TeqKind.CONTINUUM, interval=tleq)
 
     w = prof.w
     w_zero = PARALLEL_TOL * max(float(np.abs(w).max()), 1e-300)
@@ -261,15 +270,13 @@ def _analyze(prof: EdmProfile, entry: EntryIndex) -> _EntryCase:
     if wk_zero and wl_zero:
         # Nonzero parallel Gale rows but both w entries vanish: radius 1
         # throughout.
-        return _EntryCase(yrep, trel, tleq, CaseTag.CONTINUUM_UNIT, None, False, (), tc)
+        return report(CaseTag.CONTINUUM_UNIT, tleq, continuum)
 
     if prof.Z is not None:
         z_scale = max(float(np.linalg.norm(prof.Z, axis=1).max()), 1e-300)
         if float(np.linalg.norm(prof.gale_row(entry.i))) > PARALLEL_TOL * z_scale:
             # w_k != 0 with a nonzero Gale row: radius 1 throughout.
-            return _EntryCase(
-                yrep, trel, tleq, CaseTag.CONTINUUM_UNIT, None, False, (), tc
-            )
+            return report(CaseTag.CONTINUUM_UNIT, tleq, continuum)
 
     if yrep.theta_lower is None or yrep.theta_upper is None:
         # The rational radius formula needs both roots of g; with beta2 < 0
@@ -282,46 +289,16 @@ def _analyze(prof: EdmProfile, entry: EntryIndex) -> _EntryCase:
     kk = float(prof.B_dag[i, i])
     cll = c * c * float(prof.B_dag[j, j])
     gap = abs(kk - cll) / max(kk, cll, 1e-300)
-    singleton = gap <= SINGLETON_BAND
+    warnings = []
     if SINGLETON_BAND < gap <= PROXIMITY_BAND:
         warnings.append(
             "singleton-pair proximity: |s^k|^2 and c^2 |s^l|^2 agree to "
             f"{gap:.3e}; the classification band is {SINGLETON_BAND:.0e}"
         )
-    tag = CaseTag.SINGLETON_UNIT if singleton else CaseTag.PAIR_UNIT
-    return _EntryCase(yrep, trel, tleq, tag, coeffs, singleton, tuple(warnings), tc)
-
-
-def t_leq(prof: EdmProfile, entry: EntryIndex) -> TleqSet:
-    """Perturbations keeping D + t E^kl spherical with radius at most one."""
-    return TleqSet(_analyze(prof, entry).tleq)
-
-
-def _teq_from_case(case: _EntryCase) -> TeqSet:
-    if case.tag in (CaseTag.NOT_YIELDING, CaseTag.TLEQ_TRIVIAL):
-        return TeqSet(TeqKind.SINGLETON, points=(0.0,))
-    if case.tag is CaseTag.CONTINUUM_UNIT:
-        return TeqSet(TeqKind.CONTINUUM, interval=case.tleq)
-    if case.singleton:
-        return TeqSet(TeqKind.SINGLETON, points=(0.0,))
-    tc = case.theta_c_tilde
-    assert tc is not None
-    return TeqSet(TeqKind.PAIR, points=tuple(sorted((0.0, tc))))
-
-
-def t_eq(prof: EdmProfile, entry: EntryIndex) -> TeqSet:
-    """Perturbations keeping D + t E^kl exactly unit spherical."""
-    return _teq_from_case(_analyze(prof, entry))
-
-
-def radius_coefficients(prof: EdmProfile, entry: EntryIndex) -> RadiusCoefficients:
-    """Coefficients of f and g; requires w_k = c w_l != 0 with silent Gale rows."""
-    case = _analyze(prof, entry)
-    if case.coefficients is None:
-        raise PreconditionViolated(
-            "radius coefficients need w_k = c w_l != 0 and r = n-1 or zero Gale rows"
-        )
-    return case.coefficients
+    if gap <= SINGLETON_BAND:
+        return report(CaseTag.SINGLETON_UNIT, tleq, zero_only, coeffs, warnings)
+    pair = TeqSet(TeqKind.PAIR, points=tuple(sorted((0.0, tc))))
+    return report(CaseTag.PAIR_UNIT, tleq, pair, coeffs, warnings)
 
 
 def _eval_f_over_g(
@@ -343,7 +320,7 @@ def _eval_f_over_g(
 
 
 def radius_squared(
-    prof: EdmProfile, entry: EntryIndex, t: float, extrapolate: bool = False
+    report: PerturbationReport, t: float, extrapolate: bool = False
 ) -> float:
     """Squared radius of D + t E^kl for t in the radius-at-most-one set.
 
@@ -352,33 +329,15 @@ def radius_squared(
     the admissible set too (meaningful only while the perturbed matrix
     stays a spherical EDM; callers label such values accordingly).
     """
-    case = _analyze(prof, entry)
-    slack = 1e-9 * (1.0 + abs(case.tleq.lo) + abs(case.tleq.hi))
-    inside = case.tleq.contains(t, slack)
-    if case.coefficients is None:
-        if inside:
-            return 1.0
+    tleq = report.t_leq.interval
+    slack = 1e-9 * (1.0 + abs(tleq.lo) + abs(tleq.hi))
+    inside = tleq.contains(t, slack)
+    if not inside and (report.coefficients is None or not extrapolate):
+        entry = report.entry
         raise OutsideTleq(
             f"t={t} is outside the radius-one set of entry ({entry.k},{entry.l})"
         )
-    if not inside and not extrapolate:
-        raise OutsideTleq(
-            f"t={t} is outside the radius-one set of entry ({entry.k},{entry.l})"
-        )
-    return _eval_f_over_g(
-        case.coefficients, case.yrep.theta_lower, case.yrep.theta_upper, t
-    )
-
-
-def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
-    """Complete per-entry report: yielding data, T<=, T=, case tag."""
-    case = _analyze(prof, entry)
-    return PerturbationReport(
-        entry=entry,
-        yielding_report=case.yrep,
-        case_tag=case.tag,
-        t_leq=TleqSet(case.tleq),
-        t_eq=_teq_from_case(case),
-        coefficients=case.coefficients,
-        warnings=case.warnings,
-    )
+    if report.coefficients is None:
+        return 1.0
+    yrep = report.yielding_report
+    return _eval_f_over_g(report.coefficients, yrep.theta_lower, yrep.theta_upper, t)

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley import cm_build, cm_embedding_dim, cm_gale, cm_radius_sq, cm_w_inner
+from .cayley import (
+    CayleyMengerView,
+    cm_build,
+    cm_embedding_dim,
+    cm_gale,
+    cm_radius_sq,
+    cm_w_inner,
+)
 from .errors import EdmpError, PoleAt
 from .linalg import DEFAULT_TOL, TolerancePolicy, sym_eig
 from .model import (
@@ -37,7 +44,7 @@ from .oracle import (
     sdp_min_radius_sq,
 )
 from .perturbation import CaseTag, TeqKind, classify, radius_squared
-from .yielding import EntryIndex, theta_c
+from .yielding import EntryIndex
 
 __all__ = [
     "CheckResult",
@@ -196,7 +203,7 @@ def check_profile(d: DistanceMatrix, prof: EdmProfile, r_target: int) -> list[Ch
     return out
 
 
-def check_pinv_identities(d: DistanceMatrix, prof: EdmProfile,
+def check_pinv_identities(d: DistanceMatrix, prof: EdmProfile, view: CayleyMengerView,
                           tol: TolerancePolicy) -> list[CheckResult]:
     out: list[CheckResult] = []
     b_prime = np.ones((d.n, d.n)) - 0.5 * d.d
@@ -205,18 +212,15 @@ def check_pinv_identities(d: DistanceMatrix, prof: EdmProfile,
     _check(out, "bprime-identity",
            _mat_rel(bprime_dag_identity(d, tol), pinv(b_prime, tol)) <= 1e-8,
            "B'+ identity failed")
-    view = cm_build(d, tol, source_profile=prof)
     _check(out, "bordered-pinv-block",
            _mat_rel(cm_dag_block(d, tol), pinv(view.d_tilde, tol)) <= 1e-8,
            "bordered pseudoinverse block failed")
     return out
 
 
-def check_bordered(d: DistanceMatrix, prof: EdmProfile,
+def check_bordered(prof: EdmProfile, view: CayleyMengerView,
                    tol: TolerancePolicy) -> list[CheckResult]:
     out: list[CheckResult] = []
-    view = cm_build(d, tol, source_profile=prof)
-    n = d.n
     w_expect = np.concatenate([[-1.0], 2.0 * prof.w])
     _check(out, "bordered-w", float(np.linalg.norm(view.w_tilde - w_expect)) <= 1e-8,
            "w~ != (-1, 2w)")
@@ -315,7 +319,7 @@ def check_entry(
     if tleq.width > 0.0:
         samples = tleq.interior_samples(10 if deep else 4)
         worst_rel = max(
-            _rel(radius_squared(prof, entry, float(t)),
+            _rel(radius_squared(report, float(t)),
                  radius_sq_direct(d, entry, float(t), tol))
             for t in samples
         )
@@ -324,7 +328,7 @@ def check_entry(
         if deep:
             sdp_worst = max(
                 abs(sdp_min_radius_sq(d, entry, float(t), tol)
-                    - radius_squared(prof, entry, float(t)))
+                    - radius_squared(report, float(t)))
                 for t in tleq.interior_samples(3)
             )
             _check(out, "radius-sdp-agreement", sdp_worst <= 1e-7,
@@ -340,7 +344,7 @@ def _check_rational_case(d, prof, entry, report, tol, deep) -> list[CheckResult]
     coeffs = report.coefficients
     yrep = report.yielding_report
     lo, hi = yrep.theta_lower, yrep.theta_upper
-    tc = theta_c(prof, entry, coeffs.c)
+    tc = report.theta_c
     c, w_l = coeffs.c, coeffs.w_l
     i, j = entry.i, entry.j
     bd = prof.B_dag
@@ -375,10 +379,10 @@ def _check_rational_case(d, prof, entry, report, tol, deep) -> list[CheckResult]
     for t in samples:
         t = float(t)
         try:
-            via_border = 1.0 - 0.5 * cm_w_inner(prof, entry, t)
+            via_border = 1.0 - 0.5 * cm_w_inner(report, t)
         except PoleAt:
             continue
-        worst = max(worst, _rel(via_border, radius_squared(prof, entry, t)))
+        worst = max(worst, _rel(via_border, radius_squared(report, t)))
     _check(out, "border-closed-form", worst <= 1e-10,
            f"bordered vs rational radius rel err {worst:.3e}")
     if deep:
@@ -389,7 +393,7 @@ def _check_rational_case(d, prof, entry, report, tol, deep) -> list[CheckResult]
             pert = d.perturbed(entry.i, entry.j, t)  # interior t: still a valid EDM
             view = cm_build(pert, tol)
             try:
-                closed = cm_w_inner(prof, entry, t)
+                closed = cm_w_inner(report, t)
             except PoleAt:
                 continue
             direct = float(view.w_tilde.sum())
@@ -397,7 +401,7 @@ def _check_rational_case(d, prof, entry, report, tol, deep) -> list[CheckResult]
         _check(out, "border-direct", worst_direct <= 1e-8,
                f"closed e~.w~ vs direct rel err {worst_direct:.3e}")
     if report.case_tag is CaseTag.SINGLETON_UNIT:
-        limit = radius_squared(prof, entry, tc)
+        limit = radius_squared(report, tc)
         expect = 1.0 - 4.0 * w_l**2 / ll
         _check(out, "singleton-limit",
                _rel(limit, expect) <= 1e-8 and limit < 1.0,
@@ -428,8 +432,9 @@ def check_instance(
     _check(results, "permutation-invariance",
            shuffled.r == prof.r and abs(shuffled.radius - prof.radius) <= 1e-10,
            f"relabeled profile gives r={shuffled.r}, radius={shuffled.radius!r}")
-    results.extend(check_pinv_identities(d, prof, tol))
-    results.extend(check_bordered(d, prof, tol))
+    view = cm_build(d, tol, source_profile=prof)
+    results.extend(check_pinv_identities(d, prof, view, tol))
+    results.extend(check_bordered(prof, view, tol))
     tag = None
     if spec.entry is not None:
         entry_results, tag = check_entry(d, prof, spec.entry, expected, tol, deep)

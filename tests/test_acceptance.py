@@ -26,8 +26,6 @@ from edmp import (
     profile,
     radius_squared,
     run_verification,
-    t_eq,
-    t_leq,
     theta_bounds,
     theta_c,
     yielding_report,
@@ -111,13 +109,14 @@ def test_criterion_1_square_example():
         rep12 = yielding_report(prof, e12)
         assert rep12.yielding
         assert_allclose(tuple(rep12.interval), (0.0, 8.0), atol=1e-9)
-        assert_allclose(interval_of(t_leq(prof, e12)), (0.0, 0.0), atol=1e-9)
+        assert_allclose(interval_of(classify(prof, e12).t_leq), (0.0, 0.0), atol=1e-9)
 
         e13 = EntryIndex(1, 3)
         rep13 = yielding_report(prof, e13)
         assert_allclose(tuple(rep13.interval), (-4.0, 0.0), atol=1e-9)
-        assert_allclose(interval_of(t_leq(prof, e13)), (-4.0, 0.0), atol=1e-9)
-        eq13 = t_eq(prof, e13)
+        rep13 = classify(prof, e13)
+        assert_allclose(interval_of(rep13.t_leq), (-4.0, 0.0), atol=1e-9)
+        eq13 = rep13.t_eq
         assert eq13.kind is TeqKind.CONTINUUM
         assert_allclose(tuple(eq13.interval), (-4.0, 0.0), atol=1e-9)
 
@@ -132,15 +131,17 @@ def test_criterion_2_antipodal_example():
         e12 = EntryIndex(1, 2)
         assert_allclose(tuple(yielding_report(prof, e12).interval), (-4.0, 2.0),
                         atol=1e-9)
-        assert_allclose(interval_of(t_leq(prof, e12)), (-4.0, 0.0), atol=1e-9)
-        eq12 = t_eq(prof, e12)
+        rep12 = classify(prof, e12)
+        assert_allclose(interval_of(rep12.t_leq), (-4.0, 0.0), atol=1e-9)
+        eq12 = rep12.t_eq
         assert eq12.kind is TeqKind.SINGLETON and eq12.points == (0.0,)
 
         e34 = EntryIndex(3, 4)
         assert_allclose(tuple(yielding_report(prof, e34).interval), (-2.0, 2.0),
                         atol=1e-9)
-        assert_allclose(interval_of(t_leq(prof, e34)), (-2.0, 2.0), atol=1e-9)
-        eq34 = t_eq(prof, e34)
+        rep34 = classify(prof, e34)
+        assert_allclose(interval_of(rep34.t_leq), (-2.0, 2.0), atol=1e-9)
+        eq34 = rep34.t_eq
         assert eq34.kind is TeqKind.CONTINUUM
         assert_allclose(tuple(eq34.interval), (-2.0, 2.0), atol=1e-9)
 
@@ -153,21 +154,23 @@ def test_criterion_3_triangle_example():
         e12 = EntryIndex(1, 2)
         assert_allclose(tuple(yielding_report(prof, e12).interval),
                         (3 - 2 * SQRT3, 3 + 2 * SQRT3), atol=1e-9)
-        assert_allclose(interval_of(t_leq(prof, e12)), (0.0, 3.0), atol=1e-9)
+        rep12 = classify(prof, e12)
+        assert_allclose(interval_of(rep12.t_leq), (0.0, 3.0), atol=1e-9)
         for t in (0.0, 0.5, 1.0, 2.0, 3.0):
             expected = (3 + 3 * t) / (3 + 6 * t - t * t)
-            assert_allclose(radius_squared(prof, e12, t), expected, atol=1e-10)
-        eq12 = t_eq(prof, e12)
+            assert_allclose(radius_squared(rep12, t), expected, atol=1e-10)
+        eq12 = rep12.t_eq
         assert eq12.kind is TeqKind.PAIR
         assert_allclose(eq12.points, (0.0, 3.0), atol=1e-9)
 
         e13 = EntryIndex(1, 3)
         assert_allclose(tuple(yielding_report(prof, e13).interval), (-3.0, 1.0),
                         atol=1e-9)
-        assert_allclose(interval_of(t_leq(prof, e13)), (-3.0, 0.0), atol=1e-9)
+        rep13 = classify(prof, e13)
+        assert_allclose(interval_of(rep13.t_leq), (-3.0, 0.0), atol=1e-9)
         for t in (-3.0, -1.5, -0.5, 0.0):
-            assert_allclose(radius_squared(prof, e13, t), 1.0 / (1.0 - t), atol=1e-10)
-        assert t_eq(prof, e13).kind is TeqKind.SINGLETON
+            assert_allclose(radius_squared(rep13, t), 1.0 / (1.0 - t), atol=1e-10)
+        assert rep13.t_eq.kind is TeqKind.SINGLETON
 
         # The bordered pathway rebuilds both quadratics g: coefficients are
         # recovered from beta2 and the two roots used by its closed form.
@@ -209,8 +212,8 @@ def test_criterion_5_cross_path_equality(rational_pool):
             iv = report.t_leq.interval
             for t in iv.interior_samples(20):
                 t = float(t)
-                closed = radius_squared(prof, entry, t)
-                border = 1.0 - 0.5 * cm_w_inner(prof, entry, t)
+                closed = radius_squared(report, t)
+                border = 1.0 - 0.5 * cm_w_inner(report, t)
                 assert abs(border - closed) <= 1e-10 * max(1.0, abs(closed))
                 direct = radius_sq_direct(d, entry, t)
                 assert abs(closed - direct) <= 1e-8 * max(1.0, abs(direct))
@@ -242,7 +245,7 @@ def test_criterion_7_sdp_oracle(rational_pool):
             for t in iv.interior_samples(10):
                 t = float(t)
                 lam_star = sdp_min_radius_sq(d, entry, t)
-                assert abs(lam_star - radius_squared(prof, entry, t)) <= 1e-7
+                assert abs(lam_star - radius_squared(report, t)) <= 1e-7
 
 
 def test_criterion_8_case_coverage():

@@ -17,6 +17,7 @@ from edmp import (
     cm_gale,
     cm_is_edm,
     cm_radius_sq,
+    classify,
     cm_w_inner,
     gen_nonspherical,
     gen_unit_spherical,
@@ -143,53 +144,50 @@ class TestGale:
 
 class TestWInner:
     def test_zero_at_origin(self, triangle_profile, antipodal_profile):
-        assert cm_w_inner(triangle_profile, EntryIndex(1, 2), 0.0) == pytest.approx(0.0)
-        assert cm_w_inner(antipodal_profile, EntryIndex(1, 2), 0.0) == pytest.approx(0.0)
+        for prof in (triangle_profile, antipodal_profile):
+            assert cm_w_inner(classify(prof, EntryIndex(1, 2)), 0.0) == pytest.approx(0.0)
 
     def test_triangle_short_side_matches_radius(self, triangle_profile):
+        report = classify(triangle_profile, EntryIndex(1, 2))
         for t in (0.0, 0.5, 1.0, 2.0, 3.0):
-            val = 1.0 - 0.5 * cm_w_inner(triangle_profile, EntryIndex(1, 2), t)
+            val = 1.0 - 0.5 * cm_w_inner(report, t)
             assert_allclose(val, rho12(t), atol=1e-12)
 
     def test_zero_at_theta_c_in_pair_case(self, triangle_profile):
-        assert cm_w_inner(triangle_profile, EntryIndex(1, 2), 3.0) == pytest.approx(
-            0.0, abs=1e-10
-        )
+        report = classify(triangle_profile, EntryIndex(1, 2))
+        assert cm_w_inner(report, 3.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_direct_bordered_solve(self, triangle):
-        prof = profile(triangle)
+        report = classify(profile(triangle), EntryIndex(1, 3))
         for t in (-2.0, -1.0, -0.3):
-            closed = cm_w_inner(prof, EntryIndex(1, 3), t)
+            closed = cm_w_inner(report, t)
             direct = float(cm_build(triangle.perturbed(0, 2, t)).w_tilde.sum())
             assert_allclose(closed, direct, atol=1e-9)
 
     def test_singleton_branch_avoids_cancelled_pole(self, triangle_profile):
         # theta_c = theta_lower = -3 here; the closed form stays finite there.
-        val = cm_w_inner(triangle_profile, EntryIndex(1, 3), -3.0)
+        val = cm_w_inner(classify(triangle_profile, EntryIndex(1, 3)), -3.0)
         assert np.isfinite(val)
         assert_allclose(1.0 - 0.5 * val, 0.25, atol=1e-10)
 
     def test_pole_raises(self, triangle_profile):
         with pytest.raises(PoleAt):
-            cm_w_inner(triangle_profile, EntryIndex(1, 3), 1.0)  # theta_upper
+            cm_w_inner(classify(triangle_profile, EntryIndex(1, 3)), 1.0)  # theta_upper
 
     def test_requires_rational_case(self, square_profile):
         with pytest.raises(PreconditionViolated):
-            cm_w_inner(square_profile, EntryIndex(1, 3), -1.0)
+            cm_w_inner(classify(square_profile, EntryIndex(1, 3)), -1.0)
 
 
 class TestCrossPath:
     def test_radius_paths_agree(self):
         d = gen_unit_spherical(InstanceSpec(n=4, r=3, seed=33))
         prof = profile(d)
-        entry = EntryIndex(1, 2)
-        from edmp import t_leq
-
-        iv = t_leq(prof, entry).interval
-        for t in iv.interior_samples(20):
+        report = classify(prof, EntryIndex(1, 2))
+        for t in report.t_leq.interval.interior_samples(20):
             t = float(t)
-            via_border = 1.0 - 0.5 * cm_w_inner(prof, entry, t)
-            assert_allclose(via_border, radius_squared(prof, entry, t), rtol=1e-10)
+            via_border = 1.0 - 0.5 * cm_w_inner(report, t)
+            assert_allclose(via_border, radius_squared(report, t), rtol=1e-10)
 
     def test_unit_source_iff_bordered_nonspherical(self):
         # Unit spherical source: bordered matrix nonspherical; shrunken

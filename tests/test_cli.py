@@ -76,6 +76,24 @@ class TestAnalyze:
         _, out, _ = run_cli(capsys, "analyze", triangle_file)
         assert json.loads(out)["diagnostics"]["tolerances"]["rank_rel"] == 1e-7
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_exits_2(self, capsys, tmp_path, cell):
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text(f"0,1,3\n1,0,{cell}\n3,{cell},0\n")
+        code, out, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+        assert err.endswith(f"squared distances must be finite, got {cell} at entry (2,3)\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_env_tolerance_exits_2(self, capsys, triangle_file, monkeypatch,
+                                              value):
+        monkeypatch.setenv("EDMP_TOL", value)
+        code, out, err = run_cli(capsys, "analyze", triangle_file)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: invalid EDMP_TOL value '{value}'")
+        assert f"rank_rel={value}" in err
+
 
 class TestEntry:
     def test_triangle_pair(self, capsys, triangle_file):

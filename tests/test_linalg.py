@@ -6,15 +6,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from edmp import ParallelVectors
 from edmp.linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     fix_column_signs,
-    is_psd,
     nullspace_basis,
     pinv,
-    rank2_sym_eigs,
     rank_of,
     sym_eig,
     symmetrize,
@@ -179,6 +176,10 @@ class TestNullspace:
         assert basis.shape[1] == cols - rank
 
 
+def is_psd(a):
+    return sym_eig(a).is_psd(DEFAULT_TOL.psd_abs_scale)
+
+
 class TestPsd:
     def test_identity(self):
         assert is_psd(np.eye(2))
@@ -190,41 +191,6 @@ class TestPsd:
         # 2E - D is positive semidefinite exactly for radius <= 1.
         assert is_psd(2.0 * np.ones((4, 4)) - SQUARE)
         assert not is_psd(2.0 * np.ones((4, 4)) - 4.0 * SQUARE)
-
-
-class TestRankTwoEigs:
-    def test_orthonormal_pair(self):
-        assert_allclose(rank2_sym_eigs([1, 0], [0, 1]), (1.0, -1.0))
-
-    def test_oblique_pair(self):
-        # Oracle: eigendecompose a b^T + b a^T directly.
-        a, b = np.array([1.0, 0.0]), np.array([1.0, 1.0])
-        direct = np.linalg.eigvalsh(np.outer(a, b) + np.outer(b, a))
-        lam1, lam_r = rank2_sym_eigs(a, b)
-        assert_allclose((lam1, lam_r), (direct[-1], direct[0]), atol=1e-12)
-        assert_allclose((lam1, lam_r), (1 + np.sqrt(2), 1 - np.sqrt(2)))
-
-    def test_scaled_orthogonal_pair(self):
-        a, b = np.array([2.0, 0.0]), np.array([0.0, 3.0])
-        direct = np.linalg.eigvalsh(np.outer(a, b) + np.outer(b, a))
-        assert_allclose(rank2_sym_eigs(a, b), (direct[-1], direct[0]), atol=1e-12)
-        assert_allclose(rank2_sym_eigs(a, b), (6.0, -6.0))
-
-    def test_parallel_rejected(self):
-        with pytest.raises(ParallelVectors):
-            rank2_sym_eigs([1.0, 2.0], [2.0, 4.0])
-        with pytest.raises(ParallelVectors):
-            rank2_sym_eigs([0.0, 0.0], [0.0, 0.0])
-
-    def test_hundred_random_pairs_match_eigh(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            r = rng.integers(2, 7)
-            a, b = rng.normal(size=r), rng.normal(size=r)
-            extremes = np.linalg.eigvalsh(np.outer(a, b) + np.outer(b, a))
-            lam1, lam_r = rank2_sym_eigs(a, b)
-            assert abs(lam1 - extremes[-1]) <= 1e-10 * max(1, abs(lam1))
-            assert abs(lam_r - extremes[0]) <= 1e-10 * max(1, abs(lam_r))
 
 
 class TestHelpers:
@@ -240,4 +206,7 @@ class TestHelpers:
     def test_tolerance_policy_validation(self):
         with pytest.raises(ValueError):
             TolerancePolicy(rank_rel=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=repr(bad)):
+                TolerancePolicy(psd_abs_scale=bad)
         assert DEFAULT_TOL.rank_rel == 1e-10

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from edmp import (
     DistanceMatrix,
-    GramChoice,
     InstanceSpec,
     NotAnEdm,
     NotUnitSpherical,
@@ -15,7 +14,6 @@ from edmp import (
     cm_dag_block,
     gen_nonspherical,
     gen_unit_spherical,
-    gram,
     is_edm,
     profile,
 )
@@ -47,6 +45,13 @@ class TestDistanceMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             DistanceMatrix(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        a = np.array([[0, 1.0, 1], [1, 0, 1], [1, 1, 0]])
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(ValueError, match=rf"finite, got {bad} at entry \(2,3\)"):
+            DistanceMatrix(a)
 
 
 class TestIsEdm:
@@ -142,35 +147,36 @@ class TestProfile:
 
 
 class TestGram:
+    """The centroid Gram matrix B = -JDJ/2 and the w-origin one B' = E - D/2."""
+
     def test_centroid_zero(self):
-        out = gram(DistanceMatrix(np.zeros((3, 3))), GramChoice.CENTROID)
-        assert_allclose(out, np.zeros((3, 3)))
+        assert_allclose(centroid_gram(np.zeros((3, 3))), np.zeros((3, 3)))
 
     def test_antipodal_centroid_matches_hand_value(self, antipodal):
         expected = np.array(
             [[9, -7, -1, -1], [-7, 9, -1, -1], [-1, -1, 5, -3], [-1, -1, -3, 5]]
         ) / 8.0
-        assert_allclose(gram(antipodal, GramChoice.CENTROID), expected, atol=1e-12)
+        assert_allclose(centroid_gram(antipodal.d), expected, atol=1e-12)
 
     def test_wvector_mode(self, antipodal):
-        out = gram(antipodal, GramChoice.WVECTOR)
-        expected = np.ones((4, 4)) - 0.5 * antipodal.d
-        assert_allclose(out, expected)
-        # B' annihilates w.
+        # B' and its pseudoinverse both annihilate w.
+        b_prime = np.ones((4, 4)) - 0.5 * antipodal.d
         w = pinv(antipodal.d) @ np.ones(4)
-        assert np.linalg.norm(out @ w) <= 1e-12
+        assert np.linalg.norm(b_prime @ w) <= 1e-12
+        assert np.linalg.norm(bprime_dag_identity(antipodal) @ w) <= 1e-12
 
     def test_wvector_requires_unit_spherical(self, triangle):
         scaled = DistanceMatrix(4.0 * triangle.d)
         with pytest.raises(NotUnitSpherical):
-            gram(scaled, GramChoice.WVECTOR)
+            bprime_dag_identity(scaled)
 
     def test_both_modes_have_rank_r(self):
         for seed in (1, 2):
             d = gen_unit_spherical(InstanceSpec(n=5, r=3, seed=seed))
             p = profile(d)
-            assert rank_of(gram(d, GramChoice.CENTROID)) == p.r
-            assert rank_of(gram(d, GramChoice.WVECTOR)) == p.r
+            assert rank_of(centroid_gram(d.d)) == p.r
+            assert rank_of(np.ones((5, 5)) - 0.5 * d.d) == p.r
+            assert rank_of(bprime_dag_identity(d)) == p.r
 
 
 class TestPinvIdentities:

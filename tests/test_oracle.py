@@ -10,13 +10,13 @@ from edmp import (
     InfeasibleSpec,
     InstanceSpec,
     Structure,
+    classify,
     gen_nonspherical,
     gen_unit_spherical,
     membership_scan,
     profile,
     radius_squared,
     sdp_min_radius_sq,
-    t_leq,
 )
 from edmp.linalg import rank_of
 from edmp.oracle import in_t_leq_oracle, locate_t_leq_boundary
@@ -183,13 +183,11 @@ class TestSdpOracle:
 
     def test_matches_closed_form_on_generated(self):
         d = gen_unit_spherical(InstanceSpec(n=4, r=3, seed=77))
-        prof = profile(d)
         entry = EntryIndex(1, 2)
-        iv = t_leq(prof, entry).interval
-        for t in iv.interior_samples(10):
+        report = classify(profile(d), entry)
+        for t in report.t_leq.interval.interior_samples(10):
             t = float(t)
-            assert abs(sdp_min_radius_sq(d, entry, t)
-                       - radius_squared(prof, entry, t)) <= 1e-7
+            assert abs(sdp_min_radius_sq(d, entry, t) - radius_squared(report, t)) <= 1e-7
 
 
 class TestBoundaryLocation:
@@ -197,7 +195,7 @@ class TestBoundaryLocation:
         prof = profile(triangle)
         for k, l in [(1, 2), (1, 3)]:
             entry = EntryIndex(k, l)
-            iv = t_leq(prof, entry).interval
+            iv = classify(prof, entry).t_leq.interval
             mid = 0.5 * (iv.lo + iv.hi)
             hi_found = locate_t_leq_boundary(triangle, entry, mid, iv.hi + 0.5)
             lo_found = locate_t_leq_boundary(triangle, entry, mid, iv.lo - 0.5)

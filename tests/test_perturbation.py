@@ -14,10 +14,7 @@ from edmp import (
     classify,
     gen_unit_spherical,
     profile,
-    radius_coefficients,
     radius_squared,
-    t_eq,
-    t_leq,
 )
 from edmp.linalg import pinv
 from edmp.oracle import edm_from_points, radius_sq_direct
@@ -30,28 +27,32 @@ def rho12(t):
     return (3.0 + 3.0 * t) / (3.0 + 6.0 * t - t * t)
 
 
+def report(prof, k, l):
+    return classify(prof, EntryIndex(k, l))
+
+
 class TestTleq:
     def test_square_adjacent_trivial(self, square_profile):
-        out = t_leq(square_profile, EntryIndex(1, 2))
+        out = report(square_profile, 1, 2).t_leq
         assert out.is_trivial
         # Stacked rows (w_k, z_k) are not parallel although the Gale rows are.
         rel = tilde_pair_relation(square_profile, EntryIndex(1, 2))
         assert rel.kind is ParallelKind.NOT_PARALLEL
 
     def test_square_diagonal_full_interval(self, square_profile):
-        out = t_leq(square_profile, EntryIndex(1, 3))
+        out = report(square_profile, 1, 3).t_leq
         assert_allclose(tuple(out.interval), (-4.0, 0.0), atol=1e-10)
 
     def test_antipodal_cases(self, antipodal_profile):
-        assert_allclose(tuple(t_leq(antipodal_profile, EntryIndex(1, 2)).interval),
+        assert_allclose(tuple(report(antipodal_profile, 1, 2).t_leq.interval),
                         (-4.0, 0.0), atol=1e-10)
-        assert_allclose(tuple(t_leq(antipodal_profile, EntryIndex(3, 4)).interval),
+        assert_allclose(tuple(report(antipodal_profile, 3, 4).t_leq.interval),
                         (-2.0, 2.0), atol=1e-10)
 
     def test_triangle_cases(self, triangle_profile):
-        assert_allclose(tuple(t_leq(triangle_profile, EntryIndex(1, 2)).interval),
+        assert_allclose(tuple(report(triangle_profile, 1, 2).t_leq.interval),
                         (0.0, 3.0), atol=1e-10)
-        assert_allclose(tuple(t_leq(triangle_profile, EntryIndex(1, 3)).interval),
+        assert_allclose(tuple(report(triangle_profile, 1, 3).t_leq.interval),
                         (-3.0, 0.0), atol=1e-10)
 
     def test_requires_unit_spherical(self, triangle):
@@ -59,18 +60,18 @@ class TestTleq:
 
         scaled = profile(DistanceMatrix(4.0 * triangle.d))
         with pytest.raises(PreconditionViolated):
-            t_leq(scaled, EntryIndex(1, 2))
+            classify(scaled, EntryIndex(1, 2))
 
 
 class TestRadiusCoefficients:
     def test_triangle_short_side(self, triangle_profile):
-        co = radius_coefficients(triangle_profile, EntryIndex(1, 2))
+        co = report(triangle_profile, 1, 2).coefficients
         assert_allclose((co.alpha1, co.alpha2), (1.0, 0.0), atol=1e-12)
         assert_allclose((co.beta1, co.beta2), (2.0, -1.0 / 3.0), atol=1e-12)
         assert_allclose(co.c, -1.0, atol=1e-10)
 
     def test_triangle_long_side(self, triangle_profile):
-        co = radius_coefficients(triangle_profile, EntryIndex(1, 3))
+        co = report(triangle_profile, 1, 3).coefficients
         assert_allclose((co.alpha1, co.alpha2), (1.0 / 3.0, 0.0), atol=1e-12)
         assert_allclose((co.beta1, co.beta2), (-2.0 / 3.0, -1.0 / 3.0), atol=1e-12)
 
@@ -86,45 +87,42 @@ class TestRadiusCoefficients:
         assert_allclose(co.f(tc[0]), co.g(tc[0]), atol=1e-9)
 
     def test_requires_rational_case(self, square_profile, antipodal_profile):
-        with pytest.raises(PreconditionViolated):
-            radius_coefficients(square_profile, EntryIndex(1, 2))  # trivial set
-        with pytest.raises(PreconditionViolated):
-            radius_coefficients(square_profile, EntryIndex(1, 3))  # radius stays 1
-        with pytest.raises(PreconditionViolated):
-            radius_coefficients(antipodal_profile, EntryIndex(3, 4))
+        assert report(square_profile, 1, 2).coefficients is None  # trivial set
+        assert report(square_profile, 1, 3).coefficients is None  # radius stays 1
+        assert report(antipodal_profile, 3, 4).coefficients is None
 
 
 class TestRadiusSquared:
     def test_unperturbed_is_one(self, triangle_profile, antipodal_profile):
-        assert radius_squared(triangle_profile, EntryIndex(1, 2), 0.0) == pytest.approx(1.0)
-        assert radius_squared(antipodal_profile, EntryIndex(3, 4), 0.0) == 1.0
+        assert radius_squared(report(triangle_profile, 1, 2), 0.0) == pytest.approx(1.0)
+        assert radius_squared(report(antipodal_profile, 3, 4), 0.0) == 1.0
 
     def test_triangle_short_side_function(self, triangle_profile):
         for t in (0.0, 0.5, 1.0, 2.0, 3.0):
-            assert_allclose(radius_squared(triangle_profile, EntryIndex(1, 2), t),
+            assert_allclose(radius_squared(report(triangle_profile, 1, 2), t),
                             rho12(t), atol=1e-12)
 
     def test_triangle_long_side_function(self, triangle_profile):
         for t in (-3.0, -2.5, -1.0, -0.1, 0.0):
-            assert_allclose(radius_squared(triangle_profile, EntryIndex(1, 3), t),
+            assert_allclose(radius_squared(report(triangle_profile, 1, 3), t),
                             1.0 / (1.0 - t), atol=1e-12)
 
     def test_constant_cases_return_exact_one(self, square_profile, antipodal_profile):
         # Both flavors of the constant-radius case: zero w entries, and
         # nonzero w with a surviving Gale row.
-        assert radius_squared(antipodal_profile, EntryIndex(3, 4), 1.3) == 1.0
-        assert radius_squared(square_profile, EntryIndex(1, 3), -2.0) == 1.0
+        assert radius_squared(report(antipodal_profile, 3, 4), 1.3) == 1.0
+        assert radius_squared(report(square_profile, 1, 3), -2.0) == 1.0
 
     def test_outside_raises(self, triangle_profile):
         with pytest.raises(OutsideTleq):
-            radius_squared(triangle_profile, EntryIndex(1, 2), 4.0)
+            radius_squared(report(triangle_profile, 1, 2), 4.0)
         with pytest.raises(OutsideTleq):
-            radius_squared(triangle_profile, EntryIndex(1, 3), 0.5)
+            radius_squared(report(triangle_profile, 1, 3), 0.5)
 
     def test_extrapolation_matches_direct_oracle(self, triangle, triangle_profile):
         # Beyond the radius-one set but inside the yield interval the
         # rational form still tracks the true (larger) radius.
-        val = radius_squared(triangle_profile, EntryIndex(1, 3), 0.5, extrapolate=True)
+        val = radius_squared(report(triangle_profile, 1, 3), 0.5, extrapolate=True)
         assert_allclose(val, 2.0, atol=1e-12)
         assert_allclose(val, radius_sq_direct(triangle, EntryIndex(1, 3), 0.5),
                         atol=1e-10)
@@ -132,7 +130,7 @@ class TestRadiusSquared:
     def test_singleton_endpoint_limit(self, triangle_profile):
         # At theta_c = theta_lower the rational form has a removable
         # singularity; the limit is -2 pinv(D)_ll / pinv(B)_ll < 1.
-        val = radius_squared(triangle_profile, EntryIndex(1, 3), -3.0)
+        val = radius_squared(report(triangle_profile, 1, 3), -3.0)
         w_l = triangle_profile.w[2]
         b_ll = triangle_profile.B_dag[2, 2]
         assert_allclose(val, 1.0 - 4.0 * w_l**2 / b_ll, atol=1e-10)
@@ -141,47 +139,46 @@ class TestRadiusSquared:
 
     def test_matches_direct_oracle_inside(self):
         d = gen_unit_spherical(InstanceSpec(n=4, r=3, seed=19))
-        prof = profile(d)
         entry = EntryIndex(1, 2)
-        iv = t_leq(prof, entry).interval
-        for t in iv.interior_samples(7):
-            closed = radius_squared(prof, entry, float(t))
+        rep = classify(profile(d), entry)
+        for t in rep.t_leq.interval.interior_samples(7):
+            closed = radius_squared(rep, float(t))
             direct = radius_sq_direct(d, entry, float(t))
             assert_allclose(closed, direct, rtol=1e-8)
 
 
 class TestTeq:
     def test_triangle(self, triangle_profile):
-        out = t_eq(triangle_profile, EntryIndex(1, 2))
+        out = report(triangle_profile, 1, 2).t_eq
         assert out.kind is TeqKind.PAIR
         assert_allclose(out.points, (0.0, 3.0), atol=1e-10)
-        out = t_eq(triangle_profile, EntryIndex(1, 3))
+        out = report(triangle_profile, 1, 3).t_eq
         assert out.kind is TeqKind.SINGLETON
         assert out.points == (0.0,)
 
     def test_antipodal(self, antipodal_profile):
-        out = t_eq(antipodal_profile, EntryIndex(1, 2))
+        out = report(antipodal_profile, 1, 2).t_eq
         assert out.kind is TeqKind.SINGLETON
-        out = t_eq(antipodal_profile, EntryIndex(3, 4))
+        out = report(antipodal_profile, 3, 4).t_eq
         assert out.kind is TeqKind.CONTINUUM
         assert_allclose(tuple(out.interval), (-2.0, 2.0), atol=1e-10)
 
     def test_square(self, square_profile):
-        out = t_eq(square_profile, EntryIndex(1, 3))
+        out = report(square_profile, 1, 3).t_eq
         assert out.kind is TeqKind.CONTINUUM
         assert_allclose(tuple(out.interval), (-4.0, 0.0), atol=1e-10)
-        out = t_eq(square_profile, EntryIndex(1, 2))
+        out = report(square_profile, 1, 2).t_eq
         assert out.kind is TeqKind.SINGLETON
 
     def test_members_stay_unit_spherical(self, antipodal, antipodal_profile):
-        out = t_eq(antipodal_profile, EntryIndex(3, 4))
+        out = report(antipodal_profile, 3, 4).t_eq
         for t in out.members(samples=5):
             w_t = pinv(antipodal.perturbed_array(2, 3, float(t))) @ np.ones(4)
             assert abs(2.0 * w_t.sum() - 1.0) <= 1e-9
 
     def test_pair_member_is_unit_nonmembers_are_not(self, triangle):
         prof = profile(triangle)
-        out = t_eq(prof, EntryIndex(1, 2))
+        out = report(prof, 1, 2).t_eq
         for t in out.points:
             w_t = pinv(triangle.perturbed_array(0, 1, float(t))) @ np.ones(3)
             assert abs(2.0 * w_t.sum() - 1.0) <= 1e-10
@@ -247,7 +244,7 @@ class TestClassify:
         assert tuple(rep.t_leq.interval) == tuple(yiv)
         assert yiv.lo < 0.0 < yiv.hi
         for t in rep.t_leq.interval.interior_samples(5):
-            assert radius_squared(prof, entry, float(t)) == 1.0
+            assert radius_squared(rep, float(t)) == 1.0
             direct = radius_sq_direct(edm_from_points(pts), entry, float(t))
             assert abs(direct - 1.0) <= 1e-9
 
