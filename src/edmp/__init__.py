@@ -27,7 +27,6 @@ from .linalg import (
     TolerancePolicy,
     nullspace_basis,
     pinv,
-    rank_of,
     sym_eig,
 )
 from .model import (
@@ -74,7 +73,6 @@ from .oracle import (
     Structure,
     SweepRecord,
     edm_from_points,
-    gen_nonspherical,
     gen_unit_spherical,
     membership_scan,
     radius_sq_direct,

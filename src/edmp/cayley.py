@@ -13,6 +13,12 @@ closed form in theta_lower, theta_upper, theta_c.  cm_w_inner reads
 those values, the radius coefficients and the singleton verdict from the
 entry's PerturbationReport.  Everything here is used to cross-check the
 direct perturbation formulas.
+
+A view factors its bordered matrix once and keeps that decomposition, so
+w~, the bordered pseudoinverse and the bordered rank all come from it.
+Building a view does not profile the source; only the Gale block needs
+the source profile, and cm_gale and cm_embedding_dim build it when the
+view was made without one.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import (
     PoleAt,
     PreconditionViolated,
 )
-from .linalg import DEFAULT_TOL, TolerancePolicy, pinv, rank_of
+from .linalg import DEFAULT_TOL, EigDecomp, TolerancePolicy, sym_eig
 from .model import DistanceMatrix, EdmProfile, centroid_gram, is_edm, profile
 from .perturbation import CaseTag, PerturbationReport
 
@@ -47,18 +53,13 @@ POLE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CayleyMengerView:
-    """The bordered matrix of one source together with its w vector."""
+    """The bordered matrix of one source, its eigendecomposition and its w vector."""
 
     d_tilde: np.ndarray
+    eig: EigDecomp
     w_tilde: np.ndarray
-    gale_tilde: np.ndarray | None
     source: DistanceMatrix
     source_profile: EdmProfile | None
-
-    @property
-    def n(self) -> int:
-        """Order of the source matrix."""
-        return self.source.n
 
 
 def bordered(d: DistanceMatrix) -> np.ndarray:
@@ -75,27 +76,17 @@ def cm_build(
     tol: TolerancePolicy = DEFAULT_TOL,
     source_profile: EdmProfile | None = None,
 ) -> CayleyMengerView:
-    """Construct the bordered view; works for any distance matrix."""
+    """Factor the bordered matrix once; works for any distance matrix.
+
+    The source is not profiled here: cm_gale and cm_embedding_dim build its
+    profile on demand unless the caller passes the one it holds.
+    """
     d_tilde = bordered(d)
-    w_tilde = pinv(d_tilde, tol) @ np.ones(d.n + 1)
-
-    prof = source_profile
-    if prof is None and is_edm(d, tol):
-        prof = profile(d, tol)
-
-    gale = None
-    if prof is not None and prof.unit_spherical:
-        if prof.Z is None:
-            gale = np.concatenate([[-0.5], prof.w])[:, None]
-        else:
-            cols = prof.Z.shape[1]
-            gale = np.zeros((d.n + 1, cols + 1))
-            gale[0, 0] = -0.5
-            gale[1:, 0] = prof.w
-            gale[1:, 1:] = prof.Z
+    dec = sym_eig(d_tilde)
+    w_tilde = dec.pinv(tol) @ np.ones(d.n + 1)
     d_tilde.flags.writeable = False
     w_tilde.flags.writeable = False
-    return CayleyMengerView(d_tilde, w_tilde, gale, d, prof)
+    return CayleyMengerView(d_tilde, dec, w_tilde, d, source_profile)
 
 
 def cm_is_edm(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -110,8 +101,10 @@ def cm_radius_sq(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> 
     return 1.0 - 0.5 * float(view.w_tilde.sum())
 
 
-def _require_unit_source(view: CayleyMengerView) -> EdmProfile:
+def _unit_source(view: CayleyMengerView, tol: TolerancePolicy) -> EdmProfile:
     prof = view.source_profile
+    if prof is None and is_edm(view.source, tol):
+        prof = profile(view.source, tol)
     if prof is None or not prof.unit_spherical:
         raise NotUnitSpherical("operation requires a unit spherical source")
     return prof
@@ -119,21 +112,18 @@ def _require_unit_source(view: CayleyMengerView) -> EdmProfile:
 
 def cm_embedding_dim(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Embedding dimension of the bordered matrix; equals that of the source."""
-    _require_unit_source(view)
-    return rank_of(centroid_gram(view.d_tilde), tol)
+    _unit_source(view, tol)
+    return sym_eig(centroid_gram(view.d_tilde)).rank(tol)
 
 
 def cm_gale(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Explicit Gale matrix of the bordered matrix, verified against its null space."""
-    prof = _require_unit_source(view)
-    gale = view.gale_tilde
-    if gale is None:
-        raise NotUnitSpherical("operation requires a unit spherical source")
-    n = view.n
-    if gale.shape[1] != n - prof.r:
-        raise NumericalFailure(
-            f"bordered Gale matrix has {gale.shape[1]} columns, expected {n - prof.r}"
-        )
+    """Explicit Gale matrix [[-1/2, 0], [w, Z]] of the bordered matrix,
+    verified against its null space."""
+    prof = _unit_source(view, tol)
+    n = view.source.n
+    gale = np.zeros((n + 1, prof.Z_tilde.shape[1]))
+    gale[0, 0] = -0.5
+    gale[1:] = prof.Z_tilde
     b_tilde = centroid_gram(view.d_tilde)
     stack = np.vstack([b_tilde, np.ones((1, n + 1))])
     residual = np.linalg.norm(stack @ gale)

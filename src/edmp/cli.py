@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     PoleAt,
 )
-from .linalg import DEFAULT_TOL, TolerancePolicy, pinv
+from .linalg import DEFAULT_TOL, TolerancePolicy
 from .matio import fmt_float, load_matrix, matrix_to_csv, matrix_to_json, report_json
 from .model import DistanceMatrix, EdmProfile, profile
 from .oracle import (
@@ -34,6 +34,7 @@ from .oracle import (
     Structure,
     gen_unit_spherical,
     membership_scan,
+    perturbed_w,
     radius_sq_direct,
 )
 from .perturbation import PerturbationReport, TeqKind, classify, radius_squared
@@ -154,10 +155,9 @@ def _cross_check_block(d: DistanceMatrix, report: PerturbationReport,
                 continue
             diff = abs(border - closed) / max(1.0, abs(closed))
             worst_border = diff if worst_border is None else max(worst_border, diff)
-    e = np.ones(d.n)
     worst_member = 0.0
     for t in report.t_eq.members(samples=5):
-        w_t = pinv(d.perturbed_array(entry.i, entry.j, float(t)), tol) @ e
+        w_t = perturbed_w(d, entry, float(t), tol)[0]
         worst_member = max(worst_member, abs(2.0 * float(w_t.sum()) - 1.0))
     return {
         "samples": len(ts),

@@ -1,10 +1,10 @@
 """Dense symmetric linear-algebra kernel.
 
-The rank cut, the semidefiniteness bound and the spectral inverse are
-each written once, as methods of one eigendecomposition, so a caller that
-already holds a factorization reuses it for all three.  All inputs are
-symmetrized explicitly before factorization; there is no unsymmetric
-code path.
+The rank cut, the condition number, the semidefiniteness bound and the
+spectral inverse are each written once, as methods of one
+eigendecomposition, so a caller that holds a factorization reuses it.
+All inputs are symmetrized explicitly before factorization; there is no
+unsymmetric code path.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ __all__ = [
     "symmetrize",
     "sym_eig",
     "pinv",
-    "rank_of",
     "nullspace_basis",
-    "min_eigenvalue",
     "fix_column_signs",
 ]
 
@@ -90,6 +88,11 @@ class EigDecomp:
         np.divide(1.0, self.values, out=inv, where=self._kept(tol))
         return symmetrize((self.vectors * inv) @ self.vectors.T)
 
+    def cond(self, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+        """Largest |lambda| over the smallest kept |lambda|; inf when none is kept."""
+        kept = np.abs(self.values[self._kept(tol)])
+        return float(kept.max() / kept.min()) if kept.size else math.inf
+
     def is_psd(self, scale: float) -> bool:
         """Smallest eigenvalue at least -scale * max(1, max|lambda|)."""
         bound = scale * max(1.0, np.abs(self.values).max())
@@ -111,11 +114,6 @@ def pinv(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return sym_eig(a).pinv(tol)
 
 
-def rank_of(a, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Numerical rank of a symmetric matrix under the shared cutoff."""
-    return sym_eig(a).rank(tol)
-
-
 def nullspace_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the null space {x : Ax = 0}, as columns.
 
@@ -128,11 +126,6 @@ def nullspace_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     cut = tol.rank_rel * (sing.max() if sing.size else 0.0)
     rank = int(np.count_nonzero(sing > cut))
     return fix_column_signs(vt[rank:].T.copy())
-
-
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of the symmetrized input."""
-    return float(sym_eig(a).values[-1])
 
 
 def fix_column_signs(m: np.ndarray, rel: float = 1e-12) -> np.ndarray:

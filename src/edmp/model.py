@@ -242,43 +242,39 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     )
 
 
-def _unit_w(d: DistanceMatrix, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """w = pinv(D) e and pinv(D), after checking the unit-sphere normalization 2 e.w = 1."""
-    d_dag = pinv(d.d, tol)
-    w = d_dag @ np.ones(d.n)
-    if not is_unit_radius(float(w.sum()), d.n):
+def _require_unit(prof: EdmProfile) -> None:
+    if not prof.unit_spherical:
         raise NotUnitSpherical("operation requires a unit spherical EDM")
-    return w, d_dag
 
 
-def bdag_identity(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def bdag_identity(prof: EdmProfile) -> np.ndarray:
     """Pseudoinverse of the centroid Gram matrix as -2 pinv(D) + 4 w w^T."""
-    w, d_dag = _unit_w(d, tol)
-    return symmetrize(-2.0 * d_dag + 4.0 * np.outer(w, w))
+    _require_unit(prof)
+    return symmetrize(-2.0 * prof.D_dag + 4.0 * np.outer(prof.w, prof.w))
 
 
-def bprime_dag_identity(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def bprime_dag_identity(prof: EdmProfile) -> np.ndarray:
     """Pseudoinverse of E - D/2 expressed through pinv(D) and w alone."""
-    w, d_dag = _unit_w(d, tol)
+    _require_unit(prof)
+    w = prof.w
     ww = float(w @ w)
-    dw = d_dag @ w
+    dw = prof.D_dag @ w
     correction = (
         np.outer(dw, w) + np.outer(w, dw) - (float(w @ dw) / ww) * np.outer(w, w)
     )
-    return symmetrize(-2.0 * d_dag + (2.0 / ww) * correction)
+    return symmetrize(-2.0 * prof.D_dag + (2.0 / ww) * correction)
 
 
-def cm_dag_block(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def cm_dag_block(prof: EdmProfile) -> np.ndarray:
     """Closed-form pseudoinverse of the bordered matrix [[0, e^T], [e, D]].
 
     Equals [[-2, 2w^T], [2w, -pinv(B)/2]] for unit spherical D.
     """
-    w, _ = _unit_w(d, tol)
-    b_dag = pinv(centroid_gram(d.d), tol)
-    n = d.n
+    _require_unit(prof)
+    n = prof.n
     out = np.empty((n + 1, n + 1))
     out[0, 0] = -2.0
-    out[0, 1:] = 2.0 * w
-    out[1:, 0] = 2.0 * w
-    out[1:, 1:] = -0.5 * b_dag
+    out[0, 1:] = 2.0 * prof.w
+    out[1:, 0] = 2.0 * prof.w
+    out[1:, 1:] = -0.5 * prof.B_dag
     return symmetrize(out)

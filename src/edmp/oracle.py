@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
-from .linalg import DEFAULT_TOL, TolerancePolicy, min_eigenvalue, pinv, sym_eig
+from .linalg import DEFAULT_TOL, EigDecomp, TolerancePolicy, sym_eig
 from .model import (
     SPHERICITY_TOL,
     DistanceMatrix,
@@ -32,7 +32,7 @@ __all__ = [
     "SweepRecord",
     "edm_from_points",
     "gen_unit_spherical",
-    "gen_nonspherical",
+    "perturbed_w",
     "membership_scan",
     "sdp_min_radius_sq",
     "radius_sq_direct",
@@ -344,39 +344,6 @@ def gen_unit_spherical(
     raise NumericalFailure(f"instance generation did not converge for {spec}")
 
 
-def gen_nonspherical(
-    n: int, r: int, seed: int, tol: TolerancePolicy = DEFAULT_TOL
-) -> DistanceMatrix:
-    """EDM with e.w = 0 and rank r+2: a generic non-cospherical configuration.
-
-    With n >= r+2 points in general position no common sphere exists, so
-    e.w vanishes identically; no adjustment step is needed, only a margin
-    check against accidental cosphericity.
-    """
-    if r > n - 2:
-        raise InfeasibleSpec("nonspherical EDMs need r <= n-2")
-    if r < 1 or n < 3:
-        raise InfeasibleSpec("need n >= 3 and r >= 1")
-    rng = np.random.default_rng(np.uint64(seed))
-    for _ in range(MAX_ATTEMPTS):
-        points = rng.normal(size=(n, r))
-        if not _affine_rank_ok(points, r):
-            continue
-        d = edm_from_points(points)
-        prof = profile(d, tol)
-        if prof.spherical or prof.r != r:
-            continue
-        e = np.ones(n)
-        scale = float(e @ d.d @ e) / n**2
-        if abs(float(e @ prof.w)) * max(scale, 1.0) > 1e-9:
-            continue
-        values = sym_eig(d.d).values
-        rank_d = int(np.count_nonzero(np.abs(values) > 1e-8 * np.abs(values).max()))
-        if rank_d == r + 2:
-            return d
-    raise NumericalFailure("nonspherical generation did not converge")
-
-
 def in_t_leq_oracle(
     d: DistanceMatrix,
     entry: EntryIndex,
@@ -391,6 +358,14 @@ def in_t_leq_oracle(
     """
     m = 2.0 * np.ones((d.n, d.n)) - d.perturbed_array(entry.i, entry.j, t)
     return sym_eig(m).is_psd(tol.psd_abs_scale if psd_scale is None else psd_scale)
+
+
+def perturbed_w(
+    d: DistanceMatrix, entry: EntryIndex, t: float, tol: TolerancePolicy = DEFAULT_TOL
+) -> tuple[np.ndarray, EigDecomp]:
+    """w(t) = pinv(D + t E^kl) e and the eigendecomposition it came from."""
+    dec = sym_eig(d.perturbed_array(entry.i, entry.j, t))
+    return dec.pinv(tol) @ np.ones(d.n), dec
 
 
 def membership_scan(
@@ -413,7 +388,7 @@ def membership_scan(
         radius_sq = None
         etw = 0.0
         if edm_ok:
-            w_t = pinv(pert, tol) @ e
+            w_t = perturbed_w(d, entry, t, tol)[0]
             etw = float(e @ w_t)
             mean_sq = float(e @ pert @ e) / n**2
             spherical = etw * mean_sq > SPHERICITY_TOL
@@ -430,8 +405,7 @@ def radius_sq_direct(
     d: DistanceMatrix, entry: EntryIndex, t: float, tol: TolerancePolicy = DEFAULT_TOL
 ) -> float:
     """Squared radius of the perturbed matrix via 1 / (2 e.w(t))."""
-    pert = d.perturbed_array(entry.i, entry.j, t)
-    w_t = pinv(pert, tol) @ np.ones(d.n)
+    w_t = perturbed_w(d, entry, t, tol)[0]
     return 1.0 / (2.0 * float(w_t.sum()))
 
 
@@ -459,7 +433,7 @@ def sdp_min_radius_sq(
 
     def feasible(lam: float) -> bool:
         slack = feas_abs + 1e-14 * d.n * abs(lam)
-        return min_eigenvalue(2.0 * lam * ones - pert) >= -slack
+        return sym_eig(2.0 * lam * ones - pert).values[-1] >= -slack
 
     lo, hi = 0.0, 1.0
     while not feasible(hi):

@@ -6,7 +6,10 @@ bordered-matrix equivalences, interval endpoint soundness against raw
 eigenvalue oracles, unit-radius membership of the reported sets, and the
 rational radius formula against both the direct and the bisection
 oracle.  Case coverage across all five classification tags is part of
-the contract.
+the contract.  Each matrix is factored once: the identities read D+, w
+and B+ from the profile, the bordered view's decomposition gives the
+bordered pseudoinverse and rank, and each T= member's w(t) and condition
+number come from one oracle factorization.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .cayley import (
     cm_w_inner,
 )
 from .errors import EdmpError, PoleAt
-from .linalg import DEFAULT_TOL, TolerancePolicy, sym_eig
+from .linalg import DEFAULT_TOL, TolerancePolicy, pinv, sym_eig
 from .model import (
     DistanceMatrix,
     EdmProfile,
@@ -32,7 +35,6 @@ from .model import (
     bprime_dag_identity,
     cm_dag_block,
     is_edm_array,
-    pinv,
     profile,
 )
 from .oracle import (
@@ -40,6 +42,7 @@ from .oracle import (
     Structure,
     in_t_leq_oracle,
     locate_t_leq_boundary,
+    perturbed_w,
     radius_sq_direct,
     sdp_min_radius_sq,
 )
@@ -51,8 +54,18 @@ __all__ = [
     "VerifySummary",
     "default_templates",
     "check_instance",
+    "check_teq_members",
     "run_verification",
 ]
+
+# Rank cut of the rank(D) = r+1 and rank(bordered) = r+2 checks, looser than
+# the profile's own so the two rank decisions stay independent.
+RANK_CHECK_TOL = TolerancePolicy(rank_rel=1e-9)
+
+# Floor of the unit residual |2 e.w(t) - 1| at reported T= members.  Near
+# theta_c, D + t E^kl comes close to losing rank and w(t) cannot be resolved
+# below about n * cond * eps, so the check adds that to the floor.
+TEQ_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -182,8 +195,7 @@ def check_profile(d: DistanceMatrix, prof: EdmProfile, r_target: int) -> list[Ch
            "B != PP^T")
     _check(out, "w-solves", float(np.linalg.norm(d.d @ prof.w - e)) <= 1e-9 * n,
            "Dw != e")
-    values = sym_eig(d.d).values
-    rank_d = int(np.count_nonzero(np.abs(values) > 1e-9 * np.abs(values).max()))
+    rank_d = sym_eig(d.d).rank(RANK_CHECK_TOL)
     _check(out, "rank-spherical", rank_d == prof.r + 1,
            f"rank(D)={rank_d} expected {prof.r + 1}")
     if prof.Z is not None:
@@ -203,17 +215,17 @@ def check_profile(d: DistanceMatrix, prof: EdmProfile, r_target: int) -> list[Ch
     return out
 
 
-def check_pinv_identities(d: DistanceMatrix, prof: EdmProfile, view: CayleyMengerView,
+def check_pinv_identities(prof: EdmProfile, view: CayleyMengerView,
                           tol: TolerancePolicy) -> list[CheckResult]:
     out: list[CheckResult] = []
-    b_prime = np.ones((d.n, d.n)) - 0.5 * d.d
+    b_prime = 1.0 - 0.5 * prof.d.d
     _check(out, "bdag-identity",
-           _mat_rel(bdag_identity(d, tol), prof.B_dag) <= 1e-8, "B+ identity failed")
+           _mat_rel(bdag_identity(prof), prof.B_dag) <= 1e-8, "B+ identity failed")
     _check(out, "bprime-identity",
-           _mat_rel(bprime_dag_identity(d, tol), pinv(b_prime, tol)) <= 1e-8,
+           _mat_rel(bprime_dag_identity(prof), pinv(b_prime, tol)) <= 1e-8,
            "B'+ identity failed")
     _check(out, "bordered-pinv-block",
-           _mat_rel(cm_dag_block(d, tol), pinv(view.d_tilde, tol)) <= 1e-8,
+           _mat_rel(cm_dag_block(prof), view.eig.pinv(tol)) <= 1e-8,
            "bordered pseudoinverse block failed")
     return out
 
@@ -235,11 +247,27 @@ def check_bordered(prof: EdmProfile, view: CayleyMengerView,
         _check(out, "bordered-gale", True)
     except EdmpError as exc:
         _check(out, "bordered-gale", False, str(exc))
-    values = sym_eig(view.d_tilde).values
-    rank_dt = int(np.count_nonzero(np.abs(values) > 1e-9 * np.abs(values).max()))
+    rank_dt = view.eig.rank(RANK_CHECK_TOL)
     _check(out, "bordered-rank", rank_dt == prof.r + 2,
            f"rank(bordered)={rank_dt} expected {prof.r + 2}")
     return out
+
+
+def check_teq_members(d: DistanceMatrix, entry: EntryIndex, members,
+                      tol: TolerancePolicy) -> CheckResult:
+    """|2 e.w(t) - 1| <= 1e-8 + n*kappa*eps at every reported T= member, where
+    w(t) and kappa = cond(D + t E^kl) come from one oracle factorization."""
+    rows = []
+    for t in members:
+        w_t, dec = perturbed_w(d, entry, float(t), tol)
+        kappa = dec.cond(tol)
+        rows.append((abs(2.0 * float(w_t.sum()) - 1.0), kappa,
+                     TEQ_RESIDUAL_TOL + d.n * kappa * np.finfo(float).eps))
+    residual, kappa, bound = max(rows, key=lambda row: row[0] / row[2])
+    ok = bool(residual <= bound)
+    return CheckResult("teq-members", ok, "" if ok else (
+        f"unit residual {residual:.3e} on reported members exceeds "
+        f"{bound:.3e} = 1e-8 + n*kappa*eps with kappa {kappa:.3e}"))
 
 
 def check_entry(
@@ -296,21 +324,14 @@ def check_entry(
                    f"bisected endpoints ({lo_found}, {hi_found}) vs {tuple(tleq)}")
 
     members = report.t_eq.members(samples=5)
-    worst_member = max(
-        abs(2.0 * float((pinv(d.perturbed_array(entry.i, entry.j, float(t)), tol)
-                         @ np.ones(n)).sum()) - 1.0)
-        for t in members
-    )
-    _check(out, "teq-members", worst_member <= 1e-8,
-           f"unit residual {worst_member:.3e} on reported members")
+    out.append(check_teq_members(d, entry, members, tol))
 
     if report.t_eq.kind is not TeqKind.CONTINUUM and tleq.width > 0.0:
         probes = [t for t in tleq.interior_samples(4)
                   if min(abs(t - m) for m in members) > 0.05 * tleq.width]
         if probes:
             best = min(
-                abs(2.0 * float((pinv(d.perturbed_array(entry.i, entry.j, float(t)), tol)
-                                 @ np.ones(n)).sum()) - 1.0)
+                abs(2.0 * float(perturbed_w(d, entry, float(t), tol)[0].sum()) - 1.0)
                 for t in probes
             )
             _check(out, "teq-nonmembers", best > 1e-6,
@@ -433,7 +454,7 @@ def check_instance(
            shuffled.r == prof.r and abs(shuffled.radius - prof.radius) <= 1e-10,
            f"relabeled profile gives r={shuffled.r}, radius={shuffled.radius!r}")
     view = cm_build(d, tol, source_profile=prof)
-    results.extend(check_pinv_identities(d, prof, view, tol))
+    results.extend(check_pinv_identities(prof, view, tol))
     results.extend(check_bordered(prof, view, tol))
     tag = None
     if spec.entry is not None:

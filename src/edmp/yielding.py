@@ -108,10 +108,6 @@ class ParallelRelation:
     kind: ParallelKind
     c: float | None = None
 
-    @property
-    def is_parallel(self) -> bool:
-        return self.kind is not ParallelKind.NOT_PARALLEL
-
 
 @dataclass(frozen=True)
 class YieldingReport:

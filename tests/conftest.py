@@ -6,12 +6,17 @@ ANTIPODAL: an antipodal pair plus two points mirrored across its axis,
     in R^3; w = (1/4, 1/4, 0, 0).
 TRIANGLE: an isosceles triangle on the unit circle with squared side
     lengths (1, 1, 3); w = (1/2, -1/2, 1/2).
+
+gen_nonspherical builds the non-cospherical EDMs the tests use as
+negative inputs; the library itself never needs one.
 """
 
 import numpy as np
 import pytest
 
-from edmp import DistanceMatrix, profile
+from edmp import DistanceMatrix, InfeasibleSpec, NumericalFailure, profile
+from edmp.linalg import TolerancePolicy, sym_eig
+from edmp.oracle import MAX_ATTEMPTS, _affine_rank_ok, edm_from_points
 
 SQUARE = np.array(
     [[0, 2, 4, 2], [2, 0, 2, 4], [4, 2, 0, 2], [2, 4, 2, 0]], dtype=float
@@ -50,3 +55,32 @@ def triangle():
 @pytest.fixture(scope="session")
 def triangle_profile(triangle):
     return profile(triangle)
+
+
+def gen_nonspherical(n: int, r: int, seed: int) -> DistanceMatrix:
+    """EDM with e.w = 0 and rank r+2: a generic non-cospherical configuration.
+
+    With n >= r+2 points in general position no common sphere exists, so
+    e.w vanishes identically; no adjustment step is needed, only a margin
+    check against accidental cosphericity.
+    """
+    if r > n - 2:
+        raise InfeasibleSpec("nonspherical EDMs need r <= n-2")
+    if r < 1 or n < 3:
+        raise InfeasibleSpec("need n >= 3 and r >= 1")
+    rng = np.random.default_rng(np.uint64(seed))
+    for _ in range(MAX_ATTEMPTS):
+        points = rng.normal(size=(n, r))
+        if not _affine_rank_ok(points, r):
+            continue
+        d = edm_from_points(points)
+        prof = profile(d)
+        if prof.spherical or prof.r != r:
+            continue
+        e = np.ones(n)
+        scale = float(e @ d.d @ e) / n**2
+        if abs(float(e @ prof.w)) * max(scale, 1.0) > 1e-9:
+            continue
+        if sym_eig(d.d).rank(TolerancePolicy(rank_rel=1e-8)) == r + 2:
+            return d
+    raise NumericalFailure("nonspherical generation did not converge")

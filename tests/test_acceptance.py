@@ -199,9 +199,9 @@ def test_criterion_4_pseudoinverse_identities():
                 def rel(a, b):
                     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1.0)
 
-                assert rel(bdag_identity(d), prof.B_dag) <= 1e-8
-                assert rel(bprime_dag_identity(d), pinv(b_prime)) <= 1e-8
-                assert rel(cm_dag_block(d), pinv(bordered(d))) <= 1e-8
+                assert rel(bdag_identity(prof), prof.B_dag) <= 1e-8
+                assert rel(bprime_dag_identity(prof), pinv(b_prime)) <= 1e-8
+                assert rel(cm_dag_block(prof), pinv(bordered(d))) <= 1e-8
                 count += 1
         assert count == 200
 

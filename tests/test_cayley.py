@@ -19,13 +19,14 @@ from edmp import (
     cm_radius_sq,
     classify,
     cm_w_inner,
-    gen_nonspherical,
     gen_unit_spherical,
     profile,
     radius_squared,
 )
-from edmp.linalg import nullspace_basis, pinv, rank_of
+from edmp.linalg import nullspace_basis, pinv
 from edmp.model import centroid_gram
+
+from conftest import gen_nonspherical
 
 
 def rho12(t):
@@ -105,7 +106,7 @@ class TestEmbeddingDim:
 
     def test_rank_is_r_plus_two(self, triangle):
         view = cm_build(triangle)
-        assert rank_of(view.d_tilde) == 2 + 2
+        assert view.eig.rank() == 2 + 2
 
     def test_requires_unit_source(self, triangle):
         view = cm_build(DistanceMatrix(4.0 * triangle.d))
@@ -196,7 +197,7 @@ class TestCrossPath:
         view = cm_build(d)
         e_t = np.ones(6)
         assert abs(e_t @ pinv(view.d_tilde) @ e_t) <= 1e-9
-        assert rank_of(view.d_tilde) == 3 + 2
+        assert view.eig.rank() == 3 + 2
         shrunk = DistanceMatrix(0.5 * d.d)
         view2 = cm_build(shrunk)
         assert e_t @ pinv(view2.d_tilde) @ e_t > 1e-3

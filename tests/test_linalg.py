@@ -12,7 +12,6 @@ from edmp.linalg import (
     fix_column_signs,
     nullspace_basis,
     pinv,
-    rank_of,
     sym_eig,
     symmetrize,
 )
@@ -131,10 +130,10 @@ class TestPinv:
 
 class TestRank:
     def test_identity(self):
-        assert rank_of(np.eye(4)) == 4
+        assert sym_eig(np.eye(4)).rank() == 4
 
     def test_square_gram_rank_two(self):
-        assert rank_of(centroid_gram(SQUARE)) == 2
+        assert sym_eig(centroid_gram(SQUARE)).rank() == 2
 
     def test_bordered_rank_r_plus_two(self):
         # Bordering a unit spherical EDM raises the rank from r+1 to r+2.
@@ -142,8 +141,23 @@ class TestRank:
         bordered = np.ones((n + 1, n + 1))
         bordered[0, 0] = 0.0
         bordered[1:, 1:] = SQUARE
-        assert rank_of(SQUARE) == 3
-        assert rank_of(bordered) == 4
+        assert sym_eig(SQUARE).rank() == 3
+        assert sym_eig(bordered).rank() == 4
+
+
+class TestCond:
+    def test_diagonal_ratio(self):
+        assert sym_eig(np.diag([4.0, -2.0, 0.5])).cond() == pytest.approx(8.0)
+
+    def test_ignores_cut_eigenvalues(self):
+        # The eigenvalue below rank_rel * 4 is cut, as in rank and pinv.
+        dec = sym_eig(np.diag([4.0, 1.0, 1e-12]))
+        assert dec.rank() == 2
+        assert dec.cond() == pytest.approx(4.0)
+        assert dec.cond(TolerancePolicy(rank_rel=1e-14)) == pytest.approx(4e12)
+
+    def test_zero_matrix_is_infinite(self):
+        assert sym_eig(np.zeros((3, 3))).cond() == np.inf
 
 
 class TestNullspace:

@@ -12,14 +12,15 @@ from edmp import (
     bdag_identity,
     bprime_dag_identity,
     cm_dag_block,
-    gen_nonspherical,
     gen_unit_spherical,
     is_edm,
     profile,
 )
-from edmp.linalg import pinv, rank_of
+from edmp.linalg import pinv, sym_eig
 from edmp.model import centroid_gram, is_edm_array
 from edmp.oracle import edm_from_points
+
+from conftest import gen_nonspherical
 
 
 class TestDistanceMatrix:
@@ -143,7 +144,7 @@ class TestProfile:
         assert not p.spherical
         assert p.radius is None
         assert abs(p.w.sum()) <= 1e-9
-        assert rank_of(d.d) == p.r + 2 == 4
+        assert sym_eig(d.d).rank() == p.r + 2 == 4
 
 
 class TestGram:
@@ -158,69 +159,69 @@ class TestGram:
         ) / 8.0
         assert_allclose(centroid_gram(antipodal.d), expected, atol=1e-12)
 
-    def test_wvector_mode(self, antipodal):
+    def test_wvector_mode(self, antipodal, antipodal_profile):
         # B' and its pseudoinverse both annihilate w.
         b_prime = np.ones((4, 4)) - 0.5 * antipodal.d
         w = pinv(antipodal.d) @ np.ones(4)
         assert np.linalg.norm(b_prime @ w) <= 1e-12
-        assert np.linalg.norm(bprime_dag_identity(antipodal) @ w) <= 1e-12
+        assert np.linalg.norm(bprime_dag_identity(antipodal_profile) @ w) <= 1e-12
 
     def test_wvector_requires_unit_spherical(self, triangle):
         scaled = DistanceMatrix(4.0 * triangle.d)
         with pytest.raises(NotUnitSpherical):
-            bprime_dag_identity(scaled)
+            bprime_dag_identity(profile(scaled))
 
     def test_both_modes_have_rank_r(self):
         for seed in (1, 2):
             d = gen_unit_spherical(InstanceSpec(n=5, r=3, seed=seed))
             p = profile(d)
-            assert rank_of(centroid_gram(d.d)) == p.r
-            assert rank_of(np.ones((5, 5)) - 0.5 * d.d) == p.r
-            assert rank_of(bprime_dag_identity(d)) == p.r
+            assert sym_eig(centroid_gram(d.d)).rank() == p.r
+            assert sym_eig(np.ones((5, 5)) - 0.5 * d.d).rank() == p.r
+            assert sym_eig(bprime_dag_identity(p)).rank() == p.r
 
 
 class TestPinvIdentities:
     def test_square_bdag_is_quarter_gram(self, square, square_profile):
-        assert_allclose(bdag_identity(square), square_profile.B / 4.0, atol=1e-10)
+        assert_allclose(bdag_identity(square_profile), square_profile.B / 4.0, atol=1e-10)
 
-    def test_antipodal_bdag(self, antipodal):
+    def test_antipodal_bdag(self, antipodal_profile):
         expected = np.array(
             [[3, 1, -2, -2], [1, 3, -2, -2], [-2, -2, 4, 0], [-2, -2, 0, 4]]
         ) / 4.0
-        assert_allclose(bdag_identity(antipodal), expected, atol=1e-10)
+        assert_allclose(bdag_identity(antipodal_profile), expected, atol=1e-10)
 
     def test_bdag_matches_direct_pinv(self):
         d = gen_unit_spherical(InstanceSpec(n=6, r=4, seed=12))
         direct = pinv(centroid_gram(d.d))
-        assert np.linalg.norm(bdag_identity(d) - direct) <= 1e-8 * np.linalg.norm(direct)
+        assert np.linalg.norm(bdag_identity(profile(d)) - direct) <= 1e-8 * np.linalg.norm(direct)
 
-    def test_bprime_matches_direct_pinv(self, antipodal):
+    def test_bprime_matches_direct_pinv(self, antipodal, antipodal_profile):
         direct = pinv(np.ones((4, 4)) - 0.5 * antipodal.d)
-        assert np.linalg.norm(bprime_dag_identity(antipodal) - direct) <= 1e-8
+        assert np.linalg.norm(bprime_dag_identity(antipodal_profile) - direct) <= 1e-8
 
-    def test_zero_w_entries_make_gram_pinvs_agree(self, antipodal):
+    def test_zero_w_entries_make_gram_pinvs_agree(self, antipodal, antipodal_profile):
         # Where w vanishes, the two Gram pseudoinverses share their entries
         # and both equal -2 pinv(D) there.
-        b_dag = bdag_identity(antipodal)
-        bp_dag = bprime_dag_identity(antipodal)
+        b_dag = bdag_identity(antipodal_profile)
+        bp_dag = bprime_dag_identity(antipodal_profile)
         d_dag = pinv(antipodal.d)
         for i, j in [(2, 2), (3, 3), (2, 3)]:
             assert_allclose(b_dag[i, j], bp_dag[i, j], atol=1e-10)
             assert_allclose(b_dag[i, j], -2.0 * d_dag[i, j], atol=1e-10)
 
-    def test_proportional_w_quadratic_forms_agree(self, square):
+    def test_proportional_w_quadratic_forms_agree(self, square, square_profile):
         # x = e^k - c e^l with w_k = c w_l: the quadratic forms of both
         # Gram pseudoinverses coincide with -2 x.pinv(D).x.
-        b_dag = bdag_identity(square)
-        bp_dag = bprime_dag_identity(square)
+        b_dag = bdag_identity(square_profile)
+        bp_dag = bprime_dag_identity(square_profile)
         d_dag = pinv(square.d)
         x = np.zeros(4)
         x[0], x[2] = 1.0, -1.0  # c = 1 for the square's diagonal pair
         assert_allclose(x @ b_dag @ x, x @ bp_dag @ x, atol=1e-10)
         assert_allclose(x @ b_dag @ x, -2.0 * x @ d_dag @ x, atol=1e-10)
 
-    def test_bordered_block_structure(self, square, square_profile):
-        block = cm_dag_block(square)
+    def test_bordered_block_structure(self, square_profile):
+        block = cm_dag_block(square_profile)
         assert_allclose(block[0, 0], -2.0)
         assert_allclose(block[0, 1:], 2.0 * square_profile.w, atol=1e-12)
         assert_allclose(block[0, 1:], np.full(4, 0.25), atol=1e-12)
@@ -231,10 +232,10 @@ class TestPinvIdentities:
         bordered[0, 0] = 0.0
         bordered[1:, 1:] = d.d
         direct = pinv(bordered)
-        assert np.linalg.norm(cm_dag_block(d) - direct) <= 1e-8 * np.linalg.norm(direct)
+        assert np.linalg.norm(cm_dag_block(profile(d)) - direct) <= 1e-8 * np.linalg.norm(direct)
 
     def test_identities_require_unit_spherical(self, triangle):
-        scaled = DistanceMatrix(0.25 * triangle.d)
+        scaled = profile(DistanceMatrix(0.25 * triangle.d))
         for op in (bdag_identity, bprime_dag_identity, cm_dag_block):
             with pytest.raises(NotUnitSpherical):
                 op(scaled)

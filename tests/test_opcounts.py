@@ -1,8 +1,9 @@
 """Deterministic operation counts: each entry is classified once and each
 matrix of a profile is factored once.
 
-Calls are counted by wrapping numpy's eigh and the yielding classifier as
-seen from the perturbation module.  Only a change that lowers a count may
+Calls are counted by wrapping numpy's eigh, the yielding classifier as
+seen from the perturbation module, `profile` under every module name that
+calls it, and `EigDecomp.cond`.  Only a change that lowers a count may
 tighten its bound.
 """
 
@@ -12,20 +13,26 @@ import io
 import numpy as np
 import pytest
 
+import edmp.cayley
+import edmp.model
+import edmp.oracle
 import edmp.perturbation
+import edmp.verify
 from edmp import CaseTag, EntryIndex, InstanceSpec, classify, gen_unit_spherical, profile
 from edmp.cli import main
+from edmp.linalg import EigDecomp
 from edmp.matio import matrix_to_csv
 from edmp.verify import run_verification
 
-# eigh calls of run_verification(21, seed=0), measured after the
-# classify-once refactor (3,468 before it).
-VERIFY_21_EIGH_BOUND = 3211
+# eigh and profile calls of run_verification(21, seed=0), measured with
+# every matrix of an instance factored once.
+VERIFY_21_EIGH_BOUND = 2995
+VERIFY_21_PROFILE_CALLS = 67
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    seen = {"eigh": 0, "yielding_report": 0}
+    seen = {"eigh": 0, "yielding_report": 0, "profile": 0, "cond": 0}
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -38,6 +45,9 @@ def counts(monkeypatch):
 
     counting(np.linalg, "eigh", "eigh")
     counting(edmp.perturbation, "yielding_report", "yielding_report")
+    for module in (edmp.model, edmp.cayley, edmp.oracle, edmp.verify):
+        counting(module, "profile", "profile")
+    counting(EigDecomp, "cond", "cond")
     return seen
 
 
@@ -54,6 +64,7 @@ def test_verify_classifies_each_entry_once(counts):
     assert summary.passed
     assert counts["yielding_report"] == 21
     assert counts["eigh"] <= VERIFY_21_EIGH_BOUND
+    assert counts["profile"] == VERIFY_21_PROFILE_CALLS
 
 
 def test_sweep_classifies_once(counts, tmp_path):
@@ -67,3 +78,4 @@ def test_sweep_classifies_once(counts, tmp_path):
     assert code == 0
     assert len(out.getvalue().splitlines()) == 2002
     assert counts["yielding_report"] == 1
+    assert counts["cond"] == 0

@@ -11,16 +11,17 @@ from edmp import (
     InstanceSpec,
     Structure,
     classify,
-    gen_nonspherical,
     gen_unit_spherical,
     membership_scan,
     profile,
     radius_squared,
     sdp_min_radius_sq,
 )
-from edmp.linalg import rank_of
-from edmp.oracle import in_t_leq_oracle, locate_t_leq_boundary
+from edmp.linalg import pinv, sym_eig
+from edmp.oracle import in_t_leq_oracle, locate_t_leq_boundary, perturbed_w
 from edmp.verify import check_profile
+
+from conftest import gen_nonspherical
 
 
 class TestSpecValidation:
@@ -131,11 +132,29 @@ class TestNonspherical:
         prof = profile(d)
         assert not prof.spherical
         assert abs(prof.w.sum()) < 1e-9
-        assert rank_of(d.d) == 4
+        assert sym_eig(d.d).rank() == 4
 
     def test_needs_dependent_points(self):
         with pytest.raises(InfeasibleSpec):
             gen_nonspherical(4, 3, seed=0)
+
+
+class TestPerturbedW:
+    def test_solves_perturbed_system(self, triangle):
+        entry = EntryIndex(1, 2)
+        w_t, dec = perturbed_w(triangle, entry, 1.0)
+        pert = triangle.perturbed_array(0, 1, 1.0)
+        assert_allclose(dec.reconstruct(), pert, atol=1e-12)
+        assert_allclose(w_t, pinv(pert) @ np.ones(3), atol=0.0)
+        # rho^2 = 1 / (2 e.w) is the hand value 3/4 at t = 1.
+        assert_allclose(1.0 / (2.0 * w_t.sum()), 0.75, atol=1e-12)
+
+    def test_condition_grows_near_theta_c(self, triangle):
+        # D + t E^13 loses rank at theta_c = -3 for the long side.
+        entry = EntryIndex(1, 3)
+        far = perturbed_w(triangle, entry, -1.0)[1].cond()
+        near = perturbed_w(triangle, entry, -3.0 + 1e-6)[1].cond()
+        assert near > 1e4 * far
 
 
 class TestMembershipScan:

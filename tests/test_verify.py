@@ -2,8 +2,25 @@
 
 import pytest
 
-from edmp import CaseTag, DistanceMatrix, EntryIndex, InstanceSpec, Structure
-from edmp.verify import check_instance, default_templates, run_verification
+from edmp import (
+    CaseTag,
+    DistanceMatrix,
+    EntryIndex,
+    InstanceSpec,
+    Structure,
+    classify,
+    gen_unit_spherical,
+    profile,
+)
+from edmp.cli import main
+from edmp.linalg import DEFAULT_TOL
+from edmp.oracle import perturbed_w
+from edmp.verify import (
+    check_instance,
+    check_teq_members,
+    default_templates,
+    run_verification,
+)
 from conftest import SQUARE
 
 
@@ -70,3 +87,56 @@ class TestCheckInstance:
         )
         assert tag is CaseTag.TLEQ_TRIVIAL
         assert any(r.name == "case-tag" and not r.ok for r in results)
+
+
+class TestTeqMembersBound:
+    """The T= residual bound 1e-8 + n*kappa*eps near the rank drop at theta_c."""
+
+    # Children of `verify --count 100 --nmax 8` at seeds 10 and 53 whose
+    # theta_c member has a unit residual above 1e-8 because D + theta_c E^kl
+    # is nearly singular.
+    ILL_CONDITIONED = [
+        pytest.param(1_000_013, 4, 3, EntryIndex(1, 2), id="seed10-child1000013"),
+        pytest.param(19_000_110, 8, 7, EntryIndex(1, 8), id="seed53-child19000110"),
+    ]
+
+    @staticmethod
+    def _instance(seed, n, r, entry):
+        d = gen_unit_spherical(InstanceSpec(n, r, Structure.GENERIC, entry, seed))
+        report = classify(profile(d), entry)
+        assert report.case_tag is CaseTag.PAIR_UNIT
+        return d, report
+
+    @pytest.mark.parametrize("seed,n,r,entry", ILL_CONDITIONED)
+    def test_ill_conditioned_member_passes(self, seed, n, r, entry):
+        d, report = self._instance(seed, n, r, entry)
+        w_t, dec = perturbed_w(d, entry, report.theta_c)
+        assert dec.cond() > 1e8
+        assert abs(2.0 * float(w_t.sum()) - 1.0) > 1e-8
+        members = report.t_eq.members(samples=5)
+        assert report.theta_c in members
+        assert check_teq_members(d, entry, members, DEFAULT_TOL).ok
+        spec = InstanceSpec(n, r, Structure.GENERIC, entry, seed)
+        results, _ = check_instance(d, spec, CaseTag.PAIR_UNIT)
+        assert [res for res in results if not res.ok] == []
+
+    @pytest.mark.parametrize("seed", [10, 53])
+    def test_verify_cli_passes(self, seed, capsys):
+        argv = ["verify", "--count", "100", "--seed", str(seed), "--nmax", "8"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("result: PASS\n")
+
+    def test_member_off_theta_c_fails(self):
+        # gen --n 4 --r 3 --seed 0: kappa ~ 35 at theta_c, so the bound stays
+        # at ~1e-8 and a member 1e-4 relative off theta_c (residual ~3e-7)
+        # is rejected.
+        entry = EntryIndex(1, 2)
+        d, report = self._instance(0, 4, 3, entry)
+        moved = report.theta_c * (1.0 + 1e-4)
+        _, dec = perturbed_w(d, entry, report.theta_c)
+        assert dec.cond() < 100.0
+        result = check_teq_members(d, entry, (0.0, moved), DEFAULT_TOL)
+        assert not result.ok
+        assert "unit residual 3.1" in result.detail
+        assert "kappa 3.5" in result.detail
+        assert check_teq_members(d, entry, (0.0, report.theta_c), DEFAULT_TOL).ok
