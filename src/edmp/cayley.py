@@ -16,6 +16,8 @@ direct perturbation formulas.
 
 A view factors its bordered matrix once and keeps that decomposition, so
 w~, the bordered pseudoinverse and the bordered rank all come from it.
+The bordered centroid Gram is factored on first use, once, for the EDM
+test and the embedding dimension, so views that only read w~ skip it.
 Building a view does not profile the source; only the Gale block needs
 the source profile, and cm_gale and cm_embedding_dim build it when the
 view was made without one.
@@ -24,6 +26,7 @@ view was made without one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .linalg import DEFAULT_TOL, EigDecomp, TolerancePolicy, sym_eig
-from .model import DistanceMatrix, EdmProfile, centroid_gram, is_edm, profile
+from .model import DistanceMatrix, EdmProfile, centroid_gram, is_edm, is_edm_array, profile
 from .perturbation import CaseTag, PerturbationReport
 
 __all__ = [
@@ -60,6 +63,11 @@ class CayleyMengerView:
     w_tilde: np.ndarray
     source: DistanceMatrix
     source_profile: EdmProfile | None
+
+    @cached_property
+    def gram(self) -> EigDecomp:
+        """Eigendecomposition of the bordered centroid Gram, made on first use."""
+        return sym_eig(centroid_gram(self.d_tilde))
 
 
 def bordered(d: DistanceMatrix) -> np.ndarray:
@@ -91,7 +99,7 @@ def cm_build(
 
 def cm_is_edm(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """The bordered matrix is an EDM iff the source is spherical with rho <= 1."""
-    return is_edm(DistanceMatrix(view.d_tilde), tol)
+    return is_edm_array(view.d_tilde, tol, gram=view.gram)
 
 
 def cm_radius_sq(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -113,7 +121,7 @@ def _unit_source(view: CayleyMengerView, tol: TolerancePolicy) -> EdmProfile:
 def cm_embedding_dim(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Embedding dimension of the bordered matrix; equals that of the source."""
     _unit_source(view, tol)
-    return sym_eig(centroid_gram(view.d_tilde)).rank(tol)
+    return view.gram.rank(tol)
 
 
 def cm_gale(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

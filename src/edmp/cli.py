@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (verify: all checks passed), 1 verification
 failure, 2 parse error, 3 not an EDM, 4 not unit spherical where
-required, 5 entry index out of range, 6 infeasible generator spec.
+required, 5 entry index out of range, 6 infeasible generator spec,
+7 numerical failure (a generator that did not converge, a broken
+internal identity, a vanished denominator or another domain error).
 The environment variable EDMP_TOL overrides the relative rank cutoff.
 """
 
@@ -48,6 +50,7 @@ EXIT_NOT_EDM = 3
 EXIT_NOT_UNIT = 4
 EXIT_BAD_INDEX = 5
 EXIT_INFEASIBLE = 6
+EXIT_NUMERICAL = 7
 
 SCHEMA_VERSION = "1"
 
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except EdmpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

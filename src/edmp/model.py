@@ -122,16 +122,15 @@ class EdmProfile:
     radius: float | None
     center: np.ndarray | None
     regular: bool
+    # Zero-test scales, floored at 1e-300: max |w|, the max row norm of Z
+    # (None when Z is None) and the max row norm of [w Z].
+    w_scale: float
+    z_scale: float | None
+    zt_scale: float
 
     @property
     def n(self) -> int:
         return self.d.n
-
-    def gale_row(self, i: int) -> np.ndarray:
-        """Gale transform z^i (empty when r = n-1)."""
-        if self.Z is None:
-            return np.zeros(0)
-        return self.Z[i]
 
 
 def centroid_gram(a: np.ndarray) -> np.ndarray:
@@ -163,6 +162,10 @@ def is_edm(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return is_edm_array(d.d, tol)
 
 
+def _max_row_norm(a: np.ndarray) -> float:
+    return max(float(np.linalg.norm(a, axis=1).max()), 1e-300)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -173,7 +176,8 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     """Full derived profile of an EDM; raises NotAnEdm otherwise.
 
     B is factored once: the EDM verdict, r, P and B+ all come from that
-    decomposition.  D+ comes from a second one.
+    decomposition.  D+ comes from a second one.  The row scales that every
+    zero and parallelism test is judged against are computed once here.
     """
     a = d.d
     n = d.n
@@ -239,6 +243,9 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
         radius=radius,
         center=_readonly(center) if center is not None else None,
         regular=regular,
+        w_scale=max(float(np.abs(w).max()), 1e-300),
+        z_scale=None if z is None else _max_row_norm(z),
+        zt_scale=_max_row_norm(z_tilde),
     )
 
 

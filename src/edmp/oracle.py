@@ -24,7 +24,7 @@ from .model import (
     is_unit_radius,
     profile,
 )
-from .yielding import EntryIndex
+from .yielding import EntryIndex, parallel_relation, singleton_gap
 
 __all__ = [
     "Structure",
@@ -212,10 +212,7 @@ def _pair_gap(prof: EdmProfile, i: int, j: int) -> float:
     """Relative distance of B+_kk from c^2 B+_ll, the singleton criterion."""
     if abs(prof.w[j]) < 1e-300:
         return 1.0
-    c = float(prof.w[i] / prof.w[j])
-    kk = float(prof.B_dag[i, i])
-    cll = c * c * float(prof.B_dag[j, j])
-    return abs(kk - cll) / max(kk, cll, 1e-300)
+    return singleton_gap(prof, EntryIndex(i + 1, j + 1), float(prof.w[i] / prof.w[j]))
 
 
 def _dip_margin(prof: EdmProfile, i: int, j: int) -> float:
@@ -242,12 +239,12 @@ def _structure_ok(spec: InstanceSpec, prof: EdmProfile) -> bool:
         return False
     # Conditioning gate: near-degenerate simplexes blow up w and the dual
     # Gram entries, and with them every closed-form tolerance.
-    if float(np.abs(prof.w).max()) > 5.0:
+    w_scale = prof.w_scale
+    if w_scale > 5.0:
         return False
     if float(np.diag(prof.B_dag).max()) > 100.0:
         return False
     entry = spec.entry
-    w_scale = max(float(np.abs(prof.w).max()), 1e-300)
     if spec.structure is Structure.GENERIC:
         if spec.n == spec.r + 1:
             # Every w entry away from zero, every pair clear of the
@@ -261,12 +258,10 @@ def _structure_ok(spec: InstanceSpec, prof: EdmProfile) -> bool:
                 for j in range(i + 1, spec.n)
             )
         if entry is not None and prof.Z is not None and prof.Z.shape[1] >= 2:
-            # The designated pair must be robustly nonparallel.
-            sing = np.linalg.svd(
-                np.column_stack([prof.gale_row(entry.i), prof.gale_row(entry.j)]),
-                compute_uv=False,
-            )
-            return sing[1] > GENERIC_MARGIN * sing[0]
+            # The designated pair must be robustly nonparallel.  A one-column
+            # Z has a single singular value and is exempt.
+            rel = parallel_relation(prof.Z[entry.i], prof.Z[entry.j], scale=prof.z_scale)
+            return rel.ratio > GENERIC_MARGIN
         return True
     if spec.structure is Structure.PARALLEL_GALE_PAIR:
         assert prof.Z is not None
@@ -275,16 +270,14 @@ def _structure_ok(spec: InstanceSpec, prof: EdmProfile) -> bool:
             return False
         # The stacked [w z] rows must be robustly nonparallel at the entry.
         zt = prof.Z_tilde
-        sing = np.linalg.svd(
-            np.column_stack([zt[entry.i], zt[entry.j]]), compute_uv=False
-        )
-        return sing[1] > GENERIC_MARGIN * sing[0]
+        rel = parallel_relation(zt[entry.i], zt[entry.j], scale=prof.zt_scale)
+        return rel.ratio > GENERIC_MARGIN
     if spec.structure is Structure.ZERO_GALE_PAIR:
         assert prof.Z is not None
-        z_scale = max(float(np.linalg.norm(prof.Z, axis=1).max()), 1e-300)
+        z_zero = ZERO_MARGIN * prof.z_scale
         rows_zero = (
-            np.linalg.norm(prof.gale_row(entry.i)) <= ZERO_MARGIN * z_scale
-            and np.linalg.norm(prof.gale_row(entry.j)) <= ZERO_MARGIN * z_scale
+            np.linalg.norm(prof.Z[entry.i]) <= z_zero
+            and np.linalg.norm(prof.Z[entry.j]) <= z_zero
         )
         w_ok = (
             abs(prof.w[entry.i]) > GENERIC_MARGIN * w_scale
@@ -304,10 +297,7 @@ def _structure_ok(spec: InstanceSpec, prof: EdmProfile) -> bool:
             # The shared Gale row must be robustly nonzero so the radius
             # provably stays at one on the whole admissible interval and the
             # cone exit beyond it stays first-order detectable.
-            z_scale = max(float(np.linalg.norm(prof.Z, axis=1).max()), 1e-300)
-            return bool(
-                np.linalg.norm(prof.gale_row(entry.i)) > GALE_ENTRY_MARGIN * z_scale
-            )
+            return bool(np.linalg.norm(prof.Z[entry.i]) > GALE_ENTRY_MARGIN * prof.z_scale)
         return _dip_margin(prof, entry.i, entry.j) > 2e-5
     if spec.structure is Structure.ZERO_W_PAIR:
         return bool(

@@ -22,7 +22,8 @@ pinv(B):
 
 classify makes this case split once per entry and returns it as a
 PerturbationReport; radius_squared evaluates the radius from that report
-without classifying again.
+without classifying again.  Both parallelism tests use the profile's row
+scales, and the near-parallel warnings read the ratio each test measured.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .yielding import (
     ParallelRelation,
     YieldingReport,
     parallel_relation,
+    singleton_gap,
     theta_c,
     yielding_report,
 )
@@ -168,14 +170,6 @@ def _require_unit(prof: EdmProfile) -> None:
         raise PreconditionViolated("perturbation sets are defined for unit spherical EDMs")
 
 
-def tilde_pair_relation(prof: EdmProfile, entry: EntryIndex) -> ParallelRelation:
-    """Parallelism of rows k, l of [w Z] (of w alone when r = n-1)."""
-    entry.check_order(prof.n)
-    zt = prof.Z_tilde
-    row_scale = max(float(np.linalg.norm(zt, axis=1).max()), 1e-300)
-    return parallel_relation(zt[entry.i], zt[entry.j], scale=row_scale)
-
-
 def _build_coefficients(
     prof: EdmProfile, entry: EntryIndex, c: float
 ) -> RadiusCoefficients:
@@ -208,11 +202,14 @@ def _build_coefficients(
     )
 
 
-def _near_parallel_ratio(u: np.ndarray, v: np.ndarray) -> float:
-    sing = np.linalg.svd(np.column_stack([u, v]), compute_uv=False)
-    if len(sing) < 2 or sing[0] == 0.0:
-        return 0.0
-    return float(sing[1] / sing[0])
+def _near_parallel(relation: ParallelRelation, rows: str, verdict: str) -> tuple[str, ...]:
+    """Warning for a not-parallel verdict whose measured ratio is near the cut."""
+    if PARALLEL_TOL < relation.ratio <= NEAR_PARALLEL_BAND:
+        return (
+            f"near-parallel {rows} (singular ratio {relation.ratio:.3e}): "
+            f"{verdict} is tolerance-sensitive",
+        )
+    return ()
 
 
 def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
@@ -230,25 +227,13 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
         )
 
     if not yrep.yielding:
-        warnings = []
-        ratio = _near_parallel_ratio(prof.gale_row(entry.i), prof.gale_row(entry.j))
-        if PARALLEL_TOL < ratio <= NEAR_PARALLEL_BAND:
-            warnings.append(
-                f"near-parallel Gale rows (singular ratio {ratio:.3e}): the "
-                "unyielding verdict is tolerance-sensitive"
-            )
+        warnings = _near_parallel(yrep.gale_relation, "Gale rows", "the unyielding verdict")
         return report(CaseTag.NOT_YIELDING, Interval(0.0, 0.0), zero_only, warnings=warnings)
 
-    trel = tilde_pair_relation(prof, entry)
+    zt = prof.Z_tilde
+    trel = parallel_relation(zt[entry.i], zt[entry.j], scale=prof.zt_scale)
     if trel.kind is ParallelKind.NOT_PARALLEL:
-        warnings = []
-        zt = prof.Z_tilde
-        ratio = _near_parallel_ratio(zt[entry.i], zt[entry.j])
-        if PARALLEL_TOL < ratio <= NEAR_PARALLEL_BAND:
-            warnings.append(
-                f"near-parallel stacked rows (singular ratio {ratio:.3e}): "
-                "the trivial radius-one set is tolerance-sensitive"
-            )
+        warnings = _near_parallel(trel, "stacked rows", "the trivial radius-one set")
         return report(CaseTag.TLEQ_TRIVIAL, Interval(0.0, 0.0), zero_only, warnings=warnings)
 
     if trel.kind is ParallelKind.BOTH_ZERO:
@@ -263,7 +248,7 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
     continuum = TeqSet(TeqKind.CONTINUUM, interval=tleq)
 
     w = prof.w
-    w_zero = PARALLEL_TOL * max(float(np.abs(w).max()), 1e-300)
+    w_zero = PARALLEL_TOL * prof.w_scale
     wk_zero = abs(w[entry.i]) <= w_zero
     wl_zero = abs(w[entry.j]) <= w_zero
 
@@ -272,11 +257,10 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
         # throughout.
         return report(CaseTag.CONTINUUM_UNIT, tleq, continuum)
 
-    if prof.Z is not None:
-        z_scale = max(float(np.linalg.norm(prof.Z, axis=1).max()), 1e-300)
-        if float(np.linalg.norm(prof.gale_row(entry.i))) > PARALLEL_TOL * z_scale:
-            # w_k != 0 with a nonzero Gale row: radius 1 throughout.
-            return report(CaseTag.CONTINUUM_UNIT, tleq, continuum)
+    z = prof.Z
+    if z is not None and float(np.linalg.norm(z[entry.i])) > PARALLEL_TOL * prof.z_scale:
+        # w_k != 0 with a nonzero Gale row: radius 1 throughout.
+        return report(CaseTag.CONTINUUM_UNIT, tleq, continuum)
 
     if yrep.theta_lower is None or yrep.theta_upper is None:
         # The rational radius formula needs both roots of g; with beta2 < 0
@@ -285,10 +269,7 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
             f"g has no usable roots for entry ({entry.k},{entry.l})"
         )
     coeffs = _build_coefficients(prof, entry, c)
-    i, j = entry.i, entry.j
-    kk = float(prof.B_dag[i, i])
-    cll = c * c * float(prof.B_dag[j, j])
-    gap = abs(kk - cll) / max(kk, cll, 1e-300)
+    gap = singleton_gap(prof, entry, c)
     warnings = []
     if SINGLETON_BAND < gap <= PROXIMITY_BAND:
         warnings.append(

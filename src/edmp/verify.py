@@ -8,8 +8,9 @@ rational radius formula against both the direct and the bisection
 oracle.  Case coverage across all five classification tags is part of
 the contract.  Each matrix is factored once: the identities read D+, w
 and B+ from the profile, the bordered view's decomposition gives the
-bordered pseudoinverse and rank, and each T= member's w(t) and condition
-number come from one oracle factorization.
+bordered pseudoinverse and rank, the view's cached bordered Gram gives
+both the bordered EDM test and its embedding dimension, and each T=
+member's w(t) and condition number come from one oracle factorization.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 An off-diagonal entry d_kl is yielding when it can move, all other
 entries fixed, without the matrix ceasing to be an EDM.  For embedding
 dimension n-1 every entry is yielding; otherwise the decision is the
-parallelism of the Gale transforms z^k and z^l.  The interval endpoints
-are closed forms in entries of the pseudoinverse of the centroid Gram
-matrix:
+parallelism of the Gale transforms z^k and z^l, decided by
+parallel_relation, which also tests the rows of [w Z] and keeps the ratio
+it measured.  The interval endpoints are closed forms in entries of the
+pseudoinverse of the centroid Gram matrix:
 
     theta_lower = 2 / (B+_kl - sqrt(B+_kk B+_ll))
     theta_upper = 2 / (B+_kl + sqrt(B+_kk B+_ll))
@@ -31,6 +32,7 @@ __all__ = [
     "ParallelRelation",
     "YieldingReport",
     "parallel_relation",
+    "singleton_gap",
     "theta_bounds",
     "theta_c",
     "yielding_report",
@@ -103,9 +105,11 @@ class ParallelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ParallelRelation:
-    """Outcome of the parallelism test; c satisfies u = c v when SCALAR."""
+    """Outcome of the parallelism test: the singular ratio s2/s1 of [u v] it
+    measured (0 when both are zero) and, when SCALAR, c with u = c v."""
 
     kind: ParallelKind
+    ratio: float = 0.0
     c: float | None = None
 
 
@@ -133,8 +137,9 @@ def parallel_relation(
     """Classify u against v: both zero, u = c v with c != 0, or not parallel.
 
     Zero-ness is judged against `scale` (defaults to the larger norm, with
-    floor 1), parallelism by the singular-value ratio of the 2-column stack.
-    A zero vector against a nonzero one is NOT parallel: no nonzero c exists.
+    floor 1), parallelism by the singular-value ratio of the 2-column stack,
+    which the relation keeps.  A zero vector against a nonzero one is NOT
+    parallel: no nonzero c exists.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
@@ -147,16 +152,15 @@ def parallel_relation(
     zero = tol * scale
     if nu <= zero and nv <= zero:
         return ParallelRelation(ParallelKind.BOTH_ZERO)
-    if nu <= zero or nv <= zero:
-        return ParallelRelation(ParallelKind.NOT_PARALLEL)
     sing = np.linalg.svd(np.column_stack([u, v]), compute_uv=False)
     second = sing[1] if len(sing) > 1 else 0.0  # length-1 vectors: rank <= 1
-    if second > tol * sing[0]:
-        return ParallelRelation(ParallelKind.NOT_PARALLEL)
+    ratio = float(second / sing[0])
+    if nu <= zero or nv <= zero or second > tol * sing[0]:
+        return ParallelRelation(ParallelKind.NOT_PARALLEL, ratio)
     c = float(u @ v) / float(v @ v)
     if abs(c) * nv <= zero:
-        return ParallelRelation(ParallelKind.NOT_PARALLEL)
-    return ParallelRelation(ParallelKind.SCALAR, c)
+        return ParallelRelation(ParallelKind.NOT_PARALLEL, ratio)
+    return ParallelRelation(ParallelKind.SCALAR, ratio, c)
 
 
 def _bdag_entries(prof: EdmProfile, entry: EntryIndex) -> tuple[float, float, float]:
@@ -193,20 +197,20 @@ def theta_c(prof: EdmProfile, entry: EntryIndex, c: float) -> float:
     return -4.0 * c / den
 
 
-def gale_pair_relation(prof: EdmProfile, entry: EntryIndex) -> ParallelRelation:
-    """Parallelism of the Gale rows z^k, z^l; BOTH_ZERO by convention if r = n-1."""
-    if prof.Z is None:
-        return ParallelRelation(ParallelKind.BOTH_ZERO)
-    row_scale = max(float(np.linalg.norm(prof.Z, axis=1).max()), 1e-300)
-    return parallel_relation(
-        prof.Z[entry.i], prof.Z[entry.j], scale=row_scale
-    )
+def singleton_gap(prof: EdmProfile, entry: EntryIndex, c: float) -> float:
+    """Relative gap of |s^k|^2 = B+_kk from c^2 |s^l|^2; T= is {0} where it vanishes."""
+    kk, ll, _ = _bdag_entries(prof, entry)
+    cll = c * c * ll
+    return abs(kk - cll) / max(kk, cll, 1e-300)
 
 
 def yielding_report(prof: EdmProfile, entry: EntryIndex) -> YieldingReport:
     """Decide yielding status of d_kl and compute its interval."""
     entry.check_order(prof.n)
-    relation = gale_pair_relation(prof, entry)
+    if prof.Z is None:  # r = n-1: the Gale rows count as BOTH_ZERO
+        relation = ParallelRelation(ParallelKind.BOTH_ZERO)
+    else:
+        relation = parallel_relation(prof.Z[entry.i], prof.Z[entry.j], scale=prof.z_scale)
 
     if relation.kind is ParallelKind.BOTH_ZERO:
         # The interval is [theta_lower, theta_upper] itself; a degenerate

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import edmp.cli
 from edmp.cli import main
+from edmp.errors import NumericalFailure
 from edmp.matio import load_matrix, matrix_to_csv, matrix_to_json, parse_matrix_text
 from conftest import ANTIPODAL, SQUARE, TRIANGLE
 
@@ -204,6 +206,13 @@ class TestSweep:
                              "--k", "1", "--l", "2", "--num", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("margin", ["-1", "-0.25"])
+    def test_negative_margin_exits_2(self, capsys, triangle_file, margin):
+        code, _, err = run_cli(capsys, "sweep", triangle_file,
+                               "--k", "1", "--l", "2", "--margin", margin)
+        assert code == 2
+        assert "--margin must be nonnegative" in err
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):
@@ -260,6 +269,27 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "--n", "5", "--r", "2",
                              "--structure", "parallel-gale", "--k", "1", "--l", "2")
         assert code == 6
+
+    @pytest.mark.parametrize("pair, message", [
+        (["--k", "1"], "--k and --l must be given together"),
+        (["--l", "2"], "--k and --l must be given together"),
+        (["--k", "2", "--l", "2"], "diagonal entries cannot be perturbed"),
+    ], ids=["k-without-l", "l-without-k", "diagonal"])
+    def test_bad_entry_exits_6(self, capsys, pair, message):
+        code, out, err = run_cli(capsys, "gen", "--n", "5", "--r", "4", *pair)
+        assert code == 6
+        assert out == ""
+        assert message in err
+
+    def test_numerical_failure_exits_7(self, capsys, monkeypatch):
+        def no_convergence(spec, tol):
+            raise NumericalFailure(f"instance generation did not converge for {spec}")
+
+        monkeypatch.setattr(edmp.cli, "gen_unit_spherical", no_convergence)
+        code, out, err = run_cli(capsys, "gen", "--n", "4", "--r", "3")
+        assert code == 7
+        assert out == ""
+        assert "did not converge" in err
 
     def test_comment_header_carries_spec(self, capsys):
         _, out, _ = run_cli(capsys, "gen", "--n", "4", "--r", "3", "--seed", "9")

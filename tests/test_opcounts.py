@@ -1,10 +1,10 @@
 """Deterministic operation counts: each entry is classified once and each
 matrix of a profile is factored once.
 
-Calls are counted by wrapping numpy's eigh, the yielding classifier as
-seen from the perturbation module, `profile` under every module name that
-calls it, and `EigDecomp.cond`.  Only a change that lowers a count may
-tighten its bound.
+Calls are counted by wrapping numpy's eigh and svd, the yielding
+classifier as seen from the perturbation module, `profile` under every
+module name that calls it, and `EigDecomp.cond`.  Only a change that
+lowers a count may tighten its bound.
 """
 
 import contextlib
@@ -22,17 +22,22 @@ from edmp import CaseTag, EntryIndex, InstanceSpec, classify, gen_unit_spherical
 from edmp.cli import main
 from edmp.linalg import EigDecomp
 from edmp.matio import matrix_to_csv
-from edmp.verify import run_verification
+from edmp.verify import default_templates, run_verification
 
 # eigh and profile calls of run_verification(21, seed=0), measured with
 # every matrix of an instance factored once.
-VERIFY_21_EIGH_BOUND = 2995
+VERIFY_21_EIGH_BOUND = 2974
 VERIFY_21_PROFILE_CALLS = 67
+
+# svd calls of one classify: the Gale test decides NotYielding, the [w Z]
+# test then decides TleqTrivial, and each warning reads the ratio its test
+# measured.
+CLASSIFY_SVD_CALLS = {CaseTag.NOT_YIELDING: 1, CaseTag.TLEQ_TRIVIAL: 2}
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    seen = {"eigh": 0, "yielding_report": 0, "profile": 0, "cond": 0}
+    seen = {"eigh": 0, "svd": 0, "yielding_report": 0, "profile": 0, "cond": 0}
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -44,6 +49,7 @@ def counts(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(np.linalg, "eigh", "eigh")
+    counting(np.linalg, "svd", "svd")
     counting(edmp.perturbation, "yielding_report", "yielding_report")
     for module in (edmp.model, edmp.cayley, edmp.oracle, edmp.verify):
         counting(module, "profile", "profile")
@@ -65,6 +71,21 @@ def test_verify_classifies_each_entry_once(counts):
     assert counts["yielding_report"] == 21
     assert counts["eigh"] <= VERIFY_21_EIGH_BOUND
     assert counts["profile"] == VERIFY_21_PROFILE_CALLS
+
+
+def test_classify_measures_each_parallelism_once(counts):
+    tags = set()
+    for template in default_templates(8):
+        if template.expected not in CLASSIFY_SVD_CALLS:
+            continue
+        spec = InstanceSpec(template.n, template.r, template.structure, template.entry)
+        prof = profile(gen_unit_spherical(spec))
+        counts["svd"] = 0
+        report = classify(prof, template.entry)
+        assert report.case_tag is template.expected
+        assert counts["svd"] == CLASSIFY_SVD_CALLS[template.expected]
+        tags.add(report.case_tag)
+    assert tags == set(CLASSIFY_SVD_CALLS)
 
 
 def test_sweep_classifies_once(counts, tmp_path):

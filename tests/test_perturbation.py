@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from edmp import (
     CaseTag,
+    DistanceMatrix,
     EntryIndex,
     InstanceSpec,
     OutsideTleq,
@@ -18,8 +19,8 @@ from edmp import (
 )
 from edmp.linalg import pinv
 from edmp.oracle import edm_from_points, radius_sq_direct
-from edmp.perturbation import tilde_pair_relation
-from edmp.yielding import ParallelKind
+from edmp.verify import default_templates
+from edmp.yielding import ParallelKind, parallel_relation
 
 
 def rho12(t):
@@ -36,7 +37,8 @@ class TestTleq:
         out = report(square_profile, 1, 2).t_leq
         assert out.is_trivial
         # Stacked rows (w_k, z_k) are not parallel although the Gale rows are.
-        rel = tilde_pair_relation(square_profile, EntryIndex(1, 2))
+        zt = square_profile.Z_tilde
+        rel = parallel_relation(zt[0], zt[1], scale=square_profile.zt_scale)
         assert rel.kind is ParallelKind.NOT_PARALLEL
 
     def test_square_diagonal_full_interval(self, square_profile):
@@ -276,3 +278,25 @@ class TestClassify:
         rep = classify(prof, EntryIndex(1, 2))
         assert rep.case_tag is CaseTag.PAIR_UNIT
         assert rep.warnings and "proximity" in rep.warnings[0]
+
+
+class TestRelabeling:
+    def test_case_and_intervals_invariant_under_relabeling(self):
+        # Point a of the relabeled matrix is point perm[a] of the original,
+        # so the original entry (k, l) sits at (inv[k], inv[l]).
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for template in default_templates(8):
+                entry = template.entry
+                d = gen_unit_spherical(InstanceSpec(
+                    template.n, template.r, template.structure, entry, seed=seed))
+                perm = rng.permutation(d.n)
+                inv = np.argsort(perm)
+                moved = EntryIndex(int(inv[entry.i]) + 1, int(inv[entry.j]) + 1)
+                before = classify(profile(d), entry)
+                after = classify(profile(DistanceMatrix(d.d[np.ix_(perm, perm)])), moved)
+                assert after.case_tag is before.case_tag
+                for mine, theirs in ((after.yielding_report.interval,
+                                      before.yielding_report.interval),
+                                     (after.t_leq.interval, before.t_leq.interval)):
+                    assert_allclose(tuple(mine), tuple(theirs), rtol=1e-9, atol=0.0)

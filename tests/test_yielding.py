@@ -18,7 +18,7 @@ from edmp import (
     yielding_report,
 )
 from edmp.model import is_edm_array
-from edmp.yielding import Interval, ParallelKind
+from edmp.yielding import PARALLEL_TOL, Interval, ParallelKind
 
 SQRT3 = np.sqrt(3.0)
 
@@ -46,10 +46,28 @@ class TestParallelRelation:
     def test_both_zero(self):
         rel = parallel_relation([0.0, 0.0], [0.0, 0.0])
         assert rel.kind is ParallelKind.BOTH_ZERO
+        assert rel.ratio == 0.0
 
     def test_orthogonal(self):
         rel = parallel_relation([1.0, 0.0], [0.0, 1.0])
         assert rel.kind is ParallelKind.NOT_PARALLEL
+        assert rel.ratio == 1.0
+
+    def test_not_parallel_keeps_measured_ratio(self):
+        u, v = np.array([1.0, 0.0, 0.5]), np.array([1.0, 0.01, 0.5])
+        sing = np.linalg.svd(np.column_stack([u, v]), compute_uv=False)
+        rel = parallel_relation(u, v)
+        assert rel.kind is ParallelKind.NOT_PARALLEL
+        assert rel.ratio == sing[1] / sing[0]
+        assert PARALLEL_TOL < rel.ratio < 1e-2
+
+    def test_one_sided_zero_keeps_measured_ratio(self):
+        # u is zero against the scale but not exactly zero, so the stack
+        # [u v] still has a measurable second singular value.
+        u, v = np.array([1e-12, 0.0]), np.array([0.0, 1.0])
+        rel = parallel_relation(u, v, scale=1.0)
+        assert rel.kind is ParallelKind.NOT_PARALLEL
+        assert_allclose(rel.ratio, 1e-12, rtol=1e-12)
 
     def test_scalar_from_square_gale_rows(self, square_profile):
         z = square_profile.Z
@@ -72,12 +90,14 @@ class TestParallelRelation:
             bwd = parallel_relation(v, c * v)
             assert fwd.kind is ParallelKind.SCALAR
             assert bwd.kind is ParallelKind.SCALAR
+            assert fwd.ratio <= PARALLEL_TOL and bwd.ratio <= PARALLEL_TOL
             assert_allclose(fwd.c * bwd.c, 1.0, atol=1e-10)
 
     def test_scalar_length_one_vectors(self):
         rel = parallel_relation([0.5], [-0.25])
         assert rel.kind is ParallelKind.SCALAR
         assert_allclose(rel.c, -2.0)
+        assert rel.ratio == 0.0
 
 
 class TestThetaBounds:
