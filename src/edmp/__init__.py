@@ -25,7 +25,6 @@ from .linalg import (
     DEFAULT_TOL,
     EigDecomp,
     TolerancePolicy,
-    nullspace_basis,
     pinv,
     sym_eig,
 )

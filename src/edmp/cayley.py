@@ -16,8 +16,9 @@ direct perturbation formulas.
 
 A view factors its bordered matrix once and keeps that decomposition, so
 w~, the bordered pseudoinverse and the bordered rank all come from it.
-The bordered centroid Gram is factored on first use, once, for the EDM
-test and the embedding dimension, so views that only read w~ skip it.
+The bordered centroid Gram is built and factored on first use, once, for
+the EDM test, the embedding dimension and the Gale check, so views that
+only read w~ skip it.
 Building a view does not profile the source; only the Gale block needs
 the source profile, and cm_gale and cm_embedding_dim build it when the
 view was made without one.
@@ -65,9 +66,14 @@ class CayleyMengerView:
     source_profile: EdmProfile | None
 
     @cached_property
+    def b_tilde(self) -> np.ndarray:
+        """Bordered centroid Gram, built on first use."""
+        return centroid_gram(self.d_tilde)
+
+    @cached_property
     def gram(self) -> EigDecomp:
         """Eigendecomposition of the bordered centroid Gram, made on first use."""
-        return sym_eig(centroid_gram(self.d_tilde))
+        return sym_eig(self.b_tilde)
 
 
 def bordered(d: DistanceMatrix) -> np.ndarray:
@@ -132,8 +138,7 @@ def cm_gale(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     gale = np.zeros((n + 1, prof.Z_tilde.shape[1]))
     gale[0, 0] = -0.5
     gale[1:] = prof.Z_tilde
-    b_tilde = centroid_gram(view.d_tilde)
-    stack = np.vstack([b_tilde, np.ones((1, n + 1))])
+    stack = np.vstack([view.b_tilde, np.ones((1, n + 1))])
     residual = np.linalg.norm(stack @ gale)
     scale = max(np.linalg.norm(stack) * np.linalg.norm(gale), 1.0)
     if residual > tol.recon_rel * scale:

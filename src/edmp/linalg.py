@@ -23,7 +23,6 @@ __all__ = [
     "symmetrize",
     "sym_eig",
     "pinv",
-    "nullspace_basis",
     "fix_column_signs",
 ]
 
@@ -112,20 +111,6 @@ def sym_eig(a) -> EigDecomp:
 def pinv(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric matrix via its spectrum."""
     return sym_eig(a).pinv(tol)
-
-
-def nullspace_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the null space {x : Ax = 0}, as columns.
-
-    Accepts any rectangular matrix; the result has A.shape[1] rows and
-    one column per singular value below rank_rel * max singular value.
-    Column signs are fixed deterministically.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    _, sing, vt = np.linalg.svd(a)
-    cut = tol.rank_rel * (sing.max() if sing.size else 0.0)
-    rank = int(np.count_nonzero(sing > cut))
-    return fix_column_signs(vt[rank:].T.copy())
 
 
 def fix_column_signs(m: np.ndarray, rel: float = 1e-12) -> np.ndarray:

@@ -1,11 +1,13 @@
 """EDM recognition and the derived profile of one distance matrix.
 
 A hollow symmetric nonnegative matrix D is an EDM exactly when the
-centroid Gram matrix B = -JDJ/2 is positive semidefinite.  From B the
-profile derives the embedding dimension, a deterministic configuration,
-the Gale basis, the vector w with Dw = e, and the sphericity data
-(radius, center, regularity).  Spherical EDMs of radius one are the
-domain of the perturbation machinery in the rest of the package.
+centroid Gram matrix B = -JDJ/2 is positive semidefinite.  From one
+eigendecomposition of B the profile derives the EDM verdict, the
+embedding dimension, a deterministic configuration, B+ and the Gale
+basis (B's null eigenvectors with e projected out), plus w with Dw = e
+and the sphericity data (radius, center, regularity).  Spherical EDMs of
+radius one are the domain of the perturbation machinery in the rest of
+the package.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAnEdm, NotUnitSpherical, NumericalFailure
+from .errors import NotAnEdm, NotUnitSpherical
 from .linalg import (
     DEFAULT_TOL,
     EigDecomp,
     TolerancePolicy,
     fix_column_signs,
-    nullspace_basis,
     pinv,
     sym_eig,
     symmetrize,
@@ -71,6 +72,13 @@ class DistanceMatrix:
             i, j = bad[0]
             raise ValueError(
                 f"squared distances must be finite, got {a[i, j]} at entry ({i + 1},{j + 1})"
+            )
+        asym = np.abs(a - a.T)
+        if asym.max() > 1e-12 * np.abs(a).max():
+            i, j = np.unravel_index(np.argmax(asym), asym.shape)
+            raise ValueError(
+                f"distance matrix must be symmetric: entry ({i + 1},{j + 1}) is "
+                f"{a[i, j]} but ({j + 1},{i + 1}) is {a[j, i]}"
             )
         a = 0.5 * (a + a.T)
         scale = max(float(np.abs(a).max()), 1.0)
@@ -175,9 +183,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile:
     """Full derived profile of an EDM; raises NotAnEdm otherwise.
 
-    B is factored once: the EDM verdict, r, P and B+ all come from that
-    decomposition.  D+ comes from a second one.  The row scales that every
-    zero and parallelism test is judged against are computed once here.
+    B is factored once: the EDM verdict, r, P, B+ and the Gale basis all
+    come from that decomposition.  D+ comes from a second one.  The row
+    scales that every zero and parallelism test is judged against are
+    computed once here.
     """
     a = d.d
     n = d.n
@@ -215,13 +224,14 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
         np.linalg.norm(de - de.mean() * e) <= tol.recon_rel * max(np.linalg.norm(de), 1.0)
     )
 
+    # Gale basis: B's trailing n-r eigenvectors span null(B), which holds e;
+    # project out e/sqrt(n) and orthonormalize what is left.
     z = None
     if r <= n - 2:
-        z = nullspace_basis(np.vstack([b, e[None, :]]), tol)
-        if z.shape != (n, n - r - 1):
-            raise NumericalFailure(
-                f"Gale basis has shape {z.shape}, expected {(n, n - r - 1)}"
-            )
+        u = e / np.sqrt(n)
+        v = dec.vectors[:, r:]
+        q, _, _ = np.linalg.svd(v - np.outer(u, u @ v), full_matrices=False)
+        z = fix_column_signs(q[:, : n - r - 1])
         z_tilde = np.column_stack([w, z])
         z = _readonly(z)
     else:

@@ -12,6 +12,8 @@ import edmp.cli
 from edmp.cli import main
 from edmp.errors import NumericalFailure
 from edmp.matio import load_matrix, matrix_to_csv, matrix_to_json, parse_matrix_text
+from edmp.model import DistanceMatrix
+from edmp.oracle import InstanceSpec, gen_unit_spherical
 from conftest import ANTIPODAL, SQUARE, TRIANGLE
 
 
@@ -86,6 +88,25 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
         assert err.endswith(f"squared distances must be finite, got {cell} at entry (2,3)\n")
+
+    def test_asymmetric_csv_exits_2(self, capsys, tmp_path):
+        upper = tmp_path / "upper.csv"
+        upper.write_text("\n".join(",".join(str(x) for x in row) for row in np.triu(SQUARE)))
+        code, out, err = run_cli(capsys, "analyze", str(upper))
+        assert code == 2 and out == ""
+        assert err == ("error: invalid matrix content: distance matrix must be symmetric: "
+                       "entry (1,3) is 4.0 but (3,1) is 0.0\n")
+
+    def test_scaled_input_with_gale_basis(self, capsys, tmp_path):
+        # n=8, r=5 has a two-column Gale basis; 1e12 m^2 is the same shape in mm^2.
+        d = gen_unit_spherical(InstanceSpec(n=8, r=5, seed=0))
+        path = tmp_path / "scaled.csv"
+        path.write_text(matrix_to_csv(DistanceMatrix(1e12 * d.d)))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and err == ""
+        prof = json.loads(out)["profile"]
+        assert prof["embedding_dim"] == 5 and prof["gale_columns"] == 2
+        assert prof["radius"] == pytest.approx(1e6, rel=1e-12)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_env_tolerance_exits_2(self, capsys, triangle_file, monkeypatch,

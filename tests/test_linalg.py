@@ -10,7 +10,6 @@ from edmp.linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     fix_column_signs,
-    nullspace_basis,
     pinv,
     sym_eig,
     symmetrize,
@@ -158,36 +157,6 @@ class TestCond:
 
     def test_zero_matrix_is_infinite(self):
         assert sym_eig(np.zeros((3, 3))).cond() == np.inf
-
-
-class TestNullspace:
-    def test_ones_row(self):
-        basis = nullspace_basis(np.ones((1, 3)))
-        assert basis.shape == (3, 2)
-        assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
-        assert_allclose(np.ones(3) @ basis, 0.0, atol=1e-12)
-
-    def test_square_gale_direction(self):
-        stack = np.vstack([centroid_gram(SQUARE), np.ones((1, 4))])
-        basis = nullspace_basis(stack)
-        assert basis.shape == (4, 1)
-        direction = basis[:, 0] / basis[0, 0]
-        assert_allclose(direction, [1.0, -1.0, 1.0, -1.0], atol=1e-10)
-
-    def test_full_rank_square_empty(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
-        assert nullspace_basis(a).shape == (5, 0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
-    def test_residual_property(self, rows, cols, seed):
-        a = np.random.default_rng(seed).normal(size=(rows, cols))
-        basis = nullspace_basis(a)
-        if basis.size:
-            assert np.linalg.norm(a @ basis) <= 1e-10 * max(np.linalg.norm(a), 1.0)
-        rank = np.linalg.matrix_rank(a, tol=1e-10)
-        assert basis.shape[1] == cols - rank
 
 
 def is_psd(a):

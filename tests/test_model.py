@@ -6,21 +6,26 @@ from numpy.testing import assert_allclose
 
 from edmp import (
     DistanceMatrix,
+    EntryIndex,
     InstanceSpec,
     NotAnEdm,
     NotUnitSpherical,
+    ParallelKind,
+    Structure,
     bdag_identity,
     bprime_dag_identity,
+    classify,
     cm_dag_block,
     gen_unit_spherical,
     is_edm,
     profile,
 )
-from edmp.linalg import pinv, sym_eig
+from edmp.linalg import fix_column_signs, pinv, sym_eig
 from edmp.model import centroid_gram, is_edm_array
 from edmp.oracle import edm_from_points
+from edmp.verify import default_templates
 
-from conftest import gen_nonspherical
+from conftest import SQUARE, gen_nonspherical
 
 
 class TestDistanceMatrix:
@@ -46,6 +51,15 @@ class TestDistanceMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             DistanceMatrix(np.zeros((3, 4)))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match=r"symmetric: entry \(1,3\) is 4.0 but \(3,1\) is 0.0"):
+            DistanceMatrix(np.triu(SQUARE))
+
+    def test_round_off_asymmetry_is_symmetrized(self):
+        a = SQUARE.copy()
+        a[0, 1] += 1e-15
+        assert np.array_equal(DistanceMatrix(a).d, DistanceMatrix(a).d.T)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
@@ -145,6 +159,70 @@ class TestProfile:
         assert p.radius is None
         assert abs(p.w.sum()) <= 1e-9
         assert sym_eig(d.d).rank() == p.r + 2 == 4
+
+
+def _gale_templates(structure=None):
+    """Verify-template instances (seed 0) that have a Gale basis, r <= n-2."""
+    return [
+        gen_unit_spherical(InstanceSpec(t.n, t.r, t.structure, t.entry, seed=0))
+        for t in default_templates(8)
+        if t.r <= t.n - 2 and structure in (None, t.structure)
+    ]
+
+
+class TestGaleBasis:
+    def test_templates_have_orthonormal_gale_basis(self):
+        instances = _gale_templates()
+        assert len(instances) == 12
+        for d in instances:
+            p = profile(d)
+            z = p.Z
+            assert z.shape == (p.n, p.n - p.r - 1)
+            assert_allclose(z.T @ z, np.eye(z.shape[1]), atol=1e-12)
+            assert np.abs(np.ones(p.n) @ z).max() <= 1e-12
+            assert np.linalg.norm(p.B @ z) <= 1e-10 * np.linalg.norm(p.B)
+            # Column signs are fixed, and a second profile gives the same basis.
+            assert np.array_equal(fix_column_signs(z), z)
+            assert np.array_equal(profile(d).Z, z)
+
+    def test_square_gale_column(self, square_profile):
+        assert_allclose(square_profile.Z[:, 0], [0.5, -0.5, 0.5, -0.5], rtol=0, atol=1e-15)
+
+
+def _gale_projector_reference(d, r):
+    """Projector onto null(B) and e-perp, from a 60-digit eigendecomposition of B."""
+    mp = pytest.importorskip("mpmath")
+    n = d.shape[0]
+    with mp.workdps(60):
+        j = mp.eye(n) - mp.ones(n, n) / n
+        b = -(j * mp.matrix(d.tolist()) * j) / 2
+        _, vecs = mp.eigsy(b)  # ascending: the first n-r columns span null(B)
+        v = vecs[:, : n - r]
+        proj = v * v.T - mp.ones(n, n) / n
+        return np.array(proj.tolist(), dtype=float)
+
+
+class TestGaleAccuracy:
+    """The float Gale basis against a 60-digit reference of the same matrix."""
+
+    def test_direction_and_parallelism_scalar(self, square):
+        instances = [square] + _gale_templates(Structure.PARALLEL_GALE_PAIR)
+        assert len(instances) == 4
+        scalars = 0
+        for d in instances:
+            p = profile(d)
+            ref = _gale_projector_reference(d.d, p.r)
+            assert np.linalg.norm(p.Z @ p.Z.T - ref, 2) <= 1e-13
+            for k in range(1, p.n + 1):
+                for l in range(k + 1, p.n + 1):
+                    rel = classify(p, EntryIndex(k, l)).yielding_report.gale_relation
+                    if rel.kind is not ParallelKind.SCALAR:
+                        continue
+                    c_ref = ref[k - 1, l - 1] / ref[l - 1, l - 1]
+                    assert abs(rel.c - c_ref) <= 1e-12 * abs(c_ref)
+                    scalars += 1
+        # One Gale column in each: every pair of rows is parallel, 6+6+10+15 pairs.
+        assert scalars == 37
 
 
 class TestGram:

@@ -22,7 +22,7 @@ from edmp import CaseTag, EntryIndex, InstanceSpec, classify, gen_unit_spherical
 from edmp.cli import main
 from edmp.linalg import EigDecomp
 from edmp.matio import matrix_to_csv
-from edmp.verify import default_templates, run_verification
+from edmp.verify import check_bordered, default_templates, run_verification
 
 # eigh and profile calls of run_verification(21, seed=0), measured with
 # every matrix of an instance factored once.
@@ -37,7 +37,8 @@ CLASSIFY_SVD_CALLS = {CaseTag.NOT_YIELDING: 1, CaseTag.TLEQ_TRIVIAL: 2}
 
 @pytest.fixture
 def counts(monkeypatch):
-    seen = {"eigh": 0, "svd": 0, "yielding_report": 0, "profile": 0, "cond": 0}
+    seen = {"eigh": 0, "svd": 0, "yielding_report": 0, "profile": 0, "cond": 0,
+            "centroid_gram": 0}
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -54,6 +55,7 @@ def counts(monkeypatch):
     for module in (edmp.model, edmp.cayley, edmp.oracle, edmp.verify):
         counting(module, "profile", "profile")
     counting(EigDecomp, "cond", "cond")
+    counting(edmp.cayley, "centroid_gram", "centroid_gram")
     return seen
 
 
@@ -100,3 +102,15 @@ def test_sweep_classifies_once(counts, tmp_path):
     assert len(out.getvalue().splitlines()) == 2002
     assert counts["yielding_report"] == 1
     assert counts["cond"] == 0
+
+
+def test_bordered_view_builds_its_gram_once(counts):
+    d = gen_unit_spherical(InstanceSpec(n=6, r=3, seed=0))
+    prof = profile(d)
+    # A border-direct view reads only w~ and builds no bordered Gram.
+    assert edmp.cayley.cm_build(d).w_tilde.shape == (7,)
+    assert counts["centroid_gram"] == 0
+    # The EDM test, the embedding dimension and the Gale check share one.
+    results = check_bordered(prof, edmp.cayley.cm_build(d, source_profile=prof), prof.tol)
+    assert all(res.ok for res in results)
+    assert counts["centroid_gram"] == 1

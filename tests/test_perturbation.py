@@ -300,3 +300,23 @@ class TestRelabeling:
                                       before.yielding_report.interval),
                                      (after.t_leq.interval, before.t_leq.interval)):
                     assert_allclose(tuple(mine), tuple(theirs), rtol=1e-9, atol=0.0)
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("s", [1e-12, 1e-6, 1e6, 1e12])
+    def test_case_and_interval_invariant_under_scaling(self, s):
+        # s*D has radius sqrt(s); dividing by rho^2 brings it back to a unit
+        # spherical matrix that must classify like D.
+        for template in default_templates(8):
+            entry = template.entry
+            d = gen_unit_spherical(InstanceSpec(
+                template.n, template.r, template.structure, entry, seed=0))
+            before = classify(profile(d), entry)
+            scaled = profile(DistanceMatrix(s * d.d))
+            assert scaled.r == template.r
+            assert scaled.radius / np.sqrt(s) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+            unit = DistanceMatrix(s * d.d / scaled.radius**2)
+            after = classify(profile(unit), entry)
+            assert after.case_tag is before.case_tag
+            assert_allclose(tuple(after.yielding_report.interval),
+                            tuple(before.yielding_report.interval), rtol=1e-9, atol=0.0)
