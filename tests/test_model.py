@@ -59,7 +59,8 @@ class TestDistanceMatrix:
     def test_round_off_asymmetry_is_symmetrized(self):
         a = SQUARE.copy()
         a[0, 1] += 1e-15
-        assert np.array_equal(DistanceMatrix(a).d, DistanceMatrix(a).d.T)
+        d = DistanceMatrix(a).d
+        assert np.array_equal(d, d.T)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
