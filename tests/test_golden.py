@@ -1,10 +1,11 @@
-"""Byte-exact CLI outputs recorded before the classify-once refactor.
+"""Byte-exact CLI outputs that every refactor must reproduce.
 
 `golden/cases.json` lists each command (argv relative to `golden/`) with
 its exit code; `golden/<name>.out` holds its stdout.  The inputs are the
-three conftest matrices as CSV files.  To record a new set after an
-intended output change, run `PYTHONPATH=src python tests/test_golden.py`
-from the repository root.
+three conftest matrices as CSV files and `pairunit-8.csv`, the output of
+`edmp gen --n 8 --r 7 --seed 0`, which is PairUnit at (1,2).  To record a
+new set after an intended output change, run
+`PYTHONPATH=src python tests/test_golden.py` from the repository root.
 """
 
 import contextlib
@@ -38,10 +39,16 @@ def golden_commands() -> list[tuple[str, list[str]]]:
                 cases.append((f"entry-{name}-{k}{l}",
                               ["entry", f"{name}.csv", "--k", str(k), "--l", str(l)]))
     cases.append(("sweep-triangle-12", ["sweep", "triangle.csv", "--k", "1", "--l", "2"]))
+    pair = ["pairunit-8.csv", "--k", "1", "--l", "2"]
+    cases.append(("entry-pairunit-8-12", ["entry", *pair]))
+    cases.append(("sweep-pairunit-8-12", ["sweep", *pair, "--num", "101"]))
     for structure, args in GEN:
         cases.append((f"gen-{structure}",
                       ["gen", "--seed", "7", *args, "--structure", structure]))
     cases.append(("verify-21-42", ["verify", "--count", "21", "--seed", "42"]))
+    # Seed 53 holds the ill-conditioned T= child 19000110.
+    cases.append(("verify-100-53",
+                  ["verify", "--count", "100", "--seed", "53", "--nmax", "8"]))
     return cases
 
 
