@@ -34,7 +34,6 @@ from .model import (
     bdag_identity,
     bprime_dag_identity,
     cm_dag_block,
-    is_edm,
     profile,
 )
 from .yielding import (
@@ -54,7 +53,6 @@ from .perturbation import (
     RadiusCoefficients,
     TeqKind,
     TeqSet,
-    TleqSet,
     classify,
     radius_squared,
 )

@@ -14,14 +14,13 @@ those values, the radius coefficients and the singleton verdict from the
 entry's PerturbationReport.  Everything here is used to cross-check the
 direct perturbation formulas.
 
-A view factors its bordered matrix once and keeps that decomposition, so
-w~, the bordered pseudoinverse and the bordered rank all come from it.
-The bordered centroid Gram is built and factored on first use, once, for
-the EDM test, the embedding dimension and the Gale check, so views that
-only read w~ skip it.
-Building a view does not profile the source; only the Gale block needs
-the source profile, and cm_gale and cm_embedding_dim build it when the
-view was made without one.
+A view factors its bordered matrix once and keeps that decomposition and
+the tolerance policy it was built under, so w~ and every cm_ test on the
+view share one policy.  The bordered centroid Gram is built and factored
+on first use, once, for the EDM test, the embedding dimension and the
+Gale check, so views that only read w~ skip it.  Building a view does
+not profile the source; cm_gale and cm_embedding_dim take the source
+profile from the caller, which already holds it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .linalg import DEFAULT_TOL, EigDecomp, TolerancePolicy, sym_eig
-from .model import DistanceMatrix, EdmProfile, centroid_gram, is_edm, is_edm_array, profile
+from .model import DistanceMatrix, EdmProfile, centroid_gram, is_edm_array
 from .perturbation import CaseTag, PerturbationReport
 
 __all__ = [
@@ -57,13 +56,12 @@ POLE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CayleyMengerView:
-    """The bordered matrix of one source, its eigendecomposition and its w vector."""
+    """The bordered matrix of one source, its eigendecomposition, w vector and policy."""
 
     d_tilde: np.ndarray
     eig: EigDecomp
     w_tilde: np.ndarray
-    source: DistanceMatrix
-    source_profile: EdmProfile | None
+    tol: TolerancePolicy
 
     @cached_property
     def b_tilde(self) -> np.ndarray:
@@ -85,63 +83,48 @@ def bordered(d: DistanceMatrix) -> np.ndarray:
     return out
 
 
-def cm_build(
-    d: DistanceMatrix,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    source_profile: EdmProfile | None = None,
-) -> CayleyMengerView:
-    """Factor the bordered matrix once; works for any distance matrix.
-
-    The source is not profiled here: cm_gale and cm_embedding_dim build its
-    profile on demand unless the caller passes the one it holds.
-    """
+def cm_build(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> CayleyMengerView:
+    """Factor the bordered matrix once; works for any distance matrix."""
     d_tilde = bordered(d)
     dec = sym_eig(d_tilde)
     w_tilde = dec.pinv(tol) @ np.ones(d.n + 1)
     d_tilde.flags.writeable = False
     w_tilde.flags.writeable = False
-    return CayleyMengerView(d_tilde, dec, w_tilde, d, source_profile)
+    return CayleyMengerView(d_tilde, dec, w_tilde, tol)
 
 
-def cm_is_edm(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def cm_is_edm(view: CayleyMengerView) -> bool:
     """The bordered matrix is an EDM iff the source is spherical with rho <= 1."""
-    return is_edm_array(view.d_tilde, tol, gram=view.gram)
+    return is_edm_array(view.d_tilde, view.tol, gram=view.gram)
 
 
-def cm_radius_sq(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def cm_radius_sq(view: CayleyMengerView) -> float:
     """Squared source radius through the border: 1 - e~.w~ / 2."""
-    if not cm_is_edm(view, tol):
+    if not cm_is_edm(view):
         raise NotAnEdm("bordered matrix is not an EDM: source radius exceeds one")
     return 1.0 - 0.5 * float(view.w_tilde.sum())
 
 
-def _unit_source(view: CayleyMengerView, tol: TolerancePolicy) -> EdmProfile:
-    prof = view.source_profile
-    if prof is None and is_edm(view.source, tol):
-        prof = profile(view.source, tol)
-    if prof is None or not prof.unit_spherical:
+def cm_embedding_dim(view: CayleyMengerView, prof: EdmProfile) -> int:
+    """Embedding dimension of the bordered matrix; equals that of the source `prof`."""
+    if not prof.unit_spherical:
         raise NotUnitSpherical("operation requires a unit spherical source")
-    return prof
+    return view.gram.rank(view.tol)
 
 
-def cm_embedding_dim(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Embedding dimension of the bordered matrix; equals that of the source."""
-    _unit_source(view, tol)
-    return view.gram.rank(tol)
-
-
-def cm_gale(view: CayleyMengerView, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Explicit Gale matrix [[-1/2, 0], [w, Z]] of the bordered matrix,
-    verified against its null space."""
-    prof = _unit_source(view, tol)
-    n = view.source.n
+def cm_gale(view: CayleyMengerView, prof: EdmProfile) -> np.ndarray:
+    """Explicit Gale matrix [[-1/2, 0], [w, Z]] of the bordered matrix of the
+    unit spherical source profiled by `prof`, verified against its null space."""
+    if not prof.unit_spherical:
+        raise NotUnitSpherical("operation requires a unit spherical source")
+    n = prof.n
     gale = np.zeros((n + 1, prof.Z_tilde.shape[1]))
     gale[0, 0] = -0.5
     gale[1:] = prof.Z_tilde
     stack = np.vstack([view.b_tilde, np.ones((1, n + 1))])
     residual = np.linalg.norm(stack @ gale)
     scale = max(np.linalg.norm(stack) * np.linalg.norm(gale), 1.0)
-    if residual > tol.recon_rel * scale:
+    if residual > view.tol.recon_rel * scale:
         raise NumericalFailure("bordered Gale matrix is not in the expected null space")
     return gale
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, TolerancePolicy
 from .matio import fmt_float, load_matrix, matrix_to_csv, matrix_to_json, report_json
-from .model import DistanceMatrix, EdmProfile, profile
+from .model import EdmProfile, profile
 from .oracle import (
     InstanceSpec,
     Structure,
@@ -119,7 +119,7 @@ def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
         "theta_upper": _theta_value(yrep.theta_upper),
         "theta_c": yrep.theta_c,
         "yielding_interval": _interval_block(yrep.interval),
-        "t_leq": _interval_block(report.t_leq.interval),
+        "t_leq": _interval_block(report.t_leq),
         "t_eq": _teq_block(report.t_eq),
         "case": report.case_tag.value,
         "coefficients": None,
@@ -137,10 +137,9 @@ def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
     return block
 
 
-def _cross_check_block(d: DistanceMatrix, report: PerturbationReport,
-                       tol: TolerancePolicy) -> dict:
-    entry = report.entry
-    tleq = report.t_leq.interval
+def _cross_check_block(prof: EdmProfile, report: PerturbationReport) -> dict:
+    d, tol, entry = prof.d, prof.tol, report.entry
+    tleq = report.t_leq
     if tleq.width == 0.0:
         ts = [0.0]
     else:
@@ -159,7 +158,7 @@ def _cross_check_block(d: DistanceMatrix, report: PerturbationReport,
             diff = abs(border - closed) / max(1.0, abs(closed))
             worst_border = diff if worst_border is None else max(worst_border, diff)
     worst_member = 0.0
-    for t in report.t_eq.members(samples=5):
+    for t in report.t_eq.members():
         w_t = perturbed_w(d, entry, float(t), tol)[0]
         worst_member = max(worst_member, abs(2.0 * float(w_t.sum()) - 1.0))
     return {
@@ -187,7 +186,7 @@ def cmd_analyze(args, tol: TolerancePolicy) -> int:
     return EXIT_OK
 
 
-def _load_unit_profile(args, tol: TolerancePolicy) -> tuple[DistanceMatrix, EdmProfile, EntryIndex]:
+def _load_unit_profile(args, tol: TolerancePolicy) -> tuple[EdmProfile, EntryIndex]:
     d = load_matrix(args.file)
     try:
         entry = EntryIndex(args.k, args.l)
@@ -197,11 +196,11 @@ def _load_unit_profile(args, tol: TolerancePolicy) -> tuple[DistanceMatrix, EdmP
     prof = profile(d, tol)
     if not prof.unit_spherical:
         raise NotUnitSpherical("this subcommand requires a unit spherical EDM")
-    return d, prof, entry
+    return prof, entry
 
 
 def cmd_entry(args, tol: TolerancePolicy) -> int:
-    d, prof, entry = _load_unit_profile(args, tol)
+    prof, entry = _load_unit_profile(args, tol)
     doc = _base_document("entry", tol, [])
     doc["profile"] = _profile_block(prof)
     try:
@@ -218,7 +217,7 @@ def cmd_entry(args, tol: TolerancePolicy) -> int:
         return EXIT_OK
     doc["diagnostics"]["warnings"].extend(report.warnings)
     doc["entry"] = _entry_block(prof, report)
-    doc["entry"]["cross_check"] = _cross_check_block(d, report, tol)
+    doc["entry"]["cross_check"] = _cross_check_block(prof, report)
     sys.stdout.write(report_json(doc))
     return EXIT_OK
 
@@ -228,11 +227,11 @@ def cmd_sweep(args, tol: TolerancePolicy) -> int:
         raise ParseError("--num must be at least 2")
     if args.margin < 0:
         raise ParseError("--margin must be nonnegative")
-    d, prof, entry = _load_unit_profile(args, tol)
+    prof, entry = _load_unit_profile(args, tol)
     report = classify(prof, entry)
     lo, hi = report.yielding_report.interval
     ts = np.linspace(lo - args.margin, hi + args.margin, args.num)
-    records = membership_scan(d, entry, ts, tol)
+    records = membership_scan(prof.d, entry, ts, prof.tol)
 
     def fmt_bool(x: bool) -> str:
         return "true" if x else "false"
@@ -351,6 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value like -1e-300 for an option; join it to its flag.
+    while "--margin" in argv[:-1]:
+        i = argv.index("--margin")
+        argv[i:i + 2] = [f"--margin={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         tol = _policy()

@@ -113,7 +113,7 @@ def pinv(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return sym_eig(a).pinv(tol)
 
 
-def fix_column_signs(m: np.ndarray, rel: float = 1e-12) -> np.ndarray:
+def fix_column_signs(m: np.ndarray) -> np.ndarray:
     """Flip column signs so the first significant entry of each is positive."""
     m = np.array(m, dtype=float)
     for col in range(m.shape[1]):
@@ -121,7 +121,7 @@ def fix_column_signs(m: np.ndarray, rel: float = 1e-12) -> np.ndarray:
         top = np.abs(column).max()
         if top == 0.0:
             continue
-        lead = np.argmax(np.abs(column) > rel * top)
+        lead = np.argmax(np.abs(column) > 1e-12 * top)
         if column[lead] < 0.0:
             m[:, col] = -column
     return m

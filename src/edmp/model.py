@@ -32,7 +32,6 @@ __all__ = [
     "EdmProfile",
     "SPHERICITY_TOL",
     "UNIT_RADIUS_TOL",
-    "is_edm",
     "is_edm_array",
     "is_unit_radius",
     "profile",
@@ -73,8 +72,17 @@ class DistanceMatrix:
             raise ValueError(
                 f"squared distances must be finite, got {a[i, j]} at entry ({i + 1},{j + 1})"
             )
+        # Within this range max|a|^2 and its reciprocal stay finite, with room
+        # for the factors of n that Gram and pseudoinverse norms add.
+        top = float(np.abs(a).max())
+        if top != 0.0 and not 1e-150 <= top <= 1e150:
+            i, j = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+            raise ValueError(
+                f"largest squared distance {a[i, j]} at entry ({i + 1},{j + 1}) is outside "
+                "[1e-150, 1e150] in magnitude"
+            )
         asym = np.abs(a - a.T)
-        if asym.max() > 1e-12 * np.abs(a).max():
+        if asym.max() > 1e-12 * top:
             i, j = np.unravel_index(np.argmax(asym), asym.shape)
             raise ValueError(
                 f"distance matrix must be symmetric: entry ({i + 1},{j + 1}) is "
@@ -163,11 +171,6 @@ def is_edm_array(
     if gram is None:
         gram = sym_eig(centroid_gram(a))
     return gram.is_psd(tol.psd_abs_scale)
-
-
-def is_edm(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True iff d is negative semidefinite on the complement of ones."""
-    return is_edm_array(d.d, tol)
 
 
 def _max_row_norm(a: np.ndarray) -> float:

@@ -50,6 +50,12 @@ ZERO_MARGIN = 1e-10
 # interval quadratic in the overshoot and hence undetectable; reject them.
 GALE_ENTRY_MARGIN = 0.05
 
+# sdp_min_radius_sq bisects lam down to a bracket of SDP_GAP and gives up
+# above SDP_CAP; locate_t_leq_boundary bisects t down to BOUNDARY_XTOL.
+SDP_GAP = 1e-9
+SDP_CAP = 1e4
+BOUNDARY_XTOL = 1e-8
+
 
 class Structure(enum.Enum):
     """Requested Gale structure of a generated instance."""
@@ -400,12 +406,7 @@ def radius_sq_direct(
 
 
 def sdp_min_radius_sq(
-    d: DistanceMatrix,
-    entry: EntryIndex,
-    t: float,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    gap: float = 1e-9,
-    cap: float = 1e4,
+    d: DistanceMatrix, entry: EntryIndex, t: float, tol: TolerancePolicy = DEFAULT_TOL
 ) -> float:
     """Least lam with 2 lam E - t E^kl - D >= 0, located by bisection.
 
@@ -413,7 +414,7 @@ def sdp_min_radius_sq(
     eigenvalue is exact; the optimum equals the squared radius of the
     perturbed matrix whenever that matrix is a spherical EDM.  For a
     nonspherical target the PSD defect decays like 1/lam while eigenvalue
-    noise grows like lam, so the cap must stay moderate for Infeasible to
+    noise grows like lam, so SDP_CAP must stay moderate for Infeasible to
     be detectable.
     """
     entry.check_order(d.n)
@@ -429,11 +430,11 @@ def sdp_min_radius_sq(
     while not feasible(hi):
         lo = hi
         hi *= 2.0
-        if hi > cap:
+        if hi > SDP_CAP:
             raise Infeasible("no feasible radius bound below the cap")
     if feasible(lo):
         return lo
-    while hi - lo > gap:
+    while hi - lo > SDP_GAP:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -443,12 +444,8 @@ def sdp_min_radius_sq(
 
 
 def locate_t_leq_boundary(
-    d: DistanceMatrix,
-    entry: EntryIndex,
-    inside: float,
-    outside: float,
+    d: DistanceMatrix, entry: EntryIndex, inside: float, outside: float,
     tol: TolerancePolicy = DEFAULT_TOL,
-    xtol: float = 1e-8,
 ) -> float:
     """Bisect the boundary of the radius-one set between a member and a non-member."""
     psd_scale = 1e-12
@@ -456,7 +453,7 @@ def locate_t_leq_boundary(
         raise ValueError(f"t={inside} is not inside the radius-one set")
     if in_t_leq_oracle(d, entry, outside, tol, psd_scale):
         raise ValueError(f"t={outside} is not outside the radius-one set")
-    while abs(outside - inside) > xtol:
+    while abs(outside - inside) > BOUNDARY_XTOL:
         mid = 0.5 * (inside + outside)
         if in_t_leq_oracle(d, entry, mid, tol, psd_scale):
             inside = mid

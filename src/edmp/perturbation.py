@@ -57,7 +57,6 @@ from .yielding import (
 __all__ = [
     "CaseTag",
     "TeqKind",
-    "TleqSet",
     "TeqSet",
     "RadiusCoefficients",
     "PerturbationReport",
@@ -91,17 +90,6 @@ class TeqKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TleqSet:
-    """Closed interval of perturbations keeping the radius at most one."""
-
-    interval: Interval
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.interval.lo == 0.0 and self.interval.hi == 0.0
-
-
-@dataclass(frozen=True)
 class TeqSet:
     """Perturbations keeping the EDM exactly unit spherical."""
 
@@ -109,11 +97,11 @@ class TeqSet:
     interval: Interval | None = None
     points: tuple[float, ...] = ()
 
-    def members(self, samples: int = 5) -> tuple[float, ...]:
-        """Representative members (interval endpoints plus interior samples)."""
+    def members(self) -> tuple[float, ...]:
+        """Representative members (interval endpoints plus 5 interior samples)."""
         if self.kind is TeqKind.CONTINUUM:
             assert self.interval is not None
-            inner = self.interval.interior_samples(samples)
+            inner = self.interval.interior_samples(5)
             return (self.interval.lo, *map(float, inner), self.interval.hi)
         return self.points
 
@@ -147,7 +135,7 @@ class PerturbationReport:
     entry: EntryIndex
     yielding_report: YieldingReport
     case_tag: CaseTag
-    t_leq: TleqSet
+    t_leq: Interval
     t_eq: TeqSet
     coefficients: RadiusCoefficients | None
     warnings: tuple[str, ...] = ()
@@ -161,8 +149,7 @@ class PerturbationReport:
         """
         if self.coefficients is None:
             return None
-        tleq = self.t_leq.interval
-        return tleq.lo if self.coefficients.c > 0 else tleq.hi
+        return self.t_leq.lo if self.coefficients.c > 0 else self.t_leq.hi
 
 
 def _require_unit(prof: EdmProfile) -> None:
@@ -223,7 +210,7 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
 
     def report(tag, tleq, teq, coefficients=None, warnings=()):
         return PerturbationReport(
-            entry, yrep, tag, TleqSet(tleq), teq, coefficients, tuple(warnings)
+            entry, yrep, tag, tleq, teq, coefficients, tuple(warnings)
         )
 
     if not yrep.yielding:
@@ -310,7 +297,7 @@ def radius_squared(
     the admissible set too (meaningful only while the perturbed matrix
     stays a spherical EDM; callers label such values accordingly).
     """
-    tleq = report.t_leq.interval
+    tleq = report.t_leq
     slack = 1e-9 * (1.0 + abs(tleq.lo) + abs(tleq.hi))
     inside = tleq.contains(t, slack)
     if not inside and (report.coefficients is None or not extrapolate):

@@ -41,13 +41,14 @@ from .model import (
 from .oracle import (
     InstanceSpec,
     Structure,
+    gen_unit_spherical,
     in_t_leq_oracle,
     locate_t_leq_boundary,
     perturbed_w,
     radius_sq_direct,
     sdp_min_radius_sq,
 )
-from .perturbation import CaseTag, TeqKind, classify, radius_squared
+from .perturbation import CaseTag, PerturbationReport, TeqKind, classify, radius_squared
 from .yielding import EntryIndex
 
 __all__ = [
@@ -179,8 +180,9 @@ def _check(results: list[CheckResult], name: str, ok: bool, detail: str = "") ->
     results.append(CheckResult(name, bool(ok), detail if not ok else ""))
 
 
-def check_profile(d: DistanceMatrix, prof: EdmProfile, r_target: int) -> list[CheckResult]:
+def check_profile(prof: EdmProfile, r_target: int) -> list[CheckResult]:
     out: list[CheckResult] = []
+    d = prof.d
     n = d.n
     e = np.ones(n)
     _check(out, "embedding-dim", prof.r == r_target, f"r={prof.r} expected {r_target}")
@@ -216,35 +218,33 @@ def check_profile(d: DistanceMatrix, prof: EdmProfile, r_target: int) -> list[Ch
     return out
 
 
-def check_pinv_identities(prof: EdmProfile, view: CayleyMengerView,
-                          tol: TolerancePolicy) -> list[CheckResult]:
+def check_pinv_identities(prof: EdmProfile, view: CayleyMengerView) -> list[CheckResult]:
     out: list[CheckResult] = []
     b_prime = 1.0 - 0.5 * prof.d.d
     _check(out, "bdag-identity",
            _mat_rel(bdag_identity(prof), prof.B_dag) <= 1e-8, "B+ identity failed")
     _check(out, "bprime-identity",
-           _mat_rel(bprime_dag_identity(prof), pinv(b_prime, tol)) <= 1e-8,
+           _mat_rel(bprime_dag_identity(prof), pinv(b_prime, prof.tol)) <= 1e-8,
            "B'+ identity failed")
     _check(out, "bordered-pinv-block",
-           _mat_rel(cm_dag_block(prof), view.eig.pinv(tol)) <= 1e-8,
+           _mat_rel(cm_dag_block(prof), view.eig.pinv(prof.tol)) <= 1e-8,
            "bordered pseudoinverse block failed")
     return out
 
 
-def check_bordered(prof: EdmProfile, view: CayleyMengerView,
-                   tol: TolerancePolicy) -> list[CheckResult]:
+def check_bordered(prof: EdmProfile, view: CayleyMengerView) -> list[CheckResult]:
     out: list[CheckResult] = []
     w_expect = np.concatenate([[-1.0], 2.0 * prof.w])
     _check(out, "bordered-w", float(np.linalg.norm(view.w_tilde - w_expect)) <= 1e-8,
            "w~ != (-1, 2w)")
     _check(out, "bordered-balance", abs(float(view.w_tilde.sum())) <= 1e-8,
            "e~.w~ != 0 for unit spherical source")
-    _check(out, "bordered-radius", _rel(cm_radius_sq(view, tol), 1.0) <= 1e-8,
+    _check(out, "bordered-radius", _rel(cm_radius_sq(view), 1.0) <= 1e-8,
            "bordered radius != 1")
-    _check(out, "bordered-dim", cm_embedding_dim(view, tol) == prof.r,
+    _check(out, "bordered-dim", cm_embedding_dim(view, prof) == prof.r,
            "bordered embedding dimension mismatch")
     try:
-        cm_gale(view, tol)
+        cm_gale(view, prof)
         _check(out, "bordered-gale", True)
     except EdmpError as exc:
         _check(out, "bordered-gale", False, str(exc))
@@ -272,14 +272,10 @@ def check_teq_members(d: DistanceMatrix, entry: EntryIndex, members,
 
 
 def check_entry(
-    d: DistanceMatrix,
-    prof: EdmProfile,
-    entry: EntryIndex,
-    expected: CaseTag | None,
-    tol: TolerancePolicy,
-    deep: bool = True,
+    prof: EdmProfile, entry: EntryIndex, expected: CaseTag | None
 ) -> tuple[list[CheckResult], CaseTag]:
     out: list[CheckResult] = []
+    d, tol = prof.d, prof.tol
     report = classify(prof, entry)
     if expected is not None:
         _check(out, "case-tag", report.case_tag is expected,
@@ -299,7 +295,7 @@ def check_entry(
                and not is_edm_array(d.perturbed_array(entry.i, entry.j, lo - delta), tol),
                "EDM-ness survived beyond the yield interval")
 
-    tleq = report.t_leq.interval
+    tleq = report.t_leq
     if tleq.width > 0.0:
         interior = tleq.interior_samples(20)
         worst = min(
@@ -312,19 +308,18 @@ def check_entry(
                not in_t_leq_oracle(d, entry, tleq.hi + 1e-3, tol)
                and not in_t_leq_oracle(d, entry, tleq.lo - 1e-3, tol),
                "radius-one set extends beyond reported endpoints")
-        if deep:
-            width = tleq.width
-            hi_found = locate_t_leq_boundary(
-                d, entry, tleq.hi - 0.25 * width, tleq.hi + max(0.1, 0.1 * abs(tleq.hi)), tol
-            )
-            lo_found = locate_t_leq_boundary(
-                d, entry, tleq.lo + 0.25 * width, tleq.lo - max(0.1, 0.1 * abs(tleq.lo)), tol
-            )
-            _check(out, "tleq-endpoint-bisect",
-                   abs(hi_found - tleq.hi) <= 1e-6 and abs(lo_found - tleq.lo) <= 1e-6,
-                   f"bisected endpoints ({lo_found}, {hi_found}) vs {tuple(tleq)}")
+        width = tleq.width
+        hi_found = locate_t_leq_boundary(
+            d, entry, tleq.hi - 0.25 * width, tleq.hi + max(0.1, 0.1 * abs(tleq.hi)), tol
+        )
+        lo_found = locate_t_leq_boundary(
+            d, entry, tleq.lo + 0.25 * width, tleq.lo - max(0.1, 0.1 * abs(tleq.lo)), tol
+        )
+        _check(out, "tleq-endpoint-bisect",
+               abs(hi_found - tleq.hi) <= 1e-6 and abs(lo_found - tleq.lo) <= 1e-6,
+               f"bisected endpoints ({lo_found}, {hi_found}) vs {tuple(tleq)}")
 
-    members = report.t_eq.members(samples=5)
+    members = report.t_eq.members()
     out.append(check_teq_members(d, entry, members, tol))
 
     if report.t_eq.kind is not TeqKind.CONTINUUM and tleq.width > 0.0:
@@ -339,7 +334,7 @@ def check_entry(
                    f"non-member unit residual only {best:.3e}")
 
     if tleq.width > 0.0:
-        samples = tleq.interior_samples(10 if deep else 4)
+        samples = tleq.interior_samples(10)
         worst_rel = max(
             _rel(radius_squared(report, float(t)),
                  radius_sq_direct(d, entry, float(t), tol))
@@ -347,22 +342,22 @@ def check_entry(
         )
         _check(out, "radius-direct-agreement", worst_rel <= 1e-8,
                f"closed form vs direct radius rel err {worst_rel:.3e}")
-        if deep:
-            sdp_worst = max(
-                abs(sdp_min_radius_sq(d, entry, float(t), tol)
-                    - radius_squared(report, float(t)))
-                for t in tleq.interior_samples(3)
-            )
-            _check(out, "radius-sdp-agreement", sdp_worst <= 1e-7,
-                   f"bisection vs closed form abs err {sdp_worst:.3e}")
+        sdp_worst = max(
+            abs(sdp_min_radius_sq(d, entry, float(t), tol)
+                - radius_squared(report, float(t)))
+            for t in tleq.interior_samples(3)
+        )
+        _check(out, "radius-sdp-agreement", sdp_worst <= 1e-7,
+               f"bisection vs closed form abs err {sdp_worst:.3e}")
 
     if report.coefficients is not None:
-        out.extend(_check_rational_case(d, prof, entry, report, tol, deep))
+        out.extend(_check_rational_case(prof, report))
     return out, report.case_tag
 
 
-def _check_rational_case(d, prof, entry, report, tol, deep) -> list[CheckResult]:
+def _check_rational_case(prof: EdmProfile, report: PerturbationReport) -> list[CheckResult]:
     out: list[CheckResult] = []
+    d, entry = prof.d, report.entry
     coeffs = report.coefficients
     yrep = report.yielding_report
     lo, hi = yrep.theta_lower, yrep.theta_upper
@@ -395,8 +390,8 @@ def _check_rational_case(d, prof, entry, report, tol, deep) -> list[CheckResult]
            tc - lo >= -1e-12 * scale and hi - tc >= -1e-12 * scale,
            f"theta_c={tc} outside [{lo}, {hi}]")
 
-    tleq = report.t_leq.interval
-    samples = tleq.interior_samples(20 if deep else 6)
+    tleq = report.t_leq
+    samples = tleq.interior_samples(20)
     worst = 0.0
     for t in samples:
         t = float(t)
@@ -407,21 +402,20 @@ def _check_rational_case(d, prof, entry, report, tol, deep) -> list[CheckResult]
         worst = max(worst, _rel(via_border, radius_squared(report, t)))
     _check(out, "border-closed-form", worst <= 1e-10,
            f"bordered vs rational radius rel err {worst:.3e}")
-    if deep:
-        # The closed form of e~.w~(t) against a raw bordered pseudoinverse.
-        worst_direct = 0.0
-        for t in tleq.interior_samples(3):
-            t = float(t)
-            pert = d.perturbed(entry.i, entry.j, t)  # interior t: still a valid EDM
-            view = cm_build(pert, tol)
-            try:
-                closed = cm_w_inner(report, t)
-            except PoleAt:
-                continue
-            direct = float(view.w_tilde.sum())
-            worst_direct = max(worst_direct, abs(closed - direct) / max(1.0, abs(direct)))
-        _check(out, "border-direct", worst_direct <= 1e-8,
-               f"closed e~.w~ vs direct rel err {worst_direct:.3e}")
+    # The closed form of e~.w~(t) against a raw bordered pseudoinverse.
+    worst_direct = 0.0
+    for t in tleq.interior_samples(3):
+        t = float(t)
+        pert = d.perturbed(entry.i, entry.j, t)  # interior t: still a valid EDM
+        view = cm_build(pert, prof.tol)
+        try:
+            closed = cm_w_inner(report, t)
+        except PoleAt:
+            continue
+        direct = float(view.w_tilde.sum())
+        worst_direct = max(worst_direct, abs(closed - direct) / max(1.0, abs(direct)))
+    _check(out, "border-direct", worst_direct <= 1e-8,
+           f"closed e~.w~ vs direct rel err {worst_direct:.3e}")
     if report.case_tag is CaseTag.SINGLETON_UNIT:
         limit = radius_squared(report, tc)
         expect = 1.0 - 4.0 * w_l**2 / ll
@@ -436,7 +430,6 @@ def check_instance(
     spec: InstanceSpec,
     expected: CaseTag | None,
     tol: TolerancePolicy = DEFAULT_TOL,
-    deep: bool = True,
 ) -> tuple[list[CheckResult], CaseTag | None]:
     """All structural checks for one generated instance."""
     results: list[CheckResult] = []
@@ -445,7 +438,7 @@ def check_instance(
     except EdmpError as exc:
         results.append(CheckResult("profile-build", False, str(exc)))
         return results, None
-    results.extend(check_profile(d, prof, spec.r))
+    results.extend(check_profile(prof, spec.r))
     if not prof.unit_spherical:
         return results, None
     # Relabeling the points must not move the embedding dimension or radius.
@@ -454,12 +447,12 @@ def check_instance(
     _check(results, "permutation-invariance",
            shuffled.r == prof.r and abs(shuffled.radius - prof.radius) <= 1e-10,
            f"relabeled profile gives r={shuffled.r}, radius={shuffled.radius!r}")
-    view = cm_build(d, tol, source_profile=prof)
-    results.extend(check_pinv_identities(prof, view, tol))
-    results.extend(check_bordered(prof, view, tol))
+    view = cm_build(d, tol)
+    results.extend(check_pinv_identities(prof, view))
+    results.extend(check_bordered(prof, view))
     tag = None
     if spec.entry is not None:
-        entry_results, tag = check_entry(d, prof, spec.entry, expected, tol, deep)
+        entry_results, tag = check_entry(prof, spec.entry, expected)
         results.extend(entry_results)
     return results, tag
 
@@ -470,15 +463,12 @@ def run_verification(
     nmax: int = 8,
     tol: TolerancePolicy = DEFAULT_TOL,
     inject_failure: bool = False,
-    deep: bool = True,
 ) -> VerifySummary:
     """Generate `count` instances over the template cycle and check them all."""
     if count < 1:
         raise ValueError("count must be at least 1")
     templates = default_templates(nmax)
     summary = VerifySummary(enforce_coverage=count >= len(templates))
-    from .oracle import gen_unit_spherical
-
     for index in range(count):
         template = templates[index % len(templates)]
         child_seed = (seed + 1_000_003 * index) % 2**63
@@ -502,7 +492,7 @@ def run_verification(
         if inject_failure and index == 0:
             # Deliberate corruption: scaling moves the radius off one.
             d = DistanceMatrix(1.21 * d.d)
-        results, tag = check_instance(d, spec, template.expected, tol, deep)
+        results, tag = check_instance(d, spec, template.expected, tol)
         summary.instances += 1
         for res in results:
             if res.ok:

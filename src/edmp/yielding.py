@@ -131,9 +131,7 @@ class YieldingReport:
     interval: Interval
 
 
-def parallel_relation(
-    u, v, tol: float = PARALLEL_TOL, scale: float | None = None
-) -> ParallelRelation:
+def parallel_relation(u, v, scale: float | None = None) -> ParallelRelation:
     """Classify u against v: both zero, u = c v with c != 0, or not parallel.
 
     Zero-ness is judged against `scale` (defaults to the larger norm, with
@@ -149,13 +147,13 @@ def parallel_relation(
     nv = float(np.linalg.norm(v))
     if scale is None:
         scale = max(nu, nv, 1.0)
-    zero = tol * scale
+    zero = PARALLEL_TOL * scale
     if nu <= zero and nv <= zero:
         return ParallelRelation(ParallelKind.BOTH_ZERO)
     sing = np.linalg.svd(np.column_stack([u, v]), compute_uv=False)
     second = sing[1] if len(sing) > 1 else 0.0  # length-1 vectors: rank <= 1
     ratio = float(second / sing[0])
-    if nu <= zero or nv <= zero or second > tol * sing[0]:
+    if nu <= zero or nv <= zero or second > PARALLEL_TOL * sing[0]:
         return ParallelRelation(ParallelKind.NOT_PARALLEL, ratio)
     c = float(u @ v) / float(v @ v)
     if abs(c) * nv <= zero:

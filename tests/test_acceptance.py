@@ -49,7 +49,7 @@ def criterion(cid, description):
 
 
 def interval_of(ts):
-    return (ts.interval.lo, ts.interval.hi)
+    return (ts.lo, ts.hi)
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +209,7 @@ def test_criterion_4_pseudoinverse_identities():
 def test_criterion_5_cross_path_equality(rational_pool):
     with criterion(5, "bordered and rational radius forms agree"):
         for d, prof, entry, report in rational_pool:
-            iv = report.t_leq.interval
+            iv = report.t_leq
             for t in iv.interior_samples(20):
                 t = float(t)
                 closed = radius_squared(report, t)
@@ -225,7 +225,7 @@ def test_criterion_6_membership_soundness(mixed_pool):
         for d, prof, entry in mixed_pool:
             n = d.n
             report = classify(prof, entry)
-            iv = report.t_leq.interval
+            iv = report.t_leq
             if iv.width > 0.0:
                 for t in iv.interior_samples(20):
                     m = 2.0 - d.perturbed_array(entry.i, entry.j, float(t))
@@ -233,7 +233,7 @@ def test_criterion_6_membership_soundness(mixed_pool):
                 for t in (iv.hi + 1e-3, iv.lo - 1e-3):
                     m = 2.0 - d.perturbed_array(entry.i, entry.j, float(t))
                     assert sym_eig(m).values[-1] < -1e-10
-            for t in report.t_eq.members(samples=5):
+            for t in report.t_eq.members():
                 w_t = pinv(d.perturbed_array(entry.i, entry.j, float(t))) @ np.ones(n)
                 assert abs(2.0 * float(w_t.sum()) - 1.0) <= 1e-8
 
@@ -241,7 +241,7 @@ def test_criterion_6_membership_soundness(mixed_pool):
 def test_criterion_7_sdp_oracle(rational_pool):
     with criterion(7, "bisection feasibility oracle matches the radius"):
         for d, prof, entry, report in rational_pool[:6]:
-            iv = report.t_leq.interval
+            iv = report.t_leq
             for t in iv.interior_samples(10):
                 t = float(t)
                 lam_star = sdp_min_radius_sq(d, entry, t)

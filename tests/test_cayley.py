@@ -97,31 +97,32 @@ class TestIsEdmAndRadius:
 
 class TestEmbeddingDim:
     def test_goldens(self, triangle, square):
-        assert cm_embedding_dim(cm_build(triangle)) == 2
-        assert cm_embedding_dim(cm_build(square)) == 2
+        assert cm_embedding_dim(cm_build(triangle), profile(triangle)) == 2
+        assert cm_embedding_dim(cm_build(square), profile(square)) == 2
 
     def test_generated(self):
         d = gen_unit_spherical(InstanceSpec(n=5, r=4, seed=6))
-        assert cm_embedding_dim(cm_build(d)) == 4
+        assert cm_embedding_dim(cm_build(d), profile(d)) == 4
 
     def test_rank_is_r_plus_two(self, triangle):
         view = cm_build(triangle)
         assert view.eig.rank() == 2 + 2
 
     def test_requires_unit_source(self, triangle):
-        view = cm_build(DistanceMatrix(4.0 * triangle.d))
+        scaled = DistanceMatrix(4.0 * triangle.d)
+        view = cm_build(scaled)
         with pytest.raises(NotUnitSpherical):
-            cm_embedding_dim(view)
+            cm_embedding_dim(view, profile(scaled))
 
 
 class TestGale:
     def test_triangle_single_column(self, triangle):
-        gale = cm_gale(cm_build(triangle))
+        gale = cm_gale(cm_build(triangle), profile(triangle))
         assert gale.shape == (4, 1)
         assert_allclose(gale[:, 0], [-0.5, 0.5, -0.5, 0.5], atol=1e-10)
 
     def test_square_block_structure(self, square, square_profile):
-        gale = cm_gale(cm_build(square))
+        gale = cm_gale(cm_build(square), square_profile)
         assert gale.shape == (5, 2)
         assert_allclose(gale[0], [-0.5, 0.0], atol=1e-12)
         assert_allclose(gale[1:, 0], square_profile.w, atol=1e-12)
@@ -129,7 +130,7 @@ class TestGale:
 
     def test_spans_bordered_null_space(self, square):
         view = cm_build(square)
-        gale = cm_gale(view)
+        gale = cm_gale(view, profile(square))
         stack = np.vstack([centroid_gram(view.d_tilde), np.ones((1, 5))])
         _, sing, vt = np.linalg.svd(stack)
         reference = vt[np.count_nonzero(sing > 1e-10 * sing[0]):].T
@@ -141,7 +142,7 @@ class TestGale:
     def test_requires_unit_source(self):
         d = gen_nonspherical(5, 3, seed=4)
         with pytest.raises(NotUnitSpherical):
-            cm_gale(cm_build(d))
+            cm_gale(cm_build(d), profile(d))
 
 
 class TestWInner:
@@ -186,7 +187,7 @@ class TestCrossPath:
         d = gen_unit_spherical(InstanceSpec(n=4, r=3, seed=33))
         prof = profile(d)
         report = classify(prof, EntryIndex(1, 2))
-        for t in report.t_leq.interval.interior_samples(20):
+        for t in report.t_leq.interior_samples(20):
             t = float(t)
             via_border = 1.0 - 0.5 * cm_w_inner(report, t)
             assert_allclose(via_border, radius_squared(report, t), rtol=1e-10)

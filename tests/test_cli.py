@@ -108,6 +108,29 @@ class TestAnalyze:
         assert prof["embedding_dim"] == 5 and prof["gale_columns"] == 2
         assert prof["radius"] == pytest.approx(1e6, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e160, 1e307])
+    def test_out_of_range_scale_exits_2(self, capsys, tmp_path, scale):
+        # Subnormal entries and entries whose squares overflow are rejected by
+        # name before any factorization, with no numpy warning.
+        path = tmp_path / "scaled.csv"
+        path.write_text("\n".join(",".join(str(x) for x in row) for row in scale * SQUARE))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: invalid matrix content: largest squared distance {4.0 * scale} "
+                       "at entry (1,3) is outside [1e-150, 1e150] in magnitude\n")
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scale_range_edges_are_accepted(self, capsys, tmp_path, scale):
+        # SQUARE / 4 has largest entry 1, so the largest entry sits on the edge.
+        path = tmp_path / "edge.csv"
+        path.write_text("\n".join(",".join(str(x) for x in row)
+                                  for row in scale * (SQUARE / 4.0)))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and err == ""
+        prof = json.loads(out)["profile"]
+        assert prof["embedding_dim"] == 2
+        assert prof["radius"] == pytest.approx(0.5 * np.sqrt(scale), rel=1e-12)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_env_tolerance_exits_2(self, capsys, triangle_file, monkeypatch,
                                               value):
@@ -227,7 +250,7 @@ class TestSweep:
                              "--k", "1", "--l", "2", "--num", "1")
         assert code == 2
 
-    @pytest.mark.parametrize("margin", ["-1", "-0.25"])
+    @pytest.mark.parametrize("margin", ["-1", "-0.25", "-1e-300"])
     def test_negative_margin_exits_2(self, capsys, triangle_file, margin):
         code, _, err = run_cli(capsys, "sweep", triangle_file,
                                "--k", "1", "--l", "2", "--margin", margin)

@@ -17,7 +17,6 @@ from edmp import (
     classify,
     cm_dag_block,
     gen_unit_spherical,
-    is_edm,
     profile,
 )
 from edmp.linalg import fix_column_signs, pinv, sym_eig
@@ -72,16 +71,16 @@ class TestDistanceMatrix:
 
 class TestIsEdm:
     def test_zero_matrix(self):
-        assert is_edm(DistanceMatrix(np.zeros((3, 3))))
+        assert is_edm_array(DistanceMatrix(np.zeros((3, 3))).d)
 
     def test_triangle(self, triangle):
-        assert is_edm(triangle)
+        assert is_edm_array(triangle.d)
 
     def test_violated_triangle_inequality(self):
         # Side lengths 1, 1, 3 cannot close a triangle: sqrt(1)+sqrt(1) < sqrt(9).
         d = np.array([[0, 1, 9], [1, 0, 1], [9, 1, 0.0]])
         assert np.sqrt(d[0, 1]) + np.sqrt(d[1, 2]) < np.sqrt(d[0, 2])
-        assert not is_edm(DistanceMatrix(d))
+        assert not is_edm_array(DistanceMatrix(d).d)
 
     def test_array_variant_rejects_negative(self):
         a = np.array([[0, 1.0, -0.5], [1.0, 0, 1], [-0.5, 1, 0]])

@@ -110,7 +110,7 @@ class TestGenerators:
         for seed in range(10):
             for n, r in [(4, 3), (5, 3), (6, 5)]:
                 d = gen_unit_spherical(InstanceSpec(n=n, r=r, seed=seed))
-                results = check_profile(d, profile(d), r)
+                results = check_profile(profile(d), r)
                 bad = [res for res in results if not res.ok]
                 assert not bad, bad
 
@@ -204,7 +204,7 @@ class TestSdpOracle:
         d = gen_unit_spherical(InstanceSpec(n=4, r=3, seed=77))
         entry = EntryIndex(1, 2)
         report = classify(profile(d), entry)
-        for t in report.t_leq.interval.interior_samples(10):
+        for t in report.t_leq.interior_samples(10):
             t = float(t)
             assert abs(sdp_min_radius_sq(d, entry, t) - radius_squared(report, t)) <= 1e-7
 
@@ -214,7 +214,7 @@ class TestBoundaryLocation:
         prof = profile(triangle)
         for k, l in [(1, 2), (1, 3)]:
             entry = EntryIndex(k, l)
-            iv = classify(prof, entry).t_leq.interval
+            iv = classify(prof, entry).t_leq
             mid = 0.5 * (iv.lo + iv.hi)
             hi_found = locate_t_leq_boundary(triangle, entry, mid, iv.hi + 0.5)
             lo_found = locate_t_leq_boundary(triangle, entry, mid, iv.lo - 0.5)

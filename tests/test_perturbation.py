@@ -35,7 +35,7 @@ def report(prof, k, l):
 class TestTleq:
     def test_square_adjacent_trivial(self, square_profile):
         out = report(square_profile, 1, 2).t_leq
-        assert out.is_trivial
+        assert tuple(out) == (0.0, 0.0)
         # Stacked rows (w_k, z_k) are not parallel although the Gale rows are.
         zt = square_profile.Z_tilde
         rel = parallel_relation(zt[0], zt[1], scale=square_profile.zt_scale)
@@ -43,18 +43,18 @@ class TestTleq:
 
     def test_square_diagonal_full_interval(self, square_profile):
         out = report(square_profile, 1, 3).t_leq
-        assert_allclose(tuple(out.interval), (-4.0, 0.0), atol=1e-10)
+        assert_allclose(tuple(out), (-4.0, 0.0), atol=1e-10)
 
     def test_antipodal_cases(self, antipodal_profile):
-        assert_allclose(tuple(report(antipodal_profile, 1, 2).t_leq.interval),
+        assert_allclose(tuple(report(antipodal_profile, 1, 2).t_leq),
                         (-4.0, 0.0), atol=1e-10)
-        assert_allclose(tuple(report(antipodal_profile, 3, 4).t_leq.interval),
+        assert_allclose(tuple(report(antipodal_profile, 3, 4).t_leq),
                         (-2.0, 2.0), atol=1e-10)
 
     def test_triangle_cases(self, triangle_profile):
-        assert_allclose(tuple(report(triangle_profile, 1, 2).t_leq.interval),
+        assert_allclose(tuple(report(triangle_profile, 1, 2).t_leq),
                         (0.0, 3.0), atol=1e-10)
-        assert_allclose(tuple(report(triangle_profile, 1, 3).t_leq.interval),
+        assert_allclose(tuple(report(triangle_profile, 1, 3).t_leq),
                         (-3.0, 0.0), atol=1e-10)
 
     def test_requires_unit_spherical(self, triangle):
@@ -84,7 +84,7 @@ class TestRadiusCoefficients:
         co = rep.coefficients
         tc = [v for v in rep.t_eq.points if v != 0.0]
         if not tc:  # singleton draw; theta_c is the nonzero T<= endpoint
-            iv = rep.t_leq.interval
+            iv = rep.t_leq
             tc = [iv.lo if iv.lo != 0.0 else iv.hi]
         assert_allclose(co.f(tc[0]), co.g(tc[0]), atol=1e-9)
 
@@ -143,7 +143,7 @@ class TestRadiusSquared:
         d = gen_unit_spherical(InstanceSpec(n=4, r=3, seed=19))
         entry = EntryIndex(1, 2)
         rep = classify(profile(d), entry)
-        for t in rep.t_leq.interval.interior_samples(7):
+        for t in rep.t_leq.interior_samples(7):
             closed = radius_squared(rep, float(t))
             direct = radius_sq_direct(d, entry, float(t))
             assert_allclose(closed, direct, rtol=1e-8)
@@ -174,7 +174,7 @@ class TestTeq:
 
     def test_members_stay_unit_spherical(self, antipodal, antipodal_profile):
         out = report(antipodal_profile, 3, 4).t_eq
-        for t in out.members(samples=5):
+        for t in out.members():
             w_t = pinv(antipodal.perturbed_array(2, 3, float(t))) @ np.ones(4)
             assert abs(2.0 * w_t.sum() - 1.0) <= 1e-9
 
@@ -209,7 +209,7 @@ class TestClassify:
     def test_trivial_case_has_no_coefficients(self, square_profile):
         rep = classify(square_profile, EntryIndex(1, 2))
         assert rep.coefficients is None
-        assert rep.t_leq.is_trivial
+        assert tuple(rep.t_leq) == (0.0, 0.0)
 
     def test_report_consistency(self):
         for seed in range(6):
@@ -243,9 +243,9 @@ class TestClassify:
         rep = classify(prof, entry)
         assert rep.case_tag is CaseTag.CONTINUUM_UNIT
         yiv = rep.yielding_report.interval
-        assert tuple(rep.t_leq.interval) == tuple(yiv)
+        assert tuple(rep.t_leq) == tuple(yiv)
         assert yiv.lo < 0.0 < yiv.hi
-        for t in rep.t_leq.interval.interior_samples(5):
+        for t in rep.t_leq.interior_samples(5):
             assert radius_squared(rep, float(t)) == 1.0
             direct = radius_sq_direct(edm_from_points(pts), entry, float(t))
             assert abs(direct - 1.0) <= 1e-9
@@ -298,7 +298,7 @@ class TestRelabeling:
                 assert after.case_tag is before.case_tag
                 for mine, theirs in ((after.yielding_report.interval,
                                       before.yielding_report.interval),
-                                     (after.t_leq.interval, before.t_leq.interval)):
+                                     (after.t_leq, before.t_leq)):
                     assert_allclose(tuple(mine), tuple(theirs), rtol=1e-9, atol=0.0)
 
 

@@ -113,7 +113,7 @@ class TestTeqMembersBound:
         w_t, dec = perturbed_w(d, entry, report.theta_c)
         assert dec.cond() > 1e8
         assert abs(2.0 * float(w_t.sum()) - 1.0) > 1e-8
-        members = report.t_eq.members(samples=5)
+        members = report.t_eq.members()
         assert report.theta_c in members
         assert check_teq_members(d, entry, members, DEFAULT_TOL).ok
         spec = InstanceSpec(n, r, Structure.GENERIC, entry, seed)
