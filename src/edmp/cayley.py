@@ -14,13 +14,13 @@ those values, the radius coefficients and the singleton verdict from the
 entry's PerturbationReport.  Everything here is used to cross-check the
 direct perturbation formulas.
 
-A view factors its bordered matrix once and keeps that decomposition and
-the tolerance policy it was built under, so w~ and every cm_ test on the
-view share one policy.  The bordered centroid Gram is built and factored
-on first use, once, for the EDM test, the embedding dimension and the
-Gale check, so views that only read w~ skip it.  Building a view does
-not profile the source; cm_gale and cm_embedding_dim take the source
-profile from the caller, which already holds it.
+A view factors its bordered matrix once and keeps that decomposition;
+w~ is built under the rank cut passed to cm_build.  The bordered
+centroid Gram is built and factored on first use, once, for the EDM
+test, the embedding dimension and the Gale check, so views that only
+read w~ skip it.  Building a view does not profile the source; cm_gale
+and cm_embedding_dim take the source profile from the caller, which
+already holds it, and cm_embedding_dim reads its rank cut from it.
 """
 
 from __future__ import annotations
@@ -30,15 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NotAnEdm,
-    NotUnitSpherical,
-    NumericalFailure,
-    PoleAt,
-    PreconditionViolated,
-)
-from .linalg import DEFAULT_TOL, EigDecomp, TolerancePolicy, sym_eig
-from .model import DistanceMatrix, EdmProfile, centroid_gram, is_edm_array
+from .errors import NotAnEdm, NumericalFailure, PoleAt, PreconditionViolated
+from .linalg import DEFAULT_TOL, RECON_REL, EigDecomp, TolerancePolicy, sym_eig
+from .model import DistanceMatrix, EdmProfile, centroid_gram, is_edm_array, require_unit
 from .perturbation import CaseTag, PerturbationReport
 
 __all__ = [
@@ -56,12 +50,11 @@ POLE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CayleyMengerView:
-    """The bordered matrix of one source, its eigendecomposition, w vector and policy."""
+    """The bordered matrix of one source, its eigendecomposition and w vector."""
 
     d_tilde: np.ndarray
     eig: EigDecomp
     w_tilde: np.ndarray
-    tol: TolerancePolicy
 
     @cached_property
     def b_tilde(self) -> np.ndarray:
@@ -90,12 +83,12 @@ def cm_build(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> CayleyMen
     w_tilde = dec.pinv(tol) @ np.ones(d.n + 1)
     d_tilde.flags.writeable = False
     w_tilde.flags.writeable = False
-    return CayleyMengerView(d_tilde, dec, w_tilde, tol)
+    return CayleyMengerView(d_tilde, dec, w_tilde)
 
 
 def cm_is_edm(view: CayleyMengerView) -> bool:
     """The bordered matrix is an EDM iff the source is spherical with rho <= 1."""
-    return is_edm_array(view.d_tilde, view.tol, gram=view.gram)
+    return is_edm_array(view.d_tilde, gram=view.gram)
 
 
 def cm_radius_sq(view: CayleyMengerView) -> float:
@@ -106,17 +99,16 @@ def cm_radius_sq(view: CayleyMengerView) -> float:
 
 
 def cm_embedding_dim(view: CayleyMengerView, prof: EdmProfile) -> int:
-    """Embedding dimension of the bordered matrix; equals that of the source `prof`."""
-    if not prof.unit_spherical:
-        raise NotUnitSpherical("operation requires a unit spherical source")
-    return view.gram.rank(view.tol)
+    """Embedding dimension of the bordered matrix under `prof`'s rank cut;
+    equals that of the unit spherical source `prof`."""
+    require_unit(prof)
+    return view.gram.rank(prof.tol)
 
 
 def cm_gale(view: CayleyMengerView, prof: EdmProfile) -> np.ndarray:
     """Explicit Gale matrix [[-1/2, 0], [w, Z]] of the bordered matrix of the
     unit spherical source profiled by `prof`, verified against its null space."""
-    if not prof.unit_spherical:
-        raise NotUnitSpherical("operation requires a unit spherical source")
+    require_unit(prof)
     n = prof.n
     gale = np.zeros((n + 1, prof.Z_tilde.shape[1]))
     gale[0, 0] = -0.5
@@ -124,7 +116,7 @@ def cm_gale(view: CayleyMengerView, prof: EdmProfile) -> np.ndarray:
     stack = np.vstack([view.b_tilde, np.ones((1, n + 1))])
     residual = np.linalg.norm(stack @ gale)
     scale = max(np.linalg.norm(stack) * np.linalg.norm(gale), 1.0)
-    if residual > view.tol.recon_rel * scale:
+    if residual > RECON_REL * scale:
         raise NumericalFailure("bordered Gale matrix is not in the expected null space")
     return gale
 

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     PoleAt,
 )
-from .linalg import DEFAULT_TOL, TolerancePolicy
+from .linalg import DEFAULT_TOL, PSD_SLACK, RECON_REL, TolerancePolicy
 from .matio import fmt_float, load_matrix, matrix_to_csv, matrix_to_json, report_json
 from .model import EdmProfile, profile
 from .oracle import (
@@ -68,8 +68,8 @@ def _policy() -> TolerancePolicy:
 def _tolerances_block(tol: TolerancePolicy) -> dict:
     return {
         "rank_rel": tol.rank_rel,
-        "psd_abs_scale": tol.psd_abs_scale,
-        "recon_rel": tol.recon_rel,
+        "psd_abs_scale": PSD_SLACK,
+        "recon_rel": RECON_REL,
         "parallel": PARALLEL_TOL,
     }
 
@@ -266,7 +266,6 @@ def cmd_verify(args, tol: TolerancePolicy) -> int:
         seed=args.seed,
         nmax=args.nmax,
         tol=tol,
-        inject_failure=args.inject_failure,
     )
     sys.stdout.write(summary.render() + "\n")
     return EXIT_OK if summary.passed else EXIT_VERIFY_FAILED
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a unit spherical instance")

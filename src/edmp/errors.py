@@ -32,9 +32,9 @@ class OutsideTleq(EdmpError):
 class PoleAt(EdmpError):
     """The evaluation point coincides with an analytic pole."""
 
-    def __init__(self, t: float, message: str | None = None):
+    def __init__(self, t: float):
         self.t = t
-        super().__init__(message or f"evaluation point t={t} hits a pole")
+        super().__init__(f"evaluation point t={t} hits a pole")
 
 
 class Infeasible(EdmpError):

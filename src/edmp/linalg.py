@@ -3,6 +3,9 @@
 The rank cut, the condition number, the semidefiniteness bound and the
 spectral inverse are each written once, as methods of one
 eigendecomposition, so a caller that holds a factorization reuses it.
+The rank cut is the one settable tolerance (TolerancePolicy); the
+semidefiniteness slack PSD_SLACK and the reconstruction tolerance
+RECON_REL are constants.
 All inputs are symmetrized explicitly before factorization; there is no
 unsymmetric code path.
 """
@@ -10,7 +13,7 @@ unsymmetric code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +22,8 @@ from .errors import NumericalFailure
 __all__ = [
     "TolerancePolicy",
     "DEFAULT_TOL",
+    "PSD_SLACK",
+    "RECON_REL",
     "EigDecomp",
     "symmetrize",
     "sym_eig",
@@ -27,28 +32,24 @@ __all__ = [
 ]
 
 
+# Slack for semidefiniteness tests, scaled by max(1, largest |eigenvalue|).
+PSD_SLACK = 1e-9
+# Relative tolerance for reconstruction-style identities.
+RECON_REL = 1e-8
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Thresholds shared by every numerical decision.
-
-    rank_rel: relative eigenvalue/singular-value cutoff for rank and
-        pseudoinversion, anchored to the largest magnitude.
-    psd_abs_scale: slack for semidefiniteness tests, scaled by
-        max(1, largest |eigenvalue|).
-    recon_rel: relative tolerance for reconstruction-style identities.
-    """
+    """The rank cut: the relative eigenvalue cutoff for rank and
+    pseudoinversion, anchored to the largest magnitude."""
 
     rank_rel: float = 1e-10
-    psd_abs_scale: float = 1e-9
-    recon_rel: float = 1e-8
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"tolerance {field.name}={value!r} must be finite and strictly positive"
-                )
+        if not (math.isfinite(self.rank_rel) and self.rank_rel > 0.0):
+            raise ValueError(
+                f"tolerance rank_rel={self.rank_rel!r} must be finite and strictly positive"
+            )
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -92,7 +93,7 @@ class EigDecomp:
         kept = np.abs(self.values[self._kept(tol)])
         return float(kept.max() / kept.min()) if kept.size else math.inf
 
-    def is_psd(self, scale: float) -> bool:
+    def is_psd(self, scale: float = PSD_SLACK) -> bool:
         """Smallest eigenvalue at least -scale * max(1, max|lambda|)."""
         bound = scale * max(1.0, np.abs(self.values).max())
         return bool(self.values[-1] >= -bound)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import NotAnEdm, NotUnitSpherical
 from .linalg import (
     DEFAULT_TOL,
+    RECON_REL,
     EigDecomp,
     TolerancePolicy,
     fix_column_signs,
@@ -156,9 +157,7 @@ def centroid_gram(a: np.ndarray) -> np.ndarray:
     return symmetrize(-0.5 * j @ a @ j)
 
 
-def is_edm_array(
-    a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL, gram: EigDecomp | None = None
-) -> bool:
+def is_edm_array(a: np.ndarray, gram: EigDecomp | None = None) -> bool:
     """EDM test for a raw hollow symmetric array.
 
     A negative entry fails immediately (it cannot be a squared distance);
@@ -170,7 +169,7 @@ def is_edm_array(
         return False
     if gram is None:
         gram = sym_eig(centroid_gram(a))
-    return gram.is_psd(tol.psd_abs_scale)
+    return gram.is_psd()
 
 
 def _max_row_norm(a: np.ndarray) -> float:
@@ -197,7 +196,7 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
 
     b = centroid_gram(a)
     dec = sym_eig(b)
-    if not is_edm_array(a, tol, gram=dec):
+    if not is_edm_array(a, gram=dec):
         raise NotAnEdm("input matrix is not a Euclidean distance matrix")
     r = dec.rank(tol)
 
@@ -224,7 +223,7 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
 
     de = a @ e
     regular = spherical and bool(
-        np.linalg.norm(de - de.mean() * e) <= tol.recon_rel * max(np.linalg.norm(de), 1.0)
+        np.linalg.norm(de - de.mean() * e) <= RECON_REL * max(np.linalg.norm(de), 1.0)
     )
 
     # Gale basis: B's trailing n-r eigenvectors span null(B), which holds e;
@@ -262,20 +261,21 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     )
 
 
-def _require_unit(prof: EdmProfile) -> None:
+def require_unit(prof: EdmProfile) -> None:
+    """Raise NotUnitSpherical unless `prof` profiles a unit spherical EDM."""
     if not prof.unit_spherical:
         raise NotUnitSpherical("operation requires a unit spherical EDM")
 
 
 def bdag_identity(prof: EdmProfile) -> np.ndarray:
     """Pseudoinverse of the centroid Gram matrix as -2 pinv(D) + 4 w w^T."""
-    _require_unit(prof)
+    require_unit(prof)
     return symmetrize(-2.0 * prof.D_dag + 4.0 * np.outer(prof.w, prof.w))
 
 
 def bprime_dag_identity(prof: EdmProfile) -> np.ndarray:
     """Pseudoinverse of E - D/2 expressed through pinv(D) and w alone."""
-    _require_unit(prof)
+    require_unit(prof)
     w = prof.w
     ww = float(w @ w)
     dw = prof.D_dag @ w
@@ -290,7 +290,7 @@ def cm_dag_block(prof: EdmProfile) -> np.ndarray:
 
     Equals [[-2, 2w^T], [2w, -pinv(B)/2]] for unit spherical D.
     """
-    _require_unit(prof)
+    require_unit(prof)
     n = prof.n
     out = np.empty((n + 1, n + 1))
     out[0, 0] = -2.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
-from .linalg import DEFAULT_TOL, EigDecomp, TolerancePolicy, sym_eig
+from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig
 from .model import (
     SPHERICITY_TOL,
     DistanceMatrix,
@@ -341,19 +341,15 @@ def gen_unit_spherical(
 
 
 def in_t_leq_oracle(
-    d: DistanceMatrix,
-    entry: EntryIndex,
-    t: float,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    psd_scale: float | None = None,
+    d: DistanceMatrix, entry: EntryIndex, t: float, slack: float = PSD_SLACK
 ) -> bool:
     """Membership in the radius-one set by the raw test 2E - D - tE^kl >= 0.
 
-    psd_scale overrides the policy slack; boundary location uses a much
+    slack is the semidefiniteness slack; boundary location uses a much
     tighter value since interior eigenvalue noise sits at ~1e-15.
     """
     m = 2.0 * np.ones((d.n, d.n)) - d.perturbed_array(entry.i, entry.j, t)
-    return sym_eig(m).is_psd(tol.psd_abs_scale if psd_scale is None else psd_scale)
+    return sym_eig(m).is_psd(slack)
 
 
 def perturbed_w(
@@ -378,7 +374,7 @@ def membership_scan(
     for t in np.asarray(ts, dtype=float):
         t = float(t)
         pert = d.perturbed_array(entry.i, entry.j, t)
-        edm_ok = sym_eig(centroid_gram(pert)).is_psd(tol.psd_abs_scale)
+        edm_ok = sym_eig(centroid_gram(pert)).is_psd()
 
         spherical = False
         radius_sq = None
@@ -391,7 +387,7 @@ def membership_scan(
             if spherical:
                 radius_sq = 1.0 / (2.0 * etw)
 
-        leq = edm_ok and in_t_leq_oracle(d, entry, t, tol)
+        leq = edm_ok and in_t_leq_oracle(d, entry, t)
         eq = leq and spherical and is_unit_radius(etw, n)
         records.append(SweepRecord(t, edm_ok, spherical, radius_sq, leq, eq))
     return records
@@ -405,9 +401,7 @@ def radius_sq_direct(
     return 1.0 / (2.0 * float(w_t.sum()))
 
 
-def sdp_min_radius_sq(
-    d: DistanceMatrix, entry: EntryIndex, t: float, tol: TolerancePolicy = DEFAULT_TOL
-) -> float:
+def sdp_min_radius_sq(d: DistanceMatrix, entry: EntryIndex, t: float) -> float:
     """Least lam with 2 lam E - t E^kl - D >= 0, located by bisection.
 
     The feasible set in lam is a ray, so bisection against the minimum
@@ -444,18 +438,17 @@ def sdp_min_radius_sq(
 
 
 def locate_t_leq_boundary(
-    d: DistanceMatrix, entry: EntryIndex, inside: float, outside: float,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    d: DistanceMatrix, entry: EntryIndex, inside: float, outside: float
 ) -> float:
     """Bisect the boundary of the radius-one set between a member and a non-member."""
-    psd_scale = 1e-12
-    if not in_t_leq_oracle(d, entry, inside, tol, psd_scale):
+    slack = 1e-12
+    if not in_t_leq_oracle(d, entry, inside, slack):
         raise ValueError(f"t={inside} is not inside the radius-one set")
-    if in_t_leq_oracle(d, entry, outside, tol, psd_scale):
+    if in_t_leq_oracle(d, entry, outside, slack):
         raise ValueError(f"t={outside} is not outside the radius-one set")
     while abs(outside - inside) > BOUNDARY_XTOL:
         mid = 0.5 * (inside + outside)
-        if in_t_leq_oracle(d, entry, mid, tol, psd_scale):
+        if in_t_leq_oracle(d, entry, mid, slack):
             inside = mid
         else:
             outside = mid

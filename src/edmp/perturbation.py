@@ -40,6 +40,7 @@ from .errors import (
     PoleAt,
     PreconditionViolated,
 )
+from .linalg import RECON_REL
 from .model import EdmProfile
 from .yielding import (
     PARALLEL_TOL,
@@ -171,12 +172,12 @@ def _build_coefficients(
 
     # Internal consistency of the two derivations of beta1, beta2; a failure
     # here means w and the parallelism scalar disagree with the profile.
-    rel = prof.tol.recon_rel
     b1_alt = alpha1 - 4.0 * c * w_l**2
     b2_alt = alpha2 + 2.0 * w_l**2 * (dd[i, i] + c * c * dd[j, j] - 2.0 * c * dd[i, j])
     scale1 = max(abs(beta1), abs(b1_alt), 1.0)
     scale2 = max(abs(beta2), abs(b2_alt), 1.0)
-    if abs(beta1 - b1_alt) > rel * scale1 or abs(beta2 - b2_alt) > rel * scale2:
+    if (abs(beta1 - b1_alt) > RECON_REL * scale1
+            or abs(beta2 - b2_alt) > RECON_REL * scale2):
         raise NumericalFailure(
             f"radius coefficient identities failed for entry ({entry.k},{entry.l})"
         )
@@ -226,7 +227,7 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
     if trel.kind is ParallelKind.BOTH_ZERO:
         # w_k = w_l = 0 (and z^k = z^l = 0): the radius stays 1 on the whole
         # yielding interval.
-        tleq = Interval(yrep.theta_lower, yrep.theta_upper)
+        tleq = yrep.interval
         return report(CaseTag.CONTINUUM_UNIT, tleq, TeqSet(TeqKind.CONTINUUM, interval=tleq))
 
     c = float(trel.c)

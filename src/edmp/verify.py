@@ -287,12 +287,12 @@ def check_entry(
         lo, hi = yrep.interval
         delta = 1e-4 * (hi - lo + 1.0)
         _check(out, "yield-endpoints-edm",
-               is_edm_array(d.perturbed_array(entry.i, entry.j, lo), tol)
-               and is_edm_array(d.perturbed_array(entry.i, entry.j, hi), tol),
+               is_edm_array(d.perturbed_array(entry.i, entry.j, lo))
+               and is_edm_array(d.perturbed_array(entry.i, entry.j, hi)),
                "yield endpoints left the EDM cone")
         _check(out, "yield-beyond-fails",
-               not is_edm_array(d.perturbed_array(entry.i, entry.j, hi + delta), tol)
-               and not is_edm_array(d.perturbed_array(entry.i, entry.j, lo - delta), tol),
+               not is_edm_array(d.perturbed_array(entry.i, entry.j, hi + delta))
+               and not is_edm_array(d.perturbed_array(entry.i, entry.j, lo - delta)),
                "EDM-ness survived beyond the yield interval")
 
     tleq = report.t_leq
@@ -305,15 +305,15 @@ def check_entry(
         _check(out, "tleq-interior", worst >= -1e-8 * n,
                f"interior min eigenvalue {worst:.3e}")
         _check(out, "tleq-exterior",
-               not in_t_leq_oracle(d, entry, tleq.hi + 1e-3, tol)
-               and not in_t_leq_oracle(d, entry, tleq.lo - 1e-3, tol),
+               not in_t_leq_oracle(d, entry, tleq.hi + 1e-3)
+               and not in_t_leq_oracle(d, entry, tleq.lo - 1e-3),
                "radius-one set extends beyond reported endpoints")
         width = tleq.width
         hi_found = locate_t_leq_boundary(
-            d, entry, tleq.hi - 0.25 * width, tleq.hi + max(0.1, 0.1 * abs(tleq.hi)), tol
+            d, entry, tleq.hi - 0.25 * width, tleq.hi + max(0.1, 0.1 * abs(tleq.hi))
         )
         lo_found = locate_t_leq_boundary(
-            d, entry, tleq.lo + 0.25 * width, tleq.lo - max(0.1, 0.1 * abs(tleq.lo)), tol
+            d, entry, tleq.lo + 0.25 * width, tleq.lo - max(0.1, 0.1 * abs(tleq.lo))
         )
         _check(out, "tleq-endpoint-bisect",
                abs(hi_found - tleq.hi) <= 1e-6 and abs(lo_found - tleq.lo) <= 1e-6,
@@ -343,7 +343,7 @@ def check_entry(
         _check(out, "radius-direct-agreement", worst_rel <= 1e-8,
                f"closed form vs direct radius rel err {worst_rel:.3e}")
         sdp_worst = max(
-            abs(sdp_min_radius_sq(d, entry, float(t), tol)
+            abs(sdp_min_radius_sq(d, entry, float(t))
                 - radius_squared(report, float(t)))
             for t in tleq.interior_samples(3)
         )
@@ -462,7 +462,6 @@ def run_verification(
     seed: int,
     nmax: int = 8,
     tol: TolerancePolicy = DEFAULT_TOL,
-    inject_failure: bool = False,
 ) -> VerifySummary:
     """Generate `count` instances over the template cycle and check them all."""
     if count < 1:
@@ -489,9 +488,6 @@ def run_verification(
             )
             summary.instances += 1
             continue
-        if inject_failure and index == 0:
-            # Deliberate corruption: scaling moves the radius off one.
-            d = DistanceMatrix(1.21 * d.d)
         results, tag = check_instance(d, spec, template.expected, tol)
         summary.instances += 1
         for res in results:

@@ -14,6 +14,7 @@ negative inputs; the library itself never needs one.
 import numpy as np
 import pytest
 
+import edmp.verify
 from edmp import DistanceMatrix, InfeasibleSpec, NumericalFailure, profile
 from edmp.linalg import TolerancePolicy, sym_eig
 from edmp.oracle import MAX_ATTEMPTS, _affine_rank_ok, edm_from_points
@@ -55,6 +56,14 @@ def triangle():
 @pytest.fixture(scope="session")
 def triangle_profile(triangle):
     return profile(triangle)
+
+
+@pytest.fixture
+def radius_off_one(monkeypatch):
+    """verify's generator returns 1.21 D, so every instance has radius 1.1."""
+    real = edmp.verify.gen_unit_spherical
+    monkeypatch.setattr(edmp.verify, "gen_unit_spherical",
+                        lambda *args: DistanceMatrix(1.21 * real(*args).d))
 
 
 def gen_nonspherical(n: int, r: int, seed: int) -> DistanceMatrix:

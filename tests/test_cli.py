@@ -78,7 +78,11 @@ class TestAnalyze:
     def test_env_tolerance_override(self, capsys, triangle_file, monkeypatch):
         monkeypatch.setenv("EDMP_TOL", "1e-7")
         _, out, _ = run_cli(capsys, "analyze", triangle_file)
-        assert json.loads(out)["diagnostics"]["tolerances"]["rank_rel"] == 1e-7
+        tolerances = json.loads(out)["diagnostics"]["tolerances"]
+        # EDMP_TOL moves the rank cut alone; the other cutoffs are constants.
+        assert tolerances["rank_rel"] == 1e-7
+        assert tolerances["psd_abs_scale"] == 1e-9
+        assert tolerances["recon_rel"] == 1e-8
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_csv_exits_2(self, capsys, tmp_path, cell):
@@ -270,9 +274,8 @@ class TestVerify:
         _, second, _ = run_cli(capsys, "verify", "--count", "4", "--seed", "11")
         assert first == second
 
-    def test_injected_failure_exits_1(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--count", "1", "--seed", "11",
-                               "--inject-failure")
+    def test_injected_failure_exits_1(self, capsys, radius_off_one):
+        code, out, _ = run_cli(capsys, "verify", "--count", "1", "--seed", "11")
         assert code == 1
         assert "result: FAIL" in out
 

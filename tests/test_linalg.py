@@ -160,7 +160,7 @@ class TestCond:
 
 
 def is_psd(a):
-    return sym_eig(a).is_psd(DEFAULT_TOL.psd_abs_scale)
+    return sym_eig(a).is_psd()
 
 
 class TestPsd:
@@ -191,5 +191,5 @@ class TestHelpers:
             TolerancePolicy(rank_rel=0.0)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=repr(bad)):
-                TolerancePolicy(psd_abs_scale=bad)
+                TolerancePolicy(rank_rel=bad)
         assert DEFAULT_TOL.rank_rel == 1e-10

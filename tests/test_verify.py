@@ -61,8 +61,8 @@ class TestRunner:
         assert a == b
         assert "result: PASS" in a
 
-    def test_injected_failure_reports_seed(self):
-        summary = run_verification(count=1, seed=4, inject_failure=True)
+    def test_injected_failure_reports_seed(self, radius_off_one):
+        summary = run_verification(count=1, seed=4)
         assert not summary.passed
         assert summary.first_failing_seed == 4
         assert "result: FAIL" in summary.render()
