@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cayley import cm_w_inner
 from .errors import (
     DegenerateDenominator,
     EdmpError,
@@ -36,11 +35,10 @@ from .oracle import (
     Structure,
     gen_unit_spherical,
     membership_scan,
-    perturbed_w,
-    radius_sq_direct,
+    unit_residual,
 )
 from .perturbation import PerturbationReport, TeqKind, classify, radius_squared
-from .verify import run_verification
+from .verify import run_verification, worst_border_vs_closed, worst_closed_vs_direct
 from .yielding import PARALLEL_TOL, EntryIndex
 
 EXIT_OK = 0
@@ -51,6 +49,18 @@ EXIT_NOT_UNIT = 4
 EXIT_BAD_INDEX = 5
 EXIT_INFEASIBLE = 6
 EXIT_NUMERICAL = 7
+
+# The first matching row gives the exit code: ParseError is an EdmpError, so it
+# precedes the catch-all.  A ValueError is a malformed matrix (asymmetry, diagonal, shape).
+EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (ValueError, EXIT_PARSE),
+    (NotAnEdm, EXIT_NOT_EDM),
+    (NotUnitSpherical, EXIT_NOT_UNIT),
+    (IndexError, EXIT_BAD_INDEX),
+    (InfeasibleSpec, EXIT_INFEASIBLE),
+    (EdmpError, EXIT_NUMERICAL),
+)
 
 SCHEMA_VERSION = "1"
 
@@ -138,34 +148,16 @@ def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
 
 
 def _cross_check_block(prof: EdmProfile, report: PerturbationReport) -> dict:
-    d, tol, entry = prof.d, prof.tol, report.entry
     tleq = report.t_leq
-    if tleq.width == 0.0:
-        ts = [0.0]
-    else:
-        ts = [float(t) for t in tleq.interior_samples(21)]
-    worst_oracle = 0.0
-    worst_border = None
-    for t in ts:
-        closed = radius_squared(report, t)
-        direct = radius_sq_direct(d, entry, t, tol)
-        worst_oracle = max(worst_oracle, abs(closed - direct) / max(1.0, abs(direct)))
-        if report.coefficients is not None:
-            try:
-                border = 1.0 - 0.5 * cm_w_inner(report, t)
-            except PoleAt:
-                continue
-            diff = abs(border - closed) / max(1.0, abs(closed))
-            worst_border = diff if worst_border is None else max(worst_border, diff)
-    worst_member = 0.0
-    for t in report.t_eq.members():
-        w_t = perturbed_w(d, entry, float(t), tol)[0]
-        worst_member = max(worst_member, abs(2.0 * float(w_t.sum()) - 1.0))
+    ts = [0.0] if tleq.width == 0.0 else [float(t) for t in tleq.interior_samples(21)]
     return {
         "samples": len(ts),
-        "max_rel_closed_vs_oracle": worst_oracle,
-        "max_rel_border_vs_closed": worst_border,
-        "max_unit_residual_on_t_eq": worst_member,
+        "max_rel_closed_vs_oracle": worst_closed_vs_direct(prof, report, ts),
+        "max_rel_border_vs_closed": worst_border_vs_closed(report, ts),
+        "max_unit_residual_on_t_eq": max([0.0] + [
+            unit_residual(prof.d, report.entry, float(t), prof.tol)[0]
+            for t in report.t_eq.members()
+        ]),
     }
 
 
@@ -357,28 +349,9 @@ def main(argv=None) -> int:
     try:
         tol = _policy()
         return args.func(args, tol)
-    except ParseError as exc:
+    except (ValueError, IndexError, EdmpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        # Malformed matrix structure (asymmetry, diagonal, bad shape).
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotAnEdm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_EDM
-    except NotUnitSpherical as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_UNIT
-    except IndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INDEX
-    except InfeasibleSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except EdmpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -70,9 +70,6 @@ class EigDecomp:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
-
     def _kept(self, tol: TolerancePolicy) -> np.ndarray:
         """Mask of eigenvalues above rank_rel * max|lambda| in magnitude."""
         cut = tol.rank_rel * (np.abs(self.values).max() if self.values.size else 0.0)

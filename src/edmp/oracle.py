@@ -36,6 +36,7 @@ __all__ = [
     "membership_scan",
     "sdp_min_radius_sq",
     "radius_sq_direct",
+    "unit_residual",
     "in_t_leq_oracle",
     "locate_t_leq_boundary",
 ]
@@ -348,8 +349,7 @@ def in_t_leq_oracle(
     slack is the semidefiniteness slack; boundary location uses a much
     tighter value since interior eigenvalue noise sits at ~1e-15.
     """
-    m = 2.0 * np.ones((d.n, d.n)) - d.perturbed_array(entry.i, entry.j, t)
-    return sym_eig(m).is_psd(slack)
+    return sym_eig(2.0 - d.perturbed_array(entry.i, entry.j, t)).is_psd(slack)
 
 
 def perturbed_w(
@@ -401,6 +401,27 @@ def radius_sq_direct(
     return 1.0 / (2.0 * float(w_t.sum()))
 
 
+def unit_residual(
+    d: DistanceMatrix, entry: EntryIndex, t: float, tol: TolerancePolicy
+) -> tuple[float, EigDecomp]:
+    """|2 e.w(t) - 1|, zero when the perturbed matrix has radius one, and
+    the eigendecomposition w(t) came from."""
+    w_t, dec = perturbed_w(d, entry, t, tol)
+    return abs(2.0 * float(w_t.sum()) - 1.0), dec
+
+
+def _bisect(holds, yes: float, no: float, xtol: float) -> tuple[float, float]:
+    """Halve the bracket between yes and no until it is at most xtol wide,
+    keeping holds(yes) true and holds(no) false."""
+    while abs(no - yes) > xtol:
+        mid = 0.5 * (yes + no)
+        if holds(mid):
+            yes = mid
+        else:
+            no = mid
+    return yes, no
+
+
 def sdp_min_radius_sq(d: DistanceMatrix, entry: EntryIndex, t: float) -> float:
     """Least lam with 2 lam E - t E^kl - D >= 0, located by bisection.
 
@@ -428,13 +449,7 @@ def sdp_min_radius_sq(d: DistanceMatrix, entry: EntryIndex, t: float) -> float:
             raise Infeasible("no feasible radius bound below the cap")
     if feasible(lo):
         return lo
-    while hi - lo > SDP_GAP:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(feasible, hi, lo, SDP_GAP)[0]
 
 
 def locate_t_leq_boundary(
@@ -446,10 +461,6 @@ def locate_t_leq_boundary(
         raise ValueError(f"t={inside} is not inside the radius-one set")
     if in_t_leq_oracle(d, entry, outside, slack):
         raise ValueError(f"t={outside} is not outside the radius-one set")
-    while abs(outside - inside) > BOUNDARY_XTOL:
-        mid = 0.5 * (inside + outside)
-        if in_t_leq_oracle(d, entry, mid, slack):
-            inside = mid
-        else:
-            outside = mid
+    inside, outside = _bisect(lambda t: in_t_leq_oracle(d, entry, t, slack),
+                              inside, outside, BOUNDARY_XTOL)
     return 0.5 * (inside + outside)

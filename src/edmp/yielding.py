@@ -131,13 +131,12 @@ class YieldingReport:
     interval: Interval
 
 
-def parallel_relation(u, v, scale: float | None = None) -> ParallelRelation:
+def parallel_relation(u, v, scale: float) -> ParallelRelation:
     """Classify u against v: both zero, u = c v with c != 0, or not parallel.
 
-    Zero-ness is judged against `scale` (defaults to the larger norm, with
-    floor 1), parallelism by the singular-value ratio of the 2-column stack,
-    which the relation keeps.  A zero vector against a nonzero one is NOT
-    parallel: no nonzero c exists.
+    Zero-ness is judged against `scale`, parallelism by the singular-value
+    ratio of the 2-column stack, which the relation keeps.  A zero vector
+    against a nonzero one is NOT parallel: no nonzero c exists.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
@@ -145,8 +144,6 @@ def parallel_relation(u, v, scale: float | None = None) -> ParallelRelation:
         raise ValueError("vectors must have equal length")
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
-    if scale is None:
-        scale = max(nu, nv, 1.0)
     zero = PARALLEL_TOL * scale
     if nu <= zero and nv <= zero:
         return ParallelRelation(ParallelKind.BOTH_ZERO)

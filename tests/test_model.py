@@ -164,9 +164,9 @@ class TestProfile:
 def _gale_templates(structure=None):
     """Verify-template instances (seed 0) that have a Gale basis, r <= n-2."""
     return [
-        gen_unit_spherical(InstanceSpec(t.n, t.r, t.structure, t.entry, seed=0))
+        gen_unit_spherical(t.spec)
         for t in default_templates(8)
-        if t.r <= t.n - 2 and structure in (None, t.structure)
+        if t.spec.r <= t.spec.n - 2 and structure in (None, t.spec.structure)
     ]
 
 

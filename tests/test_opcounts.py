@@ -80,10 +80,9 @@ def test_classify_measures_each_parallelism_once(counts):
     for template in default_templates(8):
         if template.expected not in CLASSIFY_SVD_CALLS:
             continue
-        spec = InstanceSpec(template.n, template.r, template.structure, template.entry)
-        prof = profile(gen_unit_spherical(spec))
+        prof = profile(gen_unit_spherical(template.spec))
         counts["svd"] = 0
-        report = classify(prof, template.entry)
+        report = classify(prof, template.spec.entry)
         assert report.case_tag is template.expected
         assert counts["svd"] == CLASSIFY_SVD_CALLS[template.expected]
         tags.add(report.case_tag)

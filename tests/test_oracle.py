@@ -144,7 +144,7 @@ class TestPerturbedW:
         entry = EntryIndex(1, 2)
         w_t, dec = perturbed_w(triangle, entry, 1.0)
         pert = triangle.perturbed_array(0, 1, 1.0)
-        assert_allclose(dec.reconstruct(), pert, atol=1e-12)
+        assert_allclose((dec.vectors * dec.values) @ dec.vectors.T, pert, atol=1e-12)
         assert_allclose(w_t, pinv(pert) @ np.ones(3), atol=0.0)
         # rho^2 = 1 / (2 e.w) is the hand value 3/4 at t = 1.
         assert_allclose(1.0 / (2.0 * w_t.sum()), 0.75, atol=1e-12)

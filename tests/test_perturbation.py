@@ -1,5 +1,7 @@
 """Tests for the radius-constrained perturbation sets and radius function."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -287,9 +289,8 @@ class TestRelabeling:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             for template in default_templates(8):
-                entry = template.entry
-                d = gen_unit_spherical(InstanceSpec(
-                    template.n, template.r, template.structure, entry, seed=seed))
+                entry = template.spec.entry
+                d = gen_unit_spherical(replace(template.spec, seed=seed))
                 perm = rng.permutation(d.n)
                 inv = np.argsort(perm)
                 moved = EntryIndex(int(inv[entry.i]) + 1, int(inv[entry.j]) + 1)
@@ -308,12 +309,11 @@ class TestScaleInvariance:
         # s*D has radius sqrt(s); dividing by rho^2 brings it back to a unit
         # spherical matrix that must classify like D.
         for template in default_templates(8):
-            entry = template.entry
-            d = gen_unit_spherical(InstanceSpec(
-                template.n, template.r, template.structure, entry, seed=0))
+            entry = template.spec.entry
+            d = gen_unit_spherical(template.spec)
             before = classify(profile(d), entry)
             scaled = profile(DistanceMatrix(s * d.d))
-            assert scaled.r == template.r
+            assert scaled.r == template.spec.r
             assert scaled.radius / np.sqrt(s) == pytest.approx(1.0, rel=1e-12, abs=0.0)
             unit = DistanceMatrix(s * d.d / scaled.radius**2)
             after = classify(profile(unit), entry)

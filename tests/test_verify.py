@@ -1,7 +1,10 @@
 """Tests for the invariant-suite runner itself."""
 
+from dataclasses import replace
+
 import pytest
 
+import edmp.verify
 from edmp import (
     CaseTag,
     DistanceMatrix,
@@ -16,11 +19,13 @@ from edmp.cli import main
 from edmp.linalg import DEFAULT_TOL
 from edmp.oracle import perturbed_w
 from edmp.verify import (
+    check_entry,
     check_instance,
     check_teq_members,
     default_templates,
     run_verification,
 )
+from edmp.yielding import Interval
 from conftest import SQUARE
 
 
@@ -32,7 +37,7 @@ class TestTemplates:
 
     def test_nmax_filters(self):
         for template in default_templates(nmax=5):
-            assert template.n <= 5
+            assert template.spec.n <= 5
 
     def test_too_small_nmax_rejected(self):
         with pytest.raises(ValueError):
@@ -87,6 +92,23 @@ class TestCheckInstance:
         )
         assert tag is CaseTag.TLEQ_TRIVIAL
         assert any(r.name == "case-tag" and not r.ok for r in results)
+
+    def test_tleq_widened_past_its_end_fails_interior(self, monkeypatch):
+        # gen --n 4 --r 3 --seed 0 is PairUnit at (1,2).  Widening T<= by 10%
+        # at hi puts interior samples where 2E - D - tE^kl is not PSD.
+        entry = EntryIndex(1, 2)
+        prof = profile(gen_unit_spherical(InstanceSpec(4, 3, seed=0)))
+        report = classify(prof, entry)
+        assert report.case_tag is CaseTag.PAIR_UNIT
+        results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT)
+        assert [res for res in results if not res.ok] == []
+        lo, hi = report.t_leq
+        widened = replace(report, t_leq=Interval(lo, hi + 0.1 * (hi - lo)))
+        monkeypatch.setattr(edmp.verify, "classify", lambda *_: widened)
+        results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT)
+        interior = next(res for res in results if res.name == "tleq-interior")
+        assert not interior.ok
+        assert interior.detail.startswith("radius-one test fails at interior t = [")
 
 
 class TestTeqMembersBound:

@@ -42,21 +42,28 @@ class TestEntryIndex:
             EntryIndex(1, 5).check_order(4)
 
 
+def norm_scale(u, v) -> float:
+    """The larger norm of u and v, with floor 1."""
+    return max(float(np.linalg.norm(u)), float(np.linalg.norm(v)), 1.0)
+
+
 class TestParallelRelation:
     def test_both_zero(self):
-        rel = parallel_relation([0.0, 0.0], [0.0, 0.0])
+        u, v = [0.0, 0.0], [0.0, 0.0]
+        rel = parallel_relation(u, v, scale=norm_scale(u, v))
         assert rel.kind is ParallelKind.BOTH_ZERO
         assert rel.ratio == 0.0
 
     def test_orthogonal(self):
-        rel = parallel_relation([1.0, 0.0], [0.0, 1.0])
+        u, v = [1.0, 0.0], [0.0, 1.0]
+        rel = parallel_relation(u, v, scale=norm_scale(u, v))
         assert rel.kind is ParallelKind.NOT_PARALLEL
         assert rel.ratio == 1.0
 
     def test_not_parallel_keeps_measured_ratio(self):
         u, v = np.array([1.0, 0.0, 0.5]), np.array([1.0, 0.01, 0.5])
         sing = np.linalg.svd(np.column_stack([u, v]), compute_uv=False)
-        rel = parallel_relation(u, v)
+        rel = parallel_relation(u, v, scale=norm_scale(u, v))
         assert rel.kind is ParallelKind.NOT_PARALLEL
         assert rel.ratio == sing[1] / sing[0]
         assert PARALLEL_TOL < rel.ratio < 1e-2
@@ -71,14 +78,15 @@ class TestParallelRelation:
 
     def test_scalar_from_square_gale_rows(self, square_profile):
         z = square_profile.Z
-        rel = parallel_relation(z[0], z[1])
+        rel = parallel_relation(z[0], z[1], scale=norm_scale(z[0], z[1]))
         assert rel.kind is ParallelKind.SCALAR
         assert_allclose(rel.c, -1.0, atol=1e-12)
 
     def test_one_sided_zero_is_not_parallel(self):
-        rel = parallel_relation([0.0, 0.0], [1.0, 2.0])
+        u, v = [0.0, 0.0], [1.0, 2.0]
+        rel = parallel_relation(u, v, scale=norm_scale(u, v))
         assert rel.kind is ParallelKind.NOT_PARALLEL
-        rel = parallel_relation([1.0, 2.0], [0.0, 0.0])
+        rel = parallel_relation(v, u, scale=norm_scale(v, u))
         assert rel.kind is ParallelKind.NOT_PARALLEL
 
     def test_reciprocal_consistency(self):
@@ -86,15 +94,16 @@ class TestParallelRelation:
         for _ in range(50):
             v = rng.normal(size=4)
             c = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])
-            fwd = parallel_relation(c * v, v)
-            bwd = parallel_relation(v, c * v)
+            fwd = parallel_relation(c * v, v, scale=norm_scale(c * v, v))
+            bwd = parallel_relation(v, c * v, scale=norm_scale(v, c * v))
             assert fwd.kind is ParallelKind.SCALAR
             assert bwd.kind is ParallelKind.SCALAR
             assert fwd.ratio <= PARALLEL_TOL and bwd.ratio <= PARALLEL_TOL
             assert_allclose(fwd.c * bwd.c, 1.0, atol=1e-10)
 
     def test_scalar_length_one_vectors(self):
-        rel = parallel_relation([0.5], [-0.25])
+        u, v = [0.5], [-0.25]
+        rel = parallel_relation(u, v, scale=norm_scale(u, v))
         assert rel.kind is ParallelKind.SCALAR
         assert_allclose(rel.c, -2.0)
         assert rel.ratio == 0.0
