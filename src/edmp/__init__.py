@@ -31,10 +31,12 @@ from .linalg import (
 from .model import (
     DistanceMatrix,
     EdmProfile,
+    Sphericity,
     bdag_identity,
     bprime_dag_identity,
     cm_dag_block,
     profile,
+    sphericity,
 )
 from .yielding import (
     EntryIndex,
@@ -72,7 +74,7 @@ from .oracle import (
     edm_from_points,
     gen_unit_spherical,
     membership_scan,
-    radius_sq_direct,
+    perturbed_sphericity,
     sdp_min_radius_sq,
 )
 from .verify import run_verification

@@ -35,10 +35,15 @@ from .oracle import (
     Structure,
     gen_unit_spherical,
     membership_scan,
-    unit_residual,
+    perturbed_sphericity,
 )
 from .perturbation import PerturbationReport, TeqKind, classify, radius_squared
-from .verify import run_verification, worst_border_vs_closed, worst_closed_vs_direct
+from .verify import (
+    closed_radii,
+    run_verification,
+    worst_border_vs_closed,
+    worst_closed_vs_direct,
+)
 from .yielding import PARALLEL_TOL, EntryIndex
 
 EXIT_OK = 0
@@ -94,7 +99,7 @@ def _profile_block(prof: EdmProfile) -> dict:
         "radius_sq": None if prof.radius is None else prof.radius**2,
         "regular": prof.regular,
         "w": list(prof.w),
-        "e_dot_w": float(prof.w.sum()),
+        "e_dot_w": prof.sphere.e_dot_w,
         "gale_columns": 0 if prof.Z is None else prof.Z.shape[1],
         "center": None if prof.center is None else list(prof.center),
     }
@@ -149,13 +154,13 @@ def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
 
 def _cross_check_block(prof: EdmProfile, report: PerturbationReport) -> dict:
     tleq = report.t_leq
-    ts = [0.0] if tleq.width == 0.0 else [float(t) for t in tleq.interior_samples(21)]
+    closed = closed_radii(report, [0.0] if tleq.width == 0.0 else tleq.interior_samples(21))
     return {
-        "samples": len(ts),
-        "max_rel_closed_vs_oracle": worst_closed_vs_direct(prof, report, ts),
-        "max_rel_border_vs_closed": worst_border_vs_closed(report, ts),
+        "samples": len(closed),
+        "max_rel_closed_vs_oracle": worst_closed_vs_direct(prof, report.entry, closed),
+        "max_rel_border_vs_closed": worst_border_vs_closed(report, closed),
         "max_unit_residual_on_t_eq": max([0.0] + [
-            unit_residual(prof.d, report.entry, float(t), prof.tol)[0]
+            perturbed_sphericity(prof.d, report.entry, float(t), prof.tol)[0].unit_residual
             for t in report.t_eq.members()
         ]),
     }

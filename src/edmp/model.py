@@ -13,6 +13,7 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,9 @@ __all__ = [
     "EdmProfile",
     "SPHERICITY_TOL",
     "UNIT_RADIUS_TOL",
+    "Sphericity",
+    "sphericity",
     "is_edm_array",
-    "is_unit_radius",
     "profile",
     "bdag_identity",
     "bprime_dag_identity",
@@ -49,9 +51,31 @@ SPHERICITY_TOL = 1e-8
 UNIT_RADIUS_TOL = 1e-8
 
 
-def is_unit_radius(e_dot_w: float, n: int) -> bool:
-    """Unit-radius decision for a spherical EDM of order n with D w = e."""
-    return abs(2.0 * e_dot_w - 1.0) <= UNIT_RADIUS_TOL * n
+class Sphericity(NamedTuple):
+    """What w with a w = e says about the circumsphere of a."""
+
+    e_dot_w: float
+    # 1 / (2 e.w), or None when a fails the SPHERICITY_TOL test.
+    radius_sq: float | None
+    # |2 e.w - 1|, zero at radius one.
+    unit_residual: float
+    # Spherical with unit_residual <= UNIT_RADIUS_TOL * n.
+    unit: bool
+
+
+def sphericity(a: np.ndarray, w: np.ndarray) -> Sphericity:
+    """Sphericity, squared radius and unit verdict of a from its w (a w = e).
+
+    The one place e.w is formed and judged, for a profile and for every
+    perturbed matrix alike.
+    """
+    n = a.shape[0]
+    e = np.ones(n)
+    etw = float(e @ w)
+    spherical = etw * (float(e @ a @ e) / n**2) > SPHERICITY_TOL
+    residual = abs(2.0 * etw - 1.0)
+    return Sphericity(etw, 1.0 / (2.0 * etw) if spherical else None, residual,
+                      spherical and residual <= UNIT_RADIUS_TOL * n)
 
 
 @dataclass(frozen=True)
@@ -134,6 +158,7 @@ class EdmProfile:
     w: np.ndarray
     Z: np.ndarray | None
     Z_tilde: np.ndarray
+    sphere: Sphericity
     spherical: bool
     unit_spherical: bool
     radius: float | None
@@ -209,12 +234,8 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     w = d_dag @ e
     b_dag = dec.pinv(tol)
 
-    etw = float(e @ w)
-    mean_sq = float(e @ a @ e) / n**2
-    spherical = etw * mean_sq > SPHERICITY_TOL
-
-    unit = spherical and is_unit_radius(etw, n)
-    radius = float(np.sqrt(1.0 / (2.0 * etw))) if spherical else None
+    sphere = sphericity(a, w)
+    spherical = sphere.radius_sq is not None
 
     center = None
     if spherical:
@@ -250,9 +271,10 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
         w=_readonly(w),
         Z=z,
         Z_tilde=_readonly(z_tilde),
+        sphere=sphere,
         spherical=spherical,
-        unit_spherical=unit,
-        radius=radius,
+        unit_spherical=sphere.unit,
+        radius=float(np.sqrt(sphere.radius_sq)) if spherical else None,
         center=_readonly(center) if center is not None else None,
         regular=regular,
         w_scale=max(float(np.abs(w).max()), 1e-300),

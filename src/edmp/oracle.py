@@ -16,14 +16,7 @@ import numpy as np
 
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
 from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig
-from .model import (
-    SPHERICITY_TOL,
-    DistanceMatrix,
-    EdmProfile,
-    centroid_gram,
-    is_unit_radius,
-    profile,
-)
+from .model import DistanceMatrix, EdmProfile, Sphericity, centroid_gram, profile, sphericity
 from .yielding import EntryIndex, parallel_relation, singleton_gap
 
 __all__ = [
@@ -32,11 +25,9 @@ __all__ = [
     "SweepRecord",
     "edm_from_points",
     "gen_unit_spherical",
-    "perturbed_w",
+    "perturbed_sphericity",
     "membership_scan",
     "sdp_min_radius_sq",
-    "radius_sq_direct",
-    "unit_residual",
     "in_t_leq_oracle",
     "locate_t_leq_boundary",
 ]
@@ -136,15 +127,6 @@ def edm_from_points(points: np.ndarray) -> DistanceMatrix:
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     v = rng.normal(size=(count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _affine_rank_ok(points: np.ndarray, r: int) -> bool:
-    n = points.shape[0]
-    stack = np.column_stack([points, np.ones(n)])
-    sing = np.linalg.svd(stack, compute_uv=False)
-    if len(sing) < r + 1:
-        return False
-    return sing[r] > 1e-6 * sing[0]
 
 
 def _points_generic(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
@@ -329,8 +311,6 @@ def gen_unit_spherical(
             points = _points_mirror(rng, spec.n, spec.r, spec.entry)
         else:
             points = _points_zero_w(rng, spec.n, spec.r, spec.entry)
-        if not _affine_rank_ok(points, spec.r):
-            continue
         d = edm_from_points(points)
         try:
             prof = profile(d, tol)
@@ -352,12 +332,14 @@ def in_t_leq_oracle(
     return sym_eig(2.0 - d.perturbed_array(entry.i, entry.j, t)).is_psd(slack)
 
 
-def perturbed_w(
+def perturbed_sphericity(
     d: DistanceMatrix, entry: EntryIndex, t: float, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[np.ndarray, EigDecomp]:
-    """w(t) = pinv(D + t E^kl) e and the eigendecomposition it came from."""
-    dec = sym_eig(d.perturbed_array(entry.i, entry.j, t))
-    return dec.pinv(tol) @ np.ones(d.n), dec
+) -> tuple[Sphericity, EigDecomp]:
+    """Sphericity of D + t E^kl read from w(t) = pinv(D + t E^kl) e, and the
+    eigendecomposition w(t) came from."""
+    pert = d.perturbed_array(entry.i, entry.j, t)
+    dec = sym_eig(pert)
+    return sphericity(pert, dec.pinv(tol) @ np.ones(d.n)), dec
 
 
 def membership_scan(
@@ -368,46 +350,18 @@ def membership_scan(
 ) -> list[SweepRecord]:
     """Raw eigenvalue verdicts for each sampled perturbation."""
     entry.check_order(d.n)
-    n = d.n
-    e = np.ones(n)
     records = []
     for t in np.asarray(ts, dtype=float):
         t = float(t)
-        pert = d.perturbed_array(entry.i, entry.j, t)
-        edm_ok = sym_eig(centroid_gram(pert)).is_psd()
-
-        spherical = False
-        radius_sq = None
-        etw = 0.0
+        edm_ok = sym_eig(centroid_gram(d.perturbed_array(entry.i, entry.j, t))).is_psd()
+        radius_sq, unit = None, False
         if edm_ok:
-            w_t = perturbed_w(d, entry, t, tol)[0]
-            etw = float(e @ w_t)
-            mean_sq = float(e @ pert @ e) / n**2
-            spherical = etw * mean_sq > SPHERICITY_TOL
-            if spherical:
-                radius_sq = 1.0 / (2.0 * etw)
-
+            sphere = perturbed_sphericity(d, entry, t, tol)[0]
+            radius_sq, unit = sphere.radius_sq, sphere.unit
         leq = edm_ok and in_t_leq_oracle(d, entry, t)
-        eq = leq and spherical and is_unit_radius(etw, n)
-        records.append(SweepRecord(t, edm_ok, spherical, radius_sq, leq, eq))
+        records.append(SweepRecord(t, edm_ok, radius_sq is not None, radius_sq, leq,
+                                   leq and unit))
     return records
-
-
-def radius_sq_direct(
-    d: DistanceMatrix, entry: EntryIndex, t: float, tol: TolerancePolicy = DEFAULT_TOL
-) -> float:
-    """Squared radius of the perturbed matrix via 1 / (2 e.w(t))."""
-    w_t = perturbed_w(d, entry, t, tol)[0]
-    return 1.0 / (2.0 * float(w_t.sum()))
-
-
-def unit_residual(
-    d: DistanceMatrix, entry: EntryIndex, t: float, tol: TolerancePolicy
-) -> tuple[float, EigDecomp]:
-    """|2 e.w(t) - 1|, zero when the perturbed matrix has radius one, and
-    the eigendecomposition w(t) came from."""
-    w_t, dec = perturbed_w(d, entry, t, tol)
-    return abs(2.0 * float(w_t.sum()) - 1.0), dec
 
 
 def _bisect(holds, yes: float, no: float, xtol: float) -> tuple[float, float]:

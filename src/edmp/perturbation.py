@@ -137,7 +137,6 @@ class PerturbationReport:
     yielding_report: YieldingReport
     case_tag: CaseTag
     t_leq: Interval
-    t_eq: TeqSet
     coefficients: RadiusCoefficients | None
     warnings: tuple[str, ...] = ()
 
@@ -151,6 +150,16 @@ class PerturbationReport:
         if self.coefficients is None:
             return None
         return self.t_leq.lo if self.coefficients.c > 0 else self.t_leq.hi
+
+    @property
+    def t_eq(self) -> TeqSet:
+        """T=, which the case and T<= fix: all of T<= for ContinuumUnit,
+        {0, theta_c} for PairUnit and {0} otherwise."""
+        if self.case_tag is CaseTag.CONTINUUM_UNIT:
+            return TeqSet(TeqKind.CONTINUUM, interval=self.t_leq)
+        if self.case_tag is CaseTag.PAIR_UNIT:
+            return TeqSet(TeqKind.PAIR, points=tuple(sorted((0.0, self.theta_c))))
+        return TeqSet(TeqKind.SINGLETON, points=(0.0,))
 
 
 def _require_unit(prof: EdmProfile) -> None:
@@ -207,33 +216,28 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
     """
     _require_unit(prof)
     yrep = yielding_report(prof, entry)
-    zero_only = TeqSet(TeqKind.SINGLETON, points=(0.0,))
 
-    def report(tag, tleq, teq, coefficients=None, warnings=()):
-        return PerturbationReport(
-            entry, yrep, tag, tleq, teq, coefficients, tuple(warnings)
-        )
+    def report(tag, tleq, coefficients=None, warnings=()):
+        return PerturbationReport(entry, yrep, tag, tleq, coefficients, tuple(warnings))
 
     if not yrep.yielding:
         warnings = _near_parallel(yrep.gale_relation, "Gale rows", "the unyielding verdict")
-        return report(CaseTag.NOT_YIELDING, Interval(0.0, 0.0), zero_only, warnings=warnings)
+        return report(CaseTag.NOT_YIELDING, Interval(0.0, 0.0), warnings=warnings)
 
     zt = prof.Z_tilde
     trel = parallel_relation(zt[entry.i], zt[entry.j], scale=prof.zt_scale)
     if trel.kind is ParallelKind.NOT_PARALLEL:
         warnings = _near_parallel(trel, "stacked rows", "the trivial radius-one set")
-        return report(CaseTag.TLEQ_TRIVIAL, Interval(0.0, 0.0), zero_only, warnings=warnings)
+        return report(CaseTag.TLEQ_TRIVIAL, Interval(0.0, 0.0), warnings=warnings)
 
     if trel.kind is ParallelKind.BOTH_ZERO:
         # w_k = w_l = 0 (and z^k = z^l = 0): the radius stays 1 on the whole
         # yielding interval.
-        tleq = yrep.interval
-        return report(CaseTag.CONTINUUM_UNIT, tleq, TeqSet(TeqKind.CONTINUUM, interval=tleq))
+        return report(CaseTag.CONTINUUM_UNIT, yrep.interval)
 
     c = float(trel.c)
     tc = theta_c(prof, entry, c)
     tleq = Interval(tc, 0.0) if c > 0 else Interval(0.0, tc)
-    continuum = TeqSet(TeqKind.CONTINUUM, interval=tleq)
 
     w = prof.w
     w_zero = PARALLEL_TOL * prof.w_scale
@@ -243,12 +247,12 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
     if wk_zero and wl_zero:
         # Nonzero parallel Gale rows but both w entries vanish: radius 1
         # throughout.
-        return report(CaseTag.CONTINUUM_UNIT, tleq, continuum)
+        return report(CaseTag.CONTINUUM_UNIT, tleq)
 
     z = prof.Z
     if z is not None and float(np.linalg.norm(z[entry.i])) > PARALLEL_TOL * prof.z_scale:
         # w_k != 0 with a nonzero Gale row: radius 1 throughout.
-        return report(CaseTag.CONTINUUM_UNIT, tleq, continuum)
+        return report(CaseTag.CONTINUUM_UNIT, tleq)
 
     if yrep.theta_lower is None or yrep.theta_upper is None:
         # The rational radius formula needs both roots of g; with beta2 < 0
@@ -264,10 +268,8 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
             "singleton-pair proximity: |s^k|^2 and c^2 |s^l|^2 agree to "
             f"{gap:.3e}; the classification band is {SINGLETON_BAND:.0e}"
         )
-    if gap <= SINGLETON_BAND:
-        return report(CaseTag.SINGLETON_UNIT, tleq, zero_only, coeffs, warnings)
-    pair = TeqSet(TeqKind.PAIR, points=tuple(sorted((0.0, tc))))
-    return report(CaseTag.PAIR_UNIT, tleq, pair, coeffs, warnings)
+    tag = CaseTag.SINGLETON_UNIT if gap <= SINGLETON_BAND else CaseTag.PAIR_UNIT
+    return report(tag, tleq, coeffs, warnings)
 
 
 def _eval_f_over_g(

@@ -44,9 +44,8 @@ from .oracle import (
     gen_unit_spherical,
     in_t_leq_oracle,
     locate_t_leq_boundary,
-    radius_sq_direct,
+    perturbed_sphericity,
     sdp_min_radius_sq,
-    unit_residual,
 )
 from .perturbation import CaseTag, PerturbationReport, TeqKind, classify, radius_squared
 from .yielding import EntryIndex
@@ -173,33 +172,40 @@ def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1.0))
 
 
-def worst_closed_vs_direct(prof: EdmProfile, report: PerturbationReport, ts) -> float:
-    """Largest |closed - direct| / max(1, |direct|) over ts of the rational
-    radius against the direct oracle 1 / (2 e.w(t))."""
+def closed_radii(report: PerturbationReport, ts) -> list[tuple[float, float]]:
+    """(t, radius_squared(report, t)) for each t, so the comparisons below
+    share one evaluation of the closed form per sample."""
+    return [(t, radius_squared(report, t)) for t in map(float, ts)]
+
+
+def worst_closed_vs_direct(prof: EdmProfile, entry: EntryIndex, closed) -> float:
+    """Largest |closed - direct| / max(1, |direct|) over the (t, closed)
+    pairs of the rational radius against the direct oracle 1 / (2 e.w(t)).
+
+    A perturbed matrix with no sphere counts as 1, the limit of the error
+    as the direct radius grows without bound.
+    """
     worst = 0.0
-    for t in ts:
-        t = float(t)
-        closed = radius_squared(report, t)
-        direct = radius_sq_direct(prof.d, report.entry, t, prof.tol)
-        worst = max(worst, abs(closed - direct) / max(1.0, abs(direct)))
+    for t, rho_sq in closed:
+        direct = perturbed_sphericity(prof.d, entry, t, prof.tol)[0].radius_sq
+        rel = 1.0 if direct is None else abs(rho_sq - direct) / max(1.0, abs(direct))
+        worst = max(worst, rel)
     return worst
 
 
-def worst_border_vs_closed(report: PerturbationReport, ts) -> float | None:
-    """Largest |border - closed| / max(1, |closed|) over ts of the bordered
-    radius 1 - e~.w~(t)/2 against the rational one; None when the report has
-    no coefficients or every t hits a pole."""
+def worst_border_vs_closed(report: PerturbationReport, closed) -> float | None:
+    """Largest |border - closed| / max(1, |closed|) over the (t, closed) pairs
+    of the bordered radius 1 - e~.w~(t)/2 against the rational one; None when
+    the report has no coefficients or every t hits a pole."""
     if report.coefficients is None:
         return None
     diffs = []
-    for t in ts:
-        t = float(t)
+    for t, rho_sq in closed:
         try:
             border = 1.0 - 0.5 * cm_w_inner(report, t)
         except PoleAt:
             continue
-        closed = radius_squared(report, t)
-        diffs.append(abs(border - closed) / max(1.0, abs(closed)))
+        diffs.append(abs(border - rho_sq) / max(1.0, abs(rho_sq)))
     return max(diffs, default=None)
 
 
@@ -287,9 +293,10 @@ def check_teq_members(d: DistanceMatrix, entry: EntryIndex, members,
     w(t) and kappa = cond(D + t E^kl) come from one oracle factorization."""
     rows = []
     for t in members:
-        residual, dec = unit_residual(d, entry, float(t), tol)
+        sphere, dec = perturbed_sphericity(d, entry, float(t), tol)
         kappa = dec.cond(tol)
-        rows.append((residual, kappa, TEQ_RESIDUAL_TOL + d.n * kappa * np.finfo(float).eps))
+        rows.append((sphere.unit_residual, kappa,
+                     TEQ_RESIDUAL_TOL + d.n * kappa * np.finfo(float).eps))
     residual, kappa, bound = max(rows, key=lambda row: row[0] / row[2])
     ok = bool(residual <= bound)
     return CheckResult("teq-members", ok, "" if ok else (
@@ -348,12 +355,14 @@ def check_entry(
         probes = [t for t in tleq.interior_samples(4)
                   if min(abs(t - m) for m in members) > 0.05 * tleq.width]
         if probes:
-            best = min(unit_residual(d, entry, float(t), tol)[0] for t in probes)
+            best = min(perturbed_sphericity(d, entry, float(t), tol)[0].unit_residual
+                       for t in probes)
             _check(out, "teq-nonmembers", best > 1e-6,
                    f"non-member unit residual only {best:.3e}")
 
     if tleq.width > 0.0:
-        worst_rel = worst_closed_vs_direct(prof, report, tleq.interior_samples(10))
+        worst_rel = worst_closed_vs_direct(
+            prof, entry, closed_radii(report, tleq.interior_samples(10)))
         _check(out, "radius-direct-agreement", worst_rel <= 1e-8,
                f"closed form vs direct radius rel err {worst_rel:.3e}")
         sdp_worst = max(
@@ -406,7 +415,8 @@ def _check_rational_case(prof: EdmProfile, report: PerturbationReport) -> list[C
 
     tleq = report.t_leq
     # Every sample at a pole leaves nothing to compare, which passes.
-    worst = worst_border_vs_closed(report, tleq.interior_samples(20)) or 0.0
+    closed = closed_radii(report, tleq.interior_samples(20))
+    worst = worst_border_vs_closed(report, closed) or 0.0
     _check(out, "border-closed-form", worst <= 1e-10,
            f"bordered vs rational radius rel err {worst:.3e}")
     # The closed form of e~.w~(t) against a raw bordered pseudoinverse.

@@ -32,7 +32,7 @@ from edmp import (
 )
 from edmp.cayley import bordered
 from edmp.linalg import pinv, sym_eig
-from edmp.oracle import radius_sq_direct, sdp_min_radius_sq
+from edmp.oracle import perturbed_sphericity, sdp_min_radius_sq
 from conftest import ANTIPODAL, SQUARE, TRIANGLE
 
 SQRT3 = np.sqrt(3.0)
@@ -215,7 +215,7 @@ def test_criterion_5_cross_path_equality(rational_pool):
                 closed = radius_squared(report, t)
                 border = 1.0 - 0.5 * cm_w_inner(report, t)
                 assert abs(border - closed) <= 1e-10 * max(1.0, abs(closed))
-                direct = radius_sq_direct(d, entry, t)
+                direct = perturbed_sphericity(d, entry, t)[0].radius_sq
                 assert abs(closed - direct) <= 1e-8 * max(1.0, abs(direct))
                 assert abs(border - direct) <= 1e-8 * max(1.0, abs(direct))
 

@@ -2,18 +2,22 @@
 matrix of a profile is factored once.
 
 Calls are counted by wrapping numpy's eigh and svd, the yielding
-classifier as seen from the perturbation module, `profile` under every
-module name that calls it, and `EigDecomp.cond`.  Only a change that
-lowers a count may tighten its bound.
+classifier as seen from the perturbation module, `profile` and
+`radius_squared` under every module name that calls them, and
+`EigDecomp.cond`.  Only a change that lowers a count may tighten its
+bound.
 """
 
 import contextlib
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import edmp.cayley
+import edmp.cli
 import edmp.model
 import edmp.oracle
 import edmp.perturbation
@@ -38,7 +42,7 @@ CLASSIFY_SVD_CALLS = {CaseTag.NOT_YIELDING: 1, CaseTag.TLEQ_TRIVIAL: 2}
 @pytest.fixture
 def counts(monkeypatch):
     seen = {"eigh": 0, "svd": 0, "yielding_report": 0, "profile": 0, "cond": 0,
-            "centroid_gram": 0}
+            "centroid_gram": 0, "radius_squared": 0}
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -54,6 +58,8 @@ def counts(monkeypatch):
     counting(edmp.perturbation, "yielding_report", "yielding_report")
     for module in (edmp.model, edmp.oracle, edmp.verify):
         counting(module, "profile", "profile")
+    for module in (edmp.cli, edmp.verify):
+        counting(module, "radius_squared", "radius_squared")
     counting(EigDecomp, "cond", "cond")
     counting(edmp.cayley, "centroid_gram", "centroid_gram")
     return seen
@@ -113,3 +119,14 @@ def test_bordered_view_builds_its_gram_once(counts):
     results = check_bordered(prof, edmp.cayley.cm_build(d))
     assert all(res.ok for res in results)
     assert counts["centroid_gram"] == 1
+
+
+def test_entry_evaluates_each_closed_radius_once(counts):
+    # The closed-vs-oracle and bordered-vs-closed comparisons share one
+    # closed-form radius per cross-check sample.
+    path = Path(__file__).parent / "golden" / "pairunit-8.csv"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["entry", str(path), "--k", "1", "--l", "2"])
+    assert code == 0
+    assert json.loads(out.getvalue())["entry"]["cross_check"]["samples"] == 21
+    assert counts["radius_squared"] == 21

@@ -1,5 +1,9 @@
 """Tests for instance generators and the independent oracles."""
 
+import contextlib
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,8 +21,11 @@ from edmp import (
     radius_squared,
     sdp_min_radius_sq,
 )
+from edmp.cli import main
 from edmp.linalg import pinv, sym_eig
-from edmp.oracle import in_t_leq_oracle, locate_t_leq_boundary, perturbed_w
+from edmp.matio import load_matrix
+from edmp.model import UNIT_RADIUS_TOL, sphericity
+from edmp.oracle import in_t_leq_oracle, locate_t_leq_boundary, perturbed_sphericity
 from edmp.verify import check_profile
 
 from conftest import gen_nonspherical
@@ -142,19 +149,27 @@ class TestNonspherical:
 class TestPerturbedW:
     def test_solves_perturbed_system(self, triangle):
         entry = EntryIndex(1, 2)
-        w_t, dec = perturbed_w(triangle, entry, 1.0)
+        sphere, dec = perturbed_sphericity(triangle, entry, 1.0)
         pert = triangle.perturbed_array(0, 1, 1.0)
         assert_allclose((dec.vectors * dec.values) @ dec.vectors.T, pert, atol=1e-12)
-        assert_allclose(w_t, pinv(pert) @ np.ones(3), atol=0.0)
+        assert sphere == sphericity(pert, pinv(pert) @ np.ones(3))
         # rho^2 = 1 / (2 e.w) is the hand value 3/4 at t = 1.
-        assert_allclose(1.0 / (2.0 * w_t.sum()), 0.75, atol=1e-12)
+        assert_allclose(sphere.radius_sq, 0.75, atol=1e-12)
 
     def test_condition_grows_near_theta_c(self, triangle):
         # D + t E^13 loses rank at theta_c = -3 for the long side.
         entry = EntryIndex(1, 3)
-        far = perturbed_w(triangle, entry, -1.0)[1].cond()
-        near = perturbed_w(triangle, entry, -3.0 + 1e-6)[1].cond()
+        far = perturbed_sphericity(triangle, entry, -1.0)[1].cond()
+        near = perturbed_sphericity(triangle, entry, -3.0 + 1e-6)[1].cond()
         assert near > 1e4 * far
+
+    def test_nonspherical_perturbation_has_no_radius(self, triangle):
+        # t = 1 on the long side makes the sides (1, 1, 2) collinear: an EDM
+        # with no circumscribing sphere, so there is no radius to report.
+        sphere, _ = perturbed_sphericity(triangle, EntryIndex(1, 3), 1.0)
+        assert sphere.radius_sq is None
+        assert not sphere.unit
+        assert abs(sphere.e_dot_w) < 1e-12
 
 
 class TestMembershipScan:
@@ -178,6 +193,26 @@ class TestMembershipScan:
                 assert rec.in_t_leq
             if rec.in_t_leq:
                 assert rec.is_edm
+
+    def test_sweep_unit_column_reads_the_entry_residual(self):
+        # Every sweep row is in T= exactly when it is in T<= and the unit
+        # residual that entry's cross-check reports is within the unit cut.
+        path = Path(__file__).parent / "golden" / "pairunit-8.csv"
+        d, entry = load_matrix(str(path)), EntryIndex(1, 2)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["sweep", str(path), "--k", "1", "--l", "2", "--num", "2001"])
+        assert code == 0
+        rows = [(float(cells[0]), cells[5] == "true", cells[6] == "true")
+                for cells in (row.split(",") for row in out.getvalue().splitlines()[1:])]
+        assert len(rows) == 2001
+        # The grid misses the two T= points, so they are scanned as well.
+        members = classify(profile(d), entry).t_eq.members()
+        scanned = [(rec.t, rec.in_t_leq, rec.in_t_eq)
+                   for rec in membership_scan(d, entry, members)]
+        assert [in_t_eq for _, _, in_t_eq in scanned] == [True, True]
+        for t, in_t_leq, in_t_eq in rows + scanned:
+            residual = perturbed_sphericity(d, entry, t)[0].unit_residual
+            assert in_t_eq == (in_t_leq and residual <= UNIT_RADIUS_TOL * d.n)
 
 
 class TestSdpOracle:

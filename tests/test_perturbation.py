@@ -20,7 +20,7 @@ from edmp import (
     radius_squared,
 )
 from edmp.linalg import pinv
-from edmp.oracle import edm_from_points, radius_sq_direct
+from edmp.oracle import edm_from_points, perturbed_sphericity
 from edmp.verify import default_templates
 from edmp.yielding import ParallelKind, parallel_relation
 
@@ -128,8 +128,8 @@ class TestRadiusSquared:
         # rational form still tracks the true (larger) radius.
         val = radius_squared(report(triangle_profile, 1, 3), 0.5, extrapolate=True)
         assert_allclose(val, 2.0, atol=1e-12)
-        assert_allclose(val, radius_sq_direct(triangle, EntryIndex(1, 3), 0.5),
-                        atol=1e-10)
+        direct = perturbed_sphericity(triangle, EntryIndex(1, 3), 0.5)[0].radius_sq
+        assert_allclose(val, direct, atol=1e-10)
 
     def test_singleton_endpoint_limit(self, triangle_profile):
         # At theta_c = theta_lower the rational form has a removable
@@ -147,7 +147,7 @@ class TestRadiusSquared:
         rep = classify(profile(d), entry)
         for t in rep.t_leq.interior_samples(7):
             closed = radius_squared(rep, float(t))
-            direct = radius_sq_direct(d, entry, float(t))
+            direct = perturbed_sphericity(d, entry, float(t))[0].radius_sq
             assert_allclose(closed, direct, rtol=1e-8)
 
 
@@ -249,7 +249,7 @@ class TestClassify:
         assert yiv.lo < 0.0 < yiv.hi
         for t in rep.t_leq.interior_samples(5):
             assert radius_squared(rep, float(t)) == 1.0
-            direct = radius_sq_direct(edm_from_points(pts), entry, float(t))
+            direct = perturbed_sphericity(edm_from_points(pts), entry, float(t))[0].radius_sq
             assert abs(direct - 1.0) <= 1e-9
 
     def test_near_parallel_trivial_set_warns(self):

@@ -17,13 +17,14 @@ from edmp import (
 )
 from edmp.cli import main
 from edmp.linalg import DEFAULT_TOL
-from edmp.oracle import perturbed_w
+from edmp.oracle import perturbed_sphericity
 from edmp.verify import (
     check_entry,
     check_instance,
     check_teq_members,
     default_templates,
     run_verification,
+    worst_closed_vs_direct,
 )
 from edmp.yielding import Interval
 from conftest import SQUARE
@@ -111,6 +112,14 @@ class TestCheckInstance:
         assert interior.detail.startswith("radius-one test fails at interior t = [")
 
 
+class TestRadiusComparisons:
+    def test_missing_sphere_counts_as_full_disagreement(self, triangle_profile):
+        # D + E^13 of the triangle is collinear, so the direct oracle finds
+        # no sphere; the error is 1, its limit as the direct radius grows.
+        closed = [(1.0, 0.25)]
+        assert worst_closed_vs_direct(triangle_profile, EntryIndex(1, 3), closed) == 1.0
+
+
 class TestTeqMembersBound:
     """The T= residual bound 1e-8 + n*kappa*eps near the rank drop at theta_c."""
 
@@ -132,9 +141,9 @@ class TestTeqMembersBound:
     @pytest.mark.parametrize("seed,n,r,entry", ILL_CONDITIONED)
     def test_ill_conditioned_member_passes(self, seed, n, r, entry):
         d, report = self._instance(seed, n, r, entry)
-        w_t, dec = perturbed_w(d, entry, report.theta_c)
+        sphere, dec = perturbed_sphericity(d, entry, report.theta_c)
         assert dec.cond() > 1e8
-        assert abs(2.0 * float(w_t.sum()) - 1.0) > 1e-8
+        assert sphere.unit_residual > 1e-8
         members = report.t_eq.members()
         assert report.theta_c in members
         assert check_teq_members(d, entry, members, DEFAULT_TOL).ok
@@ -155,7 +164,7 @@ class TestTeqMembersBound:
         entry = EntryIndex(1, 2)
         d, report = self._instance(0, 4, 3, entry)
         moved = report.theta_c * (1.0 + 1e-4)
-        _, dec = perturbed_w(d, entry, report.theta_c)
+        _, dec = perturbed_sphericity(d, entry, report.theta_c)
         assert dec.cond() < 100.0
         result = check_teq_members(d, entry, (0.0, moved), DEFAULT_TOL)
         assert not result.ok
