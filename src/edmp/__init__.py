@@ -53,8 +53,6 @@ from .perturbation import (
     CaseTag,
     PerturbationReport,
     RadiusCoefficients,
-    TeqKind,
-    TeqSet,
     classify,
     radius_squared,
 )

@@ -37,7 +37,7 @@ from .oracle import (
     membership_scan,
     perturbed_sphericity,
 )
-from .perturbation import PerturbationReport, TeqKind, classify, radius_squared
+from .perturbation import CaseTag, PerturbationReport, classify, radius_squared
 from .verify import (
     closed_radii,
     run_verification,
@@ -109,10 +109,9 @@ def _interval_block(interval) -> dict:
     return {"lo": interval.lo, "hi": interval.hi}
 
 
-def _teq_block(teq) -> dict:
-    if teq.kind is TeqKind.CONTINUUM:
-        return {"kind": teq.kind.value, "values": [teq.interval.lo, teq.interval.hi]}
-    return {"kind": teq.kind.value, "values": list(teq.points)}
+def _teq_block(report: PerturbationReport) -> dict:
+    kinds = {CaseTag.CONTINUUM_UNIT: "continuum", CaseTag.PAIR_UNIT: "pair"}
+    return {"kind": kinds.get(report.case_tag, "singleton"), "values": list(report.t_eq)}
 
 
 def _theta_value(value):
@@ -135,7 +134,7 @@ def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
         "theta_c": yrep.theta_c,
         "yielding_interval": _interval_block(yrep.interval),
         "t_leq": _interval_block(report.t_leq),
-        "t_eq": _teq_block(report.t_eq),
+        "t_eq": _teq_block(report),
         "case": report.case_tag.value,
         "coefficients": None,
     }
@@ -161,7 +160,7 @@ def _cross_check_block(prof: EdmProfile, report: PerturbationReport) -> dict:
         "max_rel_border_vs_closed": worst_border_vs_closed(report, closed),
         "max_unit_residual_on_t_eq": max([0.0] + [
             perturbed_sphericity(prof.d, report.entry, float(t), prof.tol)[0].unit_residual
-            for t in report.t_eq.members()
+            for t in report.teq_members()
         ]),
     }
 

@@ -24,7 +24,6 @@ from .linalg import (
     EigDecomp,
     TolerancePolicy,
     fix_column_signs,
-    pinv,
     sym_eig,
     symmetrize,
 )
@@ -154,6 +153,8 @@ class EdmProfile:
     B: np.ndarray
     B_dag: np.ndarray
     D_dag: np.ndarray
+    # kappa(D) under the rank cut, from the factorization that gives D+.
+    cond_d: float
     P: np.ndarray
     w: np.ndarray
     Z: np.ndarray | None
@@ -211,9 +212,9 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     """Full derived profile of an EDM; raises NotAnEdm otherwise.
 
     B is factored once: the EDM verdict, r, P, B+ and the Gale basis all
-    come from that decomposition.  D+ comes from a second one.  The row
-    scales that every zero and parallelism test is judged against are
-    computed once here.
+    come from that decomposition.  D+ and kappa(D) come from a second one.
+    The row scales that every zero and parallelism test is judged against
+    are computed once here.
     """
     a = d.d
     n = d.n
@@ -230,7 +231,9 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     vals_r = np.clip(dec.values[:r], 0.0, None)
     p = fix_column_signs(dec.vectors[:, :r] * np.sqrt(vals_r))
 
-    d_dag = pinv(a, tol)
+    d_dec = sym_eig(a)
+    d_dag, cond_d = d_dec.pinv(tol), d_dec.cond(tol)
+    del d_dec  # else its n x n eigenvectors stay alive through the Gale SVD
     w = d_dag @ e
     b_dag = dec.pinv(tol)
 
@@ -267,6 +270,7 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
         B=_readonly(b),
         B_dag=_readonly(b_dag),
         D_dag=_readonly(d_dag),
+        cond_d=cond_d,
         P=_readonly(p),
         w=_readonly(w),
         Z=z,

@@ -3,7 +3,9 @@
 For a yielding entry d_kl, T<= collects the perturbations t for which
 D + t E^kl stays a spherical EDM of radius at most one, and T= those for
 which the radius is exactly one.  Which case applies is decided by the
-rows of [w Z] (w alone when r = n-1):
+rows of [w Z] (w alone when r = n-1), the rows k+1 and l+1 of the
+bordered Gale matrix, so T<= is the yielding interval of (k+1, l+1) in
+the bordered matrix:
 
   * rows k, l not parallel        -> T<= = {0}
   * rows both zero                -> T<= = [theta_lower, theta_upper], radius
@@ -21,9 +23,10 @@ pinv(B):
          = beta2 (t - theta_lower)(t - theta_upper)
 
 classify makes this case split once per entry and returns it as a
-PerturbationReport; radius_squared evaluates the radius from that report
-without classifying again.  Both parallelism tests use the profile's row
-scales, and the near-parallel warnings read the ratio each test measured.
+PerturbationReport, whose case tag and T<= fix T=; radius_squared
+evaluates the radius from that report without classifying again.  Both
+parallelism tests use the profile's row scales, and the near-parallel
+warnings read the ratio each test measured.
 """
 
 from __future__ import annotations
@@ -49,16 +52,13 @@ from .yielding import (
     ParallelKind,
     ParallelRelation,
     YieldingReport,
-    parallel_relation,
+    row_interval,
     singleton_gap,
-    theta_c,
     yielding_report,
 )
 
 __all__ = [
     "CaseTag",
-    "TeqKind",
-    "TeqSet",
     "RadiusCoefficients",
     "PerturbationReport",
     "radius_squared",
@@ -82,29 +82,6 @@ class CaseTag(enum.Enum):
     CONTINUUM_UNIT = "ContinuumUnit"
     PAIR_UNIT = "PairUnit"
     SINGLETON_UNIT = "SingletonUnit"
-
-
-class TeqKind(enum.Enum):
-    CONTINUUM = "continuum"
-    PAIR = "pair"
-    SINGLETON = "singleton"
-
-
-@dataclass(frozen=True)
-class TeqSet:
-    """Perturbations keeping the EDM exactly unit spherical."""
-
-    kind: TeqKind
-    interval: Interval | None = None
-    points: tuple[float, ...] = ()
-
-    def members(self) -> tuple[float, ...]:
-        """Representative members (interval endpoints plus 5 interior samples)."""
-        if self.kind is TeqKind.CONTINUUM:
-            assert self.interval is not None
-            inner = self.interval.interior_samples(5)
-            return (self.interval.lo, *map(float, inner), self.interval.hi)
-        return self.points
 
 
 @dataclass(frozen=True)
@@ -142,24 +119,30 @@ class PerturbationReport:
 
     @property
     def theta_c(self) -> float | None:
-        """theta_c of the [w Z] scalar c in the rational case, else None.
-
-        It is the nonzero end of T<=: [theta_c, 0] for c > 0, [0, theta_c]
-        for c < 0.
-        """
+        """theta_c of the [w Z] scalar c, the nonzero end of T<=, in the
+        rational case, else None."""
         if self.coefficients is None:
             return None
         return self.t_leq.lo if self.coefficients.c > 0 else self.t_leq.hi
 
     @property
-    def t_eq(self) -> TeqSet:
-        """T=, which the case and T<= fix: all of T<= for ContinuumUnit,
-        {0, theta_c} for PairUnit and {0} otherwise."""
+    def t_eq(self) -> tuple[float, ...]:
+        """T=, which the case and T<= fix: the ends of T<= for ContinuumUnit
+        (T= is all of T<=), the points {0, theta_c} for PairUnit and {0}
+        otherwise."""
         if self.case_tag is CaseTag.CONTINUUM_UNIT:
-            return TeqSet(TeqKind.CONTINUUM, interval=self.t_leq)
+            return tuple(self.t_leq)
         if self.case_tag is CaseTag.PAIR_UNIT:
-            return TeqSet(TeqKind.PAIR, points=tuple(sorted((0.0, self.theta_c))))
-        return TeqSet(TeqKind.SINGLETON, points=(0.0,))
+            return tuple(sorted((0.0, self.theta_c)))
+        return (0.0,)
+
+    def teq_members(self) -> tuple[float, ...]:
+        """Representative members of T=: its points, or for ContinuumUnit the
+        ends of T<= and 5 interior samples."""
+        if self.case_tag is CaseTag.CONTINUUM_UNIT:
+            inner = map(float, self.t_leq.interior_samples(5))
+            return (self.t_leq.lo, *inner, self.t_leq.hi)
+        return self.t_eq
 
 
 def _require_unit(prof: EdmProfile) -> None:
@@ -183,10 +166,12 @@ def _build_coefficients(
     # here means w and the parallelism scalar disagree with the profile.
     b1_alt = alpha1 - 4.0 * c * w_l**2
     b2_alt = alpha2 + 2.0 * w_l**2 * (dd[i, i] + c * c * dd[j, j] - 2.0 * c * dd[i, j])
+    # The entries of D+ carry about n kappa(D) eps of error near a rank drop.
+    gate = RECON_REL + prof.n * prof.cond_d * np.finfo(float).eps
     scale1 = max(abs(beta1), abs(b1_alt), 1.0)
     scale2 = max(abs(beta2), abs(b2_alt), 1.0)
-    if (abs(beta1 - b1_alt) > RECON_REL * scale1
-            or abs(beta2 - b2_alt) > RECON_REL * scale2):
+    if (abs(beta1 - b1_alt) > gate * scale1
+            or abs(beta2 - b2_alt) > gate * scale2):
         raise NumericalFailure(
             f"radius coefficient identities failed for entry ({entry.k},{entry.l})"
         )
@@ -222,23 +207,19 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
 
     if not yrep.yielding:
         warnings = _near_parallel(yrep.gale_relation, "Gale rows", "the unyielding verdict")
-        return report(CaseTag.NOT_YIELDING, Interval(0.0, 0.0), warnings=warnings)
+        return report(CaseTag.NOT_YIELDING, yrep.interval, warnings=warnings)
 
-    zt = prof.Z_tilde
-    trel = parallel_relation(zt[entry.i], zt[entry.j], scale=prof.zt_scale)
+    trel, tleq = row_interval(prof, entry, prof.Z_tilde, prof.zt_scale)
     if trel.kind is ParallelKind.NOT_PARALLEL:
         warnings = _near_parallel(trel, "stacked rows", "the trivial radius-one set")
-        return report(CaseTag.TLEQ_TRIVIAL, Interval(0.0, 0.0), warnings=warnings)
+        return report(CaseTag.TLEQ_TRIVIAL, tleq, warnings=warnings)
 
     if trel.kind is ParallelKind.BOTH_ZERO:
         # w_k = w_l = 0 (and z^k = z^l = 0): the radius stays 1 on the whole
         # yielding interval.
-        return report(CaseTag.CONTINUUM_UNIT, yrep.interval)
+        return report(CaseTag.CONTINUUM_UNIT, tleq)
 
-    c = float(trel.c)
-    tc = theta_c(prof, entry, c)
-    tleq = Interval(tc, 0.0) if c > 0 else Interval(0.0, tc)
-
+    c = trel.c
     w = prof.w
     w_zero = PARALLEL_TOL * prof.w_scale
     wk_zero = abs(w[entry.i]) <= w_zero

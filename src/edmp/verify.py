@@ -47,7 +47,7 @@ from .oracle import (
     perturbed_sphericity,
     sdp_min_radius_sq,
 )
-from .perturbation import CaseTag, PerturbationReport, TeqKind, classify, radius_squared
+from .perturbation import CaseTag, PerturbationReport, classify, radius_squared
 from .yielding import EntryIndex
 
 __all__ = [
@@ -348,10 +348,10 @@ def check_entry(
                abs(hi_found - tleq.hi) <= 1e-6 and abs(lo_found - tleq.lo) <= 1e-6,
                f"bisected endpoints ({lo_found}, {hi_found}) vs {tuple(tleq)}")
 
-    members = report.t_eq.members()
+    members = report.teq_members()
     out.append(check_teq_members(d, entry, members, tol))
 
-    if report.t_eq.kind is not TeqKind.CONTINUUM and tleq.width > 0.0:
+    if report.case_tag is not CaseTag.CONTINUUM_UNIT and tleq.width > 0.0:
         probes = [t for t in tleq.interior_samples(4)
                   if min(abs(t - m) for m in members) > 0.05 * tleq.width]
         if probes:

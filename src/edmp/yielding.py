@@ -4,8 +4,9 @@ An off-diagonal entry d_kl is yielding when it can move, all other
 entries fixed, without the matrix ceasing to be an EDM.  For embedding
 dimension n-1 every entry is yielding; otherwise the decision is the
 parallelism of the Gale transforms z^k and z^l, decided by
-parallel_relation, which also tests the rows of [w Z] and keeps the ratio
-it measured.  The interval endpoints are closed forms in entries of the
+parallel_relation, which keeps the ratio it measured.  row_interval maps
+that relation to an interval; on the rows of [w Z] instead of Z it gives
+T<=.  The interval endpoints are closed forms in entries of the
 pseudoinverse of the centroid Gram matrix:
 
     theta_lower = 2 / (B+_kl - sqrt(B+_kk B+_ll))
@@ -32,6 +33,7 @@ __all__ = [
     "ParallelRelation",
     "YieldingReport",
     "parallel_relation",
+    "row_interval",
     "singleton_gap",
     "theta_bounds",
     "theta_c",
@@ -123,12 +125,20 @@ class YieldingReport:
     """
 
     entry: EntryIndex
-    yielding: bool
     gale_relation: ParallelRelation
     theta_lower: float | None
     theta_upper: float | None
-    theta_c: float | None
     interval: Interval
+
+    @property
+    def yielding(self) -> bool:
+        return self.gale_relation.kind is not ParallelKind.NOT_PARALLEL
+
+    @property
+    def theta_c(self) -> float | None:
+        """Nonzero end of the interval when the Gale rows are u = c v, else None."""
+        c = self.gale_relation.c
+        return None if c is None else (self.interval.lo if c > 0 else self.interval.hi)
 
 
 def parallel_relation(u, v, scale: float) -> ParallelRelation:
@@ -199,26 +209,32 @@ def singleton_gap(prof: EdmProfile, entry: EntryIndex, c: float) -> float:
     return abs(kk - cll) / max(kk, cll, 1e-300)
 
 
-def yielding_report(prof: EdmProfile, entry: EntryIndex) -> YieldingReport:
-    """Decide yielding status of d_kl and compute its interval."""
+def row_interval(
+    prof: EdmProfile, entry: EntryIndex, rows: np.ndarray | None, scale: float | None
+) -> tuple[ParallelRelation, Interval]:
+    """Relation of rows k and l of `rows` (zero-tested against `scale`) and
+    its interval: [theta_lower, theta_upper] when both are zero (so when
+    rows is None, the Gale stack at r = n-1), the half-interval ending at
+    theta_c when u = c v, else [0, 0].  A degenerate denominator propagates.
+    """
     entry.check_order(prof.n)
-    if prof.Z is None:  # r = n-1: the Gale rows count as BOTH_ZERO
+    if rows is None:
         relation = ParallelRelation(ParallelKind.BOTH_ZERO)
     else:
-        relation = parallel_relation(prof.Z[entry.i], prof.Z[entry.j], scale=prof.z_scale)
-
+        relation = parallel_relation(rows[entry.i], rows[entry.j], scale=scale)
     if relation.kind is ParallelKind.BOTH_ZERO:
-        # The interval is [theta_lower, theta_upper] itself; a degenerate
-        # denominator propagates since no closed form remains.
-        lo, hi = theta_bounds(prof, entry)
-        return YieldingReport(entry, True, relation, lo, hi, None, Interval(lo, hi))
+        return relation, Interval(*theta_bounds(prof, entry))
+    if relation.kind is ParallelKind.SCALAR:
+        tc = theta_c(prof, entry, relation.c)
+        return relation, Interval(tc, 0.0) if relation.c > 0 else Interval(0.0, tc)
+    return relation, Interval(0.0, 0.0)
 
+
+def yielding_report(prof: EdmProfile, entry: EntryIndex) -> YieldingReport:
+    """Decide yielding status of d_kl and compute its interval."""
+    relation, interval = row_interval(prof, entry, prof.Z, prof.z_scale)
     try:
         lo, hi = theta_bounds(prof, entry)
     except DegenerateDenominator:
         lo = hi = None
-    if relation.kind is ParallelKind.SCALAR:
-        tc = theta_c(prof, entry, relation.c)
-        interval = Interval(tc, 0.0) if relation.c > 0 else Interval(0.0, tc)
-        return YieldingReport(entry, True, relation, lo, hi, tc, interval)
-    return YieldingReport(entry, False, relation, lo, hi, None, Interval(0.0, 0.0))
+    return YieldingReport(entry, relation, lo, hi, interval)

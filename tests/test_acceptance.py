@@ -16,7 +16,6 @@ from edmp import (
     EntryIndex,
     InstanceSpec,
     Structure,
-    TeqKind,
     bdag_identity,
     bprime_dag_identity,
     classify,
@@ -116,9 +115,8 @@ def test_criterion_1_square_example():
         assert_allclose(tuple(rep13.interval), (-4.0, 0.0), atol=1e-9)
         rep13 = classify(prof, e13)
         assert_allclose(interval_of(rep13.t_leq), (-4.0, 0.0), atol=1e-9)
-        eq13 = rep13.t_eq
-        assert eq13.kind is TeqKind.CONTINUUM
-        assert_allclose(tuple(eq13.interval), (-4.0, 0.0), atol=1e-9)
+        assert rep13.case_tag is CaseTag.CONTINUUM_UNIT
+        assert_allclose(rep13.t_eq, (-4.0, 0.0), atol=1e-9)
 
 
 def test_criterion_2_antipodal_example():
@@ -133,17 +131,15 @@ def test_criterion_2_antipodal_example():
                         atol=1e-9)
         rep12 = classify(prof, e12)
         assert_allclose(interval_of(rep12.t_leq), (-4.0, 0.0), atol=1e-9)
-        eq12 = rep12.t_eq
-        assert eq12.kind is TeqKind.SINGLETON and eq12.points == (0.0,)
+        assert rep12.case_tag is CaseTag.SINGLETON_UNIT and rep12.t_eq == (0.0,)
 
         e34 = EntryIndex(3, 4)
         assert_allclose(tuple(yielding_report(prof, e34).interval), (-2.0, 2.0),
                         atol=1e-9)
         rep34 = classify(prof, e34)
         assert_allclose(interval_of(rep34.t_leq), (-2.0, 2.0), atol=1e-9)
-        eq34 = rep34.t_eq
-        assert eq34.kind is TeqKind.CONTINUUM
-        assert_allclose(tuple(eq34.interval), (-2.0, 2.0), atol=1e-9)
+        assert rep34.case_tag is CaseTag.CONTINUUM_UNIT
+        assert_allclose(rep34.t_eq, (-2.0, 2.0), atol=1e-9)
 
 
 def test_criterion_3_triangle_example():
@@ -159,9 +155,8 @@ def test_criterion_3_triangle_example():
         for t in (0.0, 0.5, 1.0, 2.0, 3.0):
             expected = (3 + 3 * t) / (3 + 6 * t - t * t)
             assert_allclose(radius_squared(rep12, t), expected, atol=1e-10)
-        eq12 = rep12.t_eq
-        assert eq12.kind is TeqKind.PAIR
-        assert_allclose(eq12.points, (0.0, 3.0), atol=1e-9)
+        assert rep12.case_tag is CaseTag.PAIR_UNIT
+        assert_allclose(rep12.t_eq, (0.0, 3.0), atol=1e-9)
 
         e13 = EntryIndex(1, 3)
         assert_allclose(tuple(yielding_report(prof, e13).interval), (-3.0, 1.0),
@@ -170,7 +165,7 @@ def test_criterion_3_triangle_example():
         assert_allclose(interval_of(rep13.t_leq), (-3.0, 0.0), atol=1e-9)
         for t in (-3.0, -1.5, -0.5, 0.0):
             assert_allclose(radius_squared(rep13, t), 1.0 / (1.0 - t), atol=1e-10)
-        assert rep13.t_eq.kind is TeqKind.SINGLETON
+        assert rep13.case_tag is CaseTag.SINGLETON_UNIT and rep13.t_eq == (0.0,)
 
         # The bordered pathway rebuilds both quadratics g: coefficients are
         # recovered from beta2 and the two roots used by its closed form.
@@ -233,7 +228,7 @@ def test_criterion_6_membership_soundness(mixed_pool):
                 for t in (iv.hi + 1e-3, iv.lo - 1e-3):
                     m = 2.0 - d.perturbed_array(entry.i, entry.j, float(t))
                     assert sym_eig(m).values[-1] < -1e-10
-            for t in report.t_eq.members():
+            for t in report.teq_members():
                 w_t = pinv(d.perturbed_array(entry.i, entry.j, float(t))) @ np.ones(n)
                 assert abs(2.0 * float(w_t.sum()) - 1.0) <= 1e-8
 

@@ -1,5 +1,7 @@
 """Tests for the bordered-matrix pathway."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,9 +24,12 @@ from edmp import (
     gen_unit_spherical,
     profile,
     radius_squared,
+    yielding_report,
 )
+from edmp.cayley import bordered
 from edmp.linalg import pinv
 from edmp.model import centroid_gram
+from edmp.verify import default_templates
 
 from conftest import gen_nonspherical
 
@@ -203,3 +208,22 @@ class TestCrossPath:
         shrunk = DistanceMatrix(0.5 * d.d)
         view2 = cm_build(shrunk)
         assert e_t @ pinv(view2.d_tilde) @ e_t > 1e-3
+
+    @pytest.mark.parametrize("template", default_templates(8),
+                             ids=lambda t: f"{t.expected.value}-n{t.spec.n}-r{t.spec.r}")
+    def test_tleq_is_bordered_yielding_interval(self, template):
+        # Rows k+1 and l+1 of the bordered Gale matrix are the rows k and l
+        # of [w Z], so the paper's Cayley-Menger derivation gives T<= as the
+        # yielding interval of (k+1, l+1) in the bordered matrix.
+        entry = template.spec.entry
+        shifted = EntryIndex(entry.k + 1, entry.l + 1)
+        tags = set()
+        for seed in range(10):
+            d = gen_unit_spherical(replace(template.spec, seed=seed))
+            report = classify(profile(d), entry)
+            tags.add(report.case_tag)
+            border = yielding_report(profile(DistanceMatrix(bordered(d))), shifted)
+            scale = max(abs(end) for end in (*report.t_leq, *border.interval))
+            for got, want in zip(border.interval, report.t_leq):
+                assert abs(got - want) <= 1e-10 * scale
+        assert tags == {template.expected}

@@ -100,13 +100,14 @@ def test_sweep_classifies_once(counts, tmp_path):
     assert classify(profile(d), EntryIndex(1, 2)).case_tag is CaseTag.PAIR_UNIT
     path = tmp_path / "d.csv"
     path.write_text(matrix_to_csv(d))
-    counts["yielding_report"] = 0
+    counts["yielding_report"] = counts["cond"] = 0
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(["sweep", str(path), "--k", "1", "--l", "2", "--num", "2001"])
     assert code == 0
     assert len(out.getvalue().splitlines()) == 2002
     assert counts["yielding_report"] == 1
-    assert counts["cond"] == 0
+    # The one condition number is the profile's kappa(D); none is taken per t.
+    assert counts["cond"] == 1
 
 
 def test_bordered_view_builds_its_gram_once(counts):

@@ -206,7 +206,7 @@ class TestMembershipScan:
                 for cells in (row.split(",") for row in out.getvalue().splitlines()[1:])]
         assert len(rows) == 2001
         # The grid misses the two T= points, so they are scanned as well.
-        members = classify(profile(d), entry).t_eq.members()
+        members = classify(profile(d), entry).teq_members()
         scanned = [(rec.t, rec.in_t_leq, rec.in_t_eq)
                    for rec in membership_scan(d, entry, members)]
         assert [in_t_eq for _, _, in_t_eq in scanned] == [True, True]

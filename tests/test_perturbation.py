@@ -13,7 +13,6 @@ from edmp import (
     InstanceSpec,
     OutsideTleq,
     PreconditionViolated,
-    TeqKind,
     classify,
     gen_unit_spherical,
     profile,
@@ -84,7 +83,7 @@ class TestRadiusCoefficients:
         prof = profile(d)
         rep = classify(prof, EntryIndex(2, 4))
         co = rep.coefficients
-        tc = [v for v in rep.t_eq.points if v != 0.0]
+        tc = [v for v in rep.t_eq if v != 0.0]
         if not tc:  # singleton draw; theta_c is the nonzero T<= endpoint
             iv = rep.t_leq
             tc = [iv.lo if iv.lo != 0.0 else iv.hi]
@@ -153,37 +152,40 @@ class TestRadiusSquared:
 
 class TestTeq:
     def test_triangle(self, triangle_profile):
-        out = report(triangle_profile, 1, 2).t_eq
-        assert out.kind is TeqKind.PAIR
-        assert_allclose(out.points, (0.0, 3.0), atol=1e-10)
-        out = report(triangle_profile, 1, 3).t_eq
-        assert out.kind is TeqKind.SINGLETON
-        assert out.points == (0.0,)
+        out = report(triangle_profile, 1, 2)
+        assert out.case_tag is CaseTag.PAIR_UNIT
+        assert_allclose(out.t_eq, (0.0, 3.0), atol=1e-10)
+        out = report(triangle_profile, 1, 3)
+        assert out.case_tag is CaseTag.SINGLETON_UNIT
+        assert out.t_eq == (0.0,)
 
     def test_antipodal(self, antipodal_profile):
-        out = report(antipodal_profile, 1, 2).t_eq
-        assert out.kind is TeqKind.SINGLETON
-        out = report(antipodal_profile, 3, 4).t_eq
-        assert out.kind is TeqKind.CONTINUUM
-        assert_allclose(tuple(out.interval), (-2.0, 2.0), atol=1e-10)
+        out = report(antipodal_profile, 1, 2)
+        assert out.case_tag is CaseTag.SINGLETON_UNIT and out.t_eq == (0.0,)
+        out = report(antipodal_profile, 3, 4)
+        assert out.case_tag is CaseTag.CONTINUUM_UNIT
+        assert_allclose(out.t_eq, (-2.0, 2.0), atol=1e-10)
 
     def test_square(self, square_profile):
-        out = report(square_profile, 1, 3).t_eq
-        assert out.kind is TeqKind.CONTINUUM
-        assert_allclose(tuple(out.interval), (-4.0, 0.0), atol=1e-10)
-        out = report(square_profile, 1, 2).t_eq
-        assert out.kind is TeqKind.SINGLETON
+        out = report(square_profile, 1, 3)
+        assert out.case_tag is CaseTag.CONTINUUM_UNIT
+        assert_allclose(out.t_eq, (-4.0, 0.0), atol=1e-10)
+        out = report(square_profile, 1, 2)
+        assert out.case_tag is CaseTag.TLEQ_TRIVIAL and out.t_eq == (0.0,)
 
     def test_members_stay_unit_spherical(self, antipodal, antipodal_profile):
-        out = report(antipodal_profile, 3, 4).t_eq
-        for t in out.members():
+        rep = report(antipodal_profile, 3, 4)
+        members = rep.teq_members()
+        assert len(members) == 7 and (members[0], members[-1]) == tuple(rep.t_leq)
+        for t in members:
             w_t = pinv(antipodal.perturbed_array(2, 3, float(t))) @ np.ones(4)
             assert abs(2.0 * w_t.sum() - 1.0) <= 1e-9
 
     def test_pair_member_is_unit_nonmembers_are_not(self, triangle):
         prof = profile(triangle)
-        out = report(prof, 1, 2).t_eq
-        for t in out.points:
+        out = report(prof, 1, 2)
+        assert out.teq_members() == out.t_eq
+        for t in out.t_eq:
             w_t = pinv(triangle.perturbed_array(0, 1, float(t))) @ np.ones(3)
             assert abs(2.0 * w_t.sum() - 1.0) <= 1e-10
         for t in (0.75, 1.5, 2.25):
@@ -205,7 +207,7 @@ class TestClassify:
         d = gen_unit_spherical(InstanceSpec(n=5, r=2, entry=EntryIndex(1, 2), seed=31))
         rep = classify(profile(d), EntryIndex(1, 2))
         assert rep.case_tag is CaseTag.NOT_YIELDING
-        assert rep.t_eq.kind is TeqKind.SINGLETON
+        assert rep.t_eq == (0.0,)
         assert rep.coefficients is None
 
     def test_trivial_case_has_no_coefficients(self, square_profile):
@@ -223,8 +225,11 @@ class TestClassify:
                     if rep.case_tag in (CaseTag.PAIR_UNIT, CaseTag.SINGLETON_UNIT):
                         assert rep.coefficients is not None
                         assert rep.coefficients.beta2 < 0.0
-                    if rep.t_eq.kind is TeqKind.CONTINUUM:
-                        assert rep.case_tag is CaseTag.CONTINUUM_UNIT
+                    if rep.case_tag is CaseTag.CONTINUUM_UNIT:
+                        assert rep.t_eq == tuple(rep.t_leq)
+                    else:
+                        assert 0.0 in rep.t_eq
+                        assert all(rep.t_leq.contains(t) for t in rep.t_eq)
 
     def test_compound_zero_rows_full_interval(self):
         # Both w and the Gale rows vanish at the pair while r <= n-2: the

@@ -144,7 +144,7 @@ class TestTeqMembersBound:
         sphere, dec = perturbed_sphericity(d, entry, report.theta_c)
         assert dec.cond() > 1e8
         assert sphere.unit_residual > 1e-8
-        members = report.t_eq.members()
+        members = report.teq_members()
         assert report.theta_c in members
         assert check_teq_members(d, entry, members, DEFAULT_TOL).ok
         spec = InstanceSpec(n, r, Structure.GENERIC, entry, seed)
