@@ -56,15 +56,7 @@ from .perturbation import (
     classify,
     radius_squared,
 )
-from .cayley import (
-    CayleyMengerView,
-    cm_build,
-    cm_embedding_dim,
-    cm_gale,
-    cm_is_edm,
-    cm_radius_sq,
-    cm_w_inner,
-)
+from .cayley import bordered, cm_w_inner
 from .oracle import (
     InstanceSpec,
     Structure,

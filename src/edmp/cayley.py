@@ -11,60 +11,25 @@ the same embedding dimension, its Gale matrix has the explicit block
 form [[-1/2, 0], [w, Z]], and e~.w~(t) for the perturbed source has a
 closed form in theta_lower, theta_upper, theta_c.  cm_w_inner reads
 those values, the radius coefficients and the singleton verdict from the
-entry's PerturbationReport.  Everything here is used to cross-check the
-direct perturbation formulas.
+entry's PerturbationReport.
 
-A view factors its bordered matrix once and keeps that decomposition;
-w~ is built under the rank cut passed to cm_build.  The bordered
-centroid Gram is built and factored on first use, once, for the EDM
-test, the embedding dimension and the Gale check, so views that only
-read w~ skip it.  Building a view does not profile the source; cm_gale
-and cm_embedding_dim take the source profile from the caller, which
-already holds it, and cm_embedding_dim reads its rank cut from it.
+The bordered matrix is profiled like any other EDM: profile of
+DistanceMatrix(bordered(d)) gives w~, its pseudoinverse, its centroid
+Gram and its rank.  Everything here is used to cross-check the direct
+perturbation formulas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from .errors import NotAnEdm, NumericalFailure, PoleAt, PreconditionViolated
-from .linalg import DEFAULT_TOL, RECON_REL, EigDecomp, TolerancePolicy, sym_eig
-from .model import DistanceMatrix, EdmProfile, centroid_gram, is_edm_array, require_unit
+from .errors import PoleAt, PreconditionViolated
+from .model import DistanceMatrix
 from .perturbation import CaseTag, PerturbationReport
 
-__all__ = [
-    "CayleyMengerView",
-    "cm_build",
-    "cm_is_edm",
-    "cm_radius_sq",
-    "cm_embedding_dim",
-    "cm_gale",
-    "cm_w_inner",
-]
+__all__ = ["bordered", "cm_w_inner"]
 
 POLE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CayleyMengerView:
-    """The bordered matrix of one source, its eigendecomposition and w vector."""
-
-    d_tilde: np.ndarray
-    eig: EigDecomp
-    w_tilde: np.ndarray
-
-    @cached_property
-    def b_tilde(self) -> np.ndarray:
-        """Bordered centroid Gram, built on first use."""
-        return centroid_gram(self.d_tilde)
-
-    @cached_property
-    def gram(self) -> EigDecomp:
-        """Eigendecomposition of the bordered centroid Gram, made on first use."""
-        return sym_eig(self.b_tilde)
 
 
 def bordered(d: DistanceMatrix) -> np.ndarray:
@@ -74,51 +39,6 @@ def bordered(d: DistanceMatrix) -> np.ndarray:
     out[0, 0] = 0.0
     out[1:, 1:] = d.d
     return out
-
-
-def cm_build(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> CayleyMengerView:
-    """Factor the bordered matrix once; works for any distance matrix."""
-    d_tilde = bordered(d)
-    dec = sym_eig(d_tilde)
-    w_tilde = dec.pinv(tol) @ np.ones(d.n + 1)
-    d_tilde.flags.writeable = False
-    w_tilde.flags.writeable = False
-    return CayleyMengerView(d_tilde, dec, w_tilde)
-
-
-def cm_is_edm(view: CayleyMengerView) -> bool:
-    """The bordered matrix is an EDM iff the source is spherical with rho <= 1."""
-    return is_edm_array(view.d_tilde, gram=view.gram)
-
-
-def cm_radius_sq(view: CayleyMengerView) -> float:
-    """Squared source radius through the border: 1 - e~.w~ / 2."""
-    if not cm_is_edm(view):
-        raise NotAnEdm("bordered matrix is not an EDM: source radius exceeds one")
-    return 1.0 - 0.5 * float(view.w_tilde.sum())
-
-
-def cm_embedding_dim(view: CayleyMengerView, prof: EdmProfile) -> int:
-    """Embedding dimension of the bordered matrix under `prof`'s rank cut;
-    equals that of the unit spherical source `prof`."""
-    require_unit(prof)
-    return view.gram.rank(prof.tol)
-
-
-def cm_gale(view: CayleyMengerView, prof: EdmProfile) -> np.ndarray:
-    """Explicit Gale matrix [[-1/2, 0], [w, Z]] of the bordered matrix of the
-    unit spherical source profiled by `prof`, verified against its null space."""
-    require_unit(prof)
-    n = prof.n
-    gale = np.zeros((n + 1, prof.Z_tilde.shape[1]))
-    gale[0, 0] = -0.5
-    gale[1:] = prof.Z_tilde
-    stack = np.vstack([view.b_tilde, np.ones((1, n + 1))])
-    residual = np.linalg.norm(stack @ gale)
-    scale = max(np.linalg.norm(stack) * np.linalg.norm(gale), 1.0)
-    if residual > RECON_REL * scale:
-        raise NumericalFailure("bordered Gale matrix is not in the expected null space")
-    return gale
 
 
 def cm_w_inner(report: PerturbationReport, t: float) -> float:

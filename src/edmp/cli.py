@@ -23,7 +23,6 @@ from .errors import (
     InfeasibleSpec,
     NotAnEdm,
     NotUnitSpherical,
-    OutsideTleq,
     ParseError,
     PoleAt,
 )
@@ -238,8 +237,8 @@ def cmd_sweep(args, tol: TolerancePolicy) -> int:
         if report.coefficients is not None:
             try:
                 closed = fmt_float(radius_squared(report, rec.t, extrapolate=True))
-            except (PoleAt, OutsideTleq):
-                closed = ""
+            except PoleAt:
+                pass
         oracle = "" if rec.radius_sq is None else fmt_float(rec.radius_sq)
         out.append(
             ",".join([

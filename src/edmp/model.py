@@ -138,10 +138,6 @@ class DistanceMatrix:
         a[l, k] += t
         return a
 
-    def perturbed(self, k: int, l: int, t: float) -> "DistanceMatrix":
-        """Validated copy with t added to the (k,l) and (l,k) entries (0-based)."""
-        return DistanceMatrix(self.perturbed_array(k, l, t))
-
 
 @dataclass(frozen=True)
 class EdmProfile:

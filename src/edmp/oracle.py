@@ -5,6 +5,8 @@ unit-norm points whose affine hull is all of R^r, which pins the
 circumcenter at the origin and the circumradius at one.  Oracles check
 membership claims through raw eigenvalue tests and recover the minimal
 feasible radius by bisection, independently of every closed form.
+gen_unit_profile also returns the profile an instance was accepted on,
+so a caller that checks the instance need not profile it again.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "SweepRecord",
     "edm_from_points",
     "gen_unit_spherical",
+    "gen_unit_profile",
     "perturbed_sphericity",
     "membership_scan",
     "sdp_min_radius_sq",
@@ -300,6 +303,12 @@ def gen_unit_spherical(
     spec: InstanceSpec, tol: TolerancePolicy = DEFAULT_TOL
 ) -> DistanceMatrix:
     """Deterministic unit spherical EDM with the requested structure."""
+    return gen_unit_profile(spec, tol).d
+
+
+def gen_unit_profile(spec: InstanceSpec, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile:
+    """Profile, under `tol`, of the instance gen_unit_spherical returns; it
+    is the profile the generator accepted the instance on."""
     spec.validate()
     rng = np.random.default_rng(np.uint64(spec.seed))
     for _ in range(MAX_ATTEMPTS):
@@ -317,7 +326,7 @@ def gen_unit_spherical(
         except NumericalFailure:
             continue
         if _structure_ok(spec, prof):
-            return d
+            return prof
     raise NumericalFailure(f"instance generation did not converge for {spec}")
 
 

@@ -7,9 +7,9 @@ eigenvalue oracles, unit-radius membership of the reported sets, and the
 rational radius formula against both the direct and the bisection
 oracle.  Case coverage across all five classification tags is part of
 the contract.  Each matrix is factored once: the identities read D+, w
-and B+ from the profile, the bordered view's decomposition gives the
-bordered pseudoinverse and rank, the view's cached bordered Gram gives
-both the bordered EDM test and its embedding dimension, and each T=
+and B+ from the profile the generator accepted the instance on, the
+bordered matrix is profiled like any other EDM and gives w~, the
+bordered pseudoinverse, Gram and embedding dimension, and each T=
 member's w(t) and condition number come from one oracle factorization.
 """
 
@@ -19,16 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cayley import (
-    CayleyMengerView,
-    cm_build,
-    cm_embedding_dim,
-    cm_gale,
-    cm_radius_sq,
-    cm_w_inner,
-)
+from .cayley import bordered, cm_w_inner
 from .errors import EdmpError, PoleAt
-from .linalg import DEFAULT_TOL, TolerancePolicy, pinv, sym_eig
+from .linalg import DEFAULT_TOL, RECON_REL, TolerancePolicy, pinv, sym_eig
 from .model import (
     DistanceMatrix,
     EdmProfile,
@@ -41,7 +34,7 @@ from .model import (
 from .oracle import (
     InstanceSpec,
     Structure,
-    gen_unit_spherical,
+    gen_unit_profile,
     in_t_leq_oracle,
     locate_t_leq_boundary,
     perturbed_sphericity,
@@ -251,7 +244,7 @@ def check_profile(prof: EdmProfile, r_target: int) -> list[CheckResult]:
     return out
 
 
-def check_pinv_identities(prof: EdmProfile, view: CayleyMengerView) -> list[CheckResult]:
+def check_pinv_identities(prof: EdmProfile) -> list[CheckResult]:
     out: list[CheckResult] = []
     b_prime = 1.0 - 0.5 * prof.d.d
     _check(out, "bdag-identity",
@@ -259,29 +252,34 @@ def check_pinv_identities(prof: EdmProfile, view: CayleyMengerView) -> list[Chec
     _check(out, "bprime-identity",
            _mat_rel(bprime_dag_identity(prof), pinv(b_prime, prof.tol)) <= 1e-8,
            "B'+ identity failed")
-    _check(out, "bordered-pinv-block",
-           _mat_rel(cm_dag_block(prof), view.eig.pinv(prof.tol)) <= 1e-8,
-           "bordered pseudoinverse block failed")
     return out
 
 
-def check_bordered(prof: EdmProfile, view: CayleyMengerView) -> list[CheckResult]:
+def check_bordered(prof: EdmProfile, border: EdmProfile) -> list[CheckResult]:
+    """Checks of the unit spherical source `prof` against `border`, the
+    profile of its bordered matrix."""
     out: list[CheckResult] = []
+    _check(out, "bordered-pinv-block",
+           _mat_rel(cm_dag_block(prof), border.D_dag) <= 1e-8,
+           "bordered pseudoinverse block failed")
     w_expect = np.concatenate([[-1.0], 2.0 * prof.w])
-    _check(out, "bordered-w", float(np.linalg.norm(view.w_tilde - w_expect)) <= 1e-8,
+    _check(out, "bordered-w", float(np.linalg.norm(border.w - w_expect)) <= 1e-8,
            "w~ != (-1, 2w)")
-    _check(out, "bordered-balance", abs(float(view.w_tilde.sum())) <= 1e-8,
+    _check(out, "bordered-balance", abs(float(border.w.sum())) <= 1e-8,
            "e~.w~ != 0 for unit spherical source")
-    _check(out, "bordered-radius", _rel(cm_radius_sq(view), 1.0) <= 1e-8,
+    _check(out, "bordered-radius", _rel(1.0 - 0.5 * float(border.w.sum()), 1.0) <= 1e-8,
            "bordered radius != 1")
-    _check(out, "bordered-dim", cm_embedding_dim(view, prof) == prof.r,
+    _check(out, "bordered-dim", border.r == prof.r,
            "bordered embedding dimension mismatch")
-    try:
-        cm_gale(view, prof)
-        _check(out, "bordered-gale", True)
-    except EdmpError as exc:
-        _check(out, "bordered-gale", False, str(exc))
-    rank_dt = view.eig.rank(RANK_CHECK_TOL)
+    # The explicit Gale matrix [[-1/2, 0], [w, Z]] lies in null([B~; e~^T]).
+    gale = np.zeros((prof.n + 1, prof.Z_tilde.shape[1]))
+    gale[0, 0] = -0.5
+    gale[1:] = prof.Z_tilde
+    stack = np.vstack([border.B, np.ones((1, prof.n + 1))])
+    scale = max(np.linalg.norm(stack) * np.linalg.norm(gale), 1.0)
+    _check(out, "bordered-gale", np.linalg.norm(stack @ gale) <= RECON_REL * scale,
+           "bordered Gale matrix is not in the expected null space")
+    rank_dt = sym_eig(border.d.d).rank(RANK_CHECK_TOL)
     _check(out, "bordered-rank", rank_dt == prof.r + 2,
            f"rank(bordered)={rank_dt} expected {prof.r + 2}")
     return out
@@ -419,17 +417,18 @@ def _check_rational_case(prof: EdmProfile, report: PerturbationReport) -> list[C
     worst = worst_border_vs_closed(report, closed) or 0.0
     _check(out, "border-closed-form", worst <= 1e-10,
            f"bordered vs rational radius rel err {worst:.3e}")
-    # The closed form of e~.w~(t) against a raw bordered pseudoinverse.
+    # The closed form of e~.w~(t) against a raw bordered pseudoinverse: the
+    # border of D + t E^kl is D~ + t E^{k+1,l+1}.
+    border = DistanceMatrix(bordered(d))
+    border_entry = EntryIndex(entry.k + 1, entry.l + 1)
     worst_direct = 0.0
     for t in tleq.interior_samples(3):
         t = float(t)
-        pert = d.perturbed(entry.i, entry.j, t)  # interior t: still a valid EDM
-        view = cm_build(pert, prof.tol)
         try:
             closed = cm_w_inner(report, t)
         except PoleAt:
             continue
-        direct = float(view.w_tilde.sum())
+        direct = perturbed_sphericity(border, border_entry, t, prof.tol)[0].e_dot_w
         worst_direct = max(worst_direct, abs(closed - direct) / max(1.0, abs(direct)))
     _check(out, "border-direct", worst_direct <= 1e-8,
            f"closed e~.w~ vs direct rel err {worst_direct:.3e}")
@@ -443,30 +442,28 @@ def _check_rational_case(prof: EdmProfile, report: PerturbationReport) -> list[C
 
 
 def check_instance(
-    d: DistanceMatrix,
+    prof: EdmProfile,
     spec: InstanceSpec,
     expected: CaseTag | None,
-    tol: TolerancePolicy = DEFAULT_TOL,
 ) -> tuple[list[CheckResult], CaseTag | None]:
-    """All structural checks for one generated instance."""
-    results: list[CheckResult] = []
-    try:
-        prof = profile(d, tol)
-    except EdmpError as exc:
-        results.append(CheckResult("profile-build", False, str(exc)))
-        return results, None
-    results.extend(check_profile(prof, spec.r))
+    """All structural checks for one generated instance, given its profile."""
+    results = check_profile(prof, spec.r)
     if not prof.unit_spherical:
         return results, None
+    d, tol = prof.d, prof.tol
     # Relabeling the points must not move the embedding dimension or radius.
     perm = np.random.default_rng(spec.seed ^ 0xA5A5).permutation(d.n)
     shuffled = profile(DistanceMatrix(d.d[np.ix_(perm, perm)]), tol)
     _check(results, "permutation-invariance",
            shuffled.r == prof.r and abs(shuffled.radius - prof.radius) <= 1e-10,
            f"relabeled profile gives r={shuffled.r}, radius={shuffled.radius!r}")
-    view = cm_build(d, tol)
-    results.extend(check_pinv_identities(prof, view))
-    results.extend(check_bordered(prof, view))
+    results.extend(check_pinv_identities(prof))
+    try:
+        border = profile(DistanceMatrix(bordered(d)), tol)
+    except EdmpError as exc:
+        results.append(CheckResult("bordered-profile", False, str(exc)))
+    else:
+        results.extend(check_bordered(prof, border))
     tag = None
     if spec.entry is not None:
         entry_results, tag = check_entry(prof, spec.entry, expected)
@@ -492,14 +489,14 @@ def run_verification(
         desc = (f"n={spec.n} r={spec.r} structure={spec.structure.value} "
                 f"entry=({spec.entry.k},{spec.entry.l})")
         try:
-            d = gen_unit_spherical(spec, tol)
+            prof = gen_unit_profile(spec, tol)
         except EdmpError as exc:
             summary.failures.append(
                 (child_seed, desc, CheckResult("generate", False, str(exc)))
             )
             summary.instances += 1
             continue
-        results, tag = check_instance(d, spec, template.expected, tol)
+        results, tag = check_instance(prof, spec, template.expected)
         summary.instances += 1
         for res in results:
             if res.ok:

@@ -60,10 +60,11 @@ def triangle_profile(triangle):
 
 @pytest.fixture
 def radius_off_one(monkeypatch):
-    """verify's generator returns 1.21 D, so every instance has radius 1.1."""
-    real = edmp.verify.gen_unit_spherical
-    monkeypatch.setattr(edmp.verify, "gen_unit_spherical",
-                        lambda *args: DistanceMatrix(1.21 * real(*args).d))
+    """verify's generator returns the profile of 1.21 D, so every instance
+    has radius 1.1."""
+    real = edmp.verify.gen_unit_profile
+    monkeypatch.setattr(edmp.verify, "gen_unit_profile",
+                        lambda *args: profile(DistanceMatrix(1.21 * real(*args).d.d)))
 
 
 def gen_nonspherical(n: int, r: int, seed: int) -> DistanceMatrix:

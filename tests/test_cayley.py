@@ -1,4 +1,8 @@
-"""Tests for the bordered-matrix pathway."""
+"""Tests for the bordered-matrix pathway.
+
+The bordered matrix is profiled like any other EDM: its w, pseudoinverse,
+centroid Gram and rank come from profile(DistanceMatrix(bordered(d))).
+"""
 
 from dataclasses import replace
 
@@ -11,14 +15,8 @@ from edmp import (
     EntryIndex,
     InstanceSpec,
     NotAnEdm,
-    NotUnitSpherical,
     PoleAt,
     PreconditionViolated,
-    cm_build,
-    cm_embedding_dim,
-    cm_gale,
-    cm_is_edm,
-    cm_radius_sq,
     classify,
     cm_w_inner,
     gen_unit_spherical,
@@ -27,9 +25,9 @@ from edmp import (
     yielding_report,
 )
 from edmp.cayley import bordered
-from edmp.linalg import pinv
-from edmp.model import centroid_gram
-from edmp.verify import default_templates
+from edmp.linalg import pinv, sym_eig
+from edmp.model import centroid_gram, is_edm_array
+from edmp.verify import check_bordered, default_templates
 
 from conftest import gen_nonspherical
 
@@ -38,37 +36,55 @@ def rho12(t):
     return (3.0 + 3.0 * t) / (3.0 + 6.0 * t - t * t)
 
 
+def border_profile(d):
+    return profile(DistanceMatrix(bordered(d)))
+
+
+def border_radius_sq(d):
+    """Squared source radius through the border: 1 - e~.w~ / 2."""
+    return 1.0 - 0.5 * float(border_profile(d).w.sum())
+
+
+def null_basis(d):
+    """Orthonormal basis of null([B~; e~^T]) for the bordered matrix of d, by SVD."""
+    stack = np.vstack([centroid_gram(bordered(d)), np.ones((1, d.n + 1))])
+    _, sing, vt = np.linalg.svd(stack)
+    return vt[np.count_nonzero(sing > 1e-10 * sing[0]):].T
+
+
+def result(results, name):
+    return next(res for res in results if res.name == name)
+
+
 class TestBuild:
     def test_zero_source_shape(self):
-        view = cm_build(DistanceMatrix(np.zeros((3, 3))))
-        assert view.d_tilde.shape == (4, 4)
-        assert view.d_tilde[0, 0] == 0.0
-        assert_allclose(view.d_tilde[0, 1:], 1.0)
-        assert_allclose(view.d_tilde[1:, 0], 1.0)
+        d_tilde = bordered(DistanceMatrix(np.zeros((3, 3))))
+        assert d_tilde.shape == (4, 4)
+        assert d_tilde[0, 0] == 0.0
+        assert_allclose(d_tilde[0, 1:], 1.0)
+        assert_allclose(d_tilde[1:, 0], 1.0)
 
     def test_triangle_w_tilde(self, triangle):
-        view = cm_build(triangle)
-        assert_allclose(view.w_tilde, [-1.0, 1.0, -1.0, 1.0], atol=1e-10)
+        assert_allclose(border_profile(triangle).w, [-1.0, 1.0, -1.0, 1.0], atol=1e-10)
 
     def test_unit_source_balance(self):
         d = gen_unit_spherical(InstanceSpec(n=6, r=3, seed=2))
-        view = cm_build(d)
-        assert abs(view.w_tilde.sum()) <= 1e-9
+        w_tilde = border_profile(d).w
+        assert abs(w_tilde.sum()) <= 1e-9
         prof = profile(d)
-        assert_allclose(view.w_tilde, np.concatenate([[-1.0], 2.0 * prof.w]),
-                        atol=1e-9)
+        assert_allclose(w_tilde, np.concatenate([[-1.0], 2.0 * prof.w]), atol=1e-9)
 
 
 class TestIsEdmAndRadius:
     def test_unit_source_is_edm(self, square):
-        assert cm_is_edm(cm_build(square))
+        assert is_edm_array(bordered(square))
 
     def test_double_radius_is_not(self, triangle):
-        assert not cm_is_edm(cm_build(DistanceMatrix(4.0 * triangle.d)))
+        assert not is_edm_array(bordered(DistanceMatrix(4.0 * triangle.d)))
 
     def test_nonspherical_source_is_not(self):
         d = gen_nonspherical(5, 3, seed=4)
-        assert not cm_is_edm(cm_build(d))
+        assert not is_edm_array(bordered(d))
 
     def test_agreement_with_radius_condition(self, triangle):
         # Bordered EDM-ness tracks (spherical and radius <= 1) across scalings.
@@ -76,78 +92,84 @@ class TestIsEdmAndRadius:
             scaled = DistanceMatrix(sigma_sq * triangle.d)
             prof = profile(scaled)
             expected = prof.spherical and prof.radius <= 1.0 + 1e-12
-            assert cm_is_edm(cm_build(scaled)) == expected
+            assert is_edm_array(bordered(scaled)) == expected
             # Both equivalent to 2E - D >= 0.
             vals = np.linalg.eigvalsh(2.0 * np.ones((3, 3)) - scaled.d)
             assert (vals[0] >= -1e-9) == expected
 
     def test_radius_of_unit_source(self, square):
-        assert_allclose(cm_radius_sq(cm_build(square)), 1.0, atol=1e-10)
+        assert_allclose(border_radius_sq(square), 1.0, atol=1e-10)
 
     def test_radius_of_scaled_source(self, triangle):
         scaled = DistanceMatrix(0.25 * triangle.d)
-        view = cm_build(scaled)
-        assert_allclose(cm_radius_sq(view), 0.25, atol=1e-10)
+        assert_allclose(border_radius_sq(scaled), 0.25, atol=1e-10)
         w = pinv(scaled.d) @ np.ones(3)
-        assert_allclose(cm_radius_sq(view), 1.0 / (2.0 * w.sum()), atol=1e-10)
+        assert_allclose(border_radius_sq(scaled), 1.0 / (2.0 * w.sum()), atol=1e-10)
 
     def test_radius_of_perturbed_triangle(self, triangle):
-        pert = triangle.perturbed(0, 2, -3.0)
-        assert_allclose(cm_radius_sq(cm_build(pert)), 0.25, atol=1e-10)
+        pert = DistanceMatrix(triangle.perturbed_array(0, 2, -3.0))
+        assert_allclose(border_radius_sq(pert), 0.25, atol=1e-10)
 
     def test_radius_requires_edm(self, triangle):
         with pytest.raises(NotAnEdm):
-            cm_radius_sq(cm_build(DistanceMatrix(4.0 * triangle.d)))
+            border_profile(DistanceMatrix(4.0 * triangle.d))
 
 
 class TestEmbeddingDim:
     def test_goldens(self, triangle, square):
-        assert cm_embedding_dim(cm_build(triangle), profile(triangle)) == 2
-        assert cm_embedding_dim(cm_build(square), profile(square)) == 2
+        assert border_profile(triangle).r == 2
+        assert border_profile(square).r == 2
 
     def test_generated(self):
         d = gen_unit_spherical(InstanceSpec(n=5, r=4, seed=6))
-        assert cm_embedding_dim(cm_build(d), profile(d)) == 4
+        assert border_profile(d).r == 4
 
     def test_rank_is_r_plus_two(self, triangle):
-        view = cm_build(triangle)
-        assert view.eig.rank() == 2 + 2
-
-    def test_requires_unit_source(self, triangle):
-        scaled = DistanceMatrix(4.0 * triangle.d)
-        view = cm_build(scaled)
-        with pytest.raises(NotUnitSpherical):
-            cm_embedding_dim(view, profile(scaled))
+        assert sym_eig(bordered(triangle)).rank() == 2 + 2
 
 
 class TestGale:
-    def test_triangle_single_column(self, triangle):
-        gale = cm_gale(cm_build(triangle), profile(triangle))
-        assert gale.shape == (4, 1)
-        assert_allclose(gale[:, 0], [-0.5, 0.5, -0.5, 0.5], atol=1e-10)
+    def test_triangle_single_column(self, triangle, triangle_profile):
+        # The bordered Gale matrix is the one column (-1/2, w).
+        results = check_bordered(triangle_profile, border_profile(triangle))
+        assert result(results, "bordered-gale").ok
+        basis = null_basis(triangle)
+        assert basis.shape == (4, 1)
+        column = basis[:, 0] * (-0.5 / basis[0, 0])
+        assert_allclose(column, [-0.5, 0.5, -0.5, 0.5], atol=1e-10)
 
     def test_square_block_structure(self, square, square_profile):
-        gale = cm_gale(cm_build(square), square_profile)
-        assert gale.shape == (5, 2)
-        assert_allclose(gale[0], [-0.5, 0.0], atol=1e-12)
-        assert_allclose(gale[1:, 0], square_profile.w, atol=1e-12)
-        assert_allclose(gale[1:, 1], square_profile.Z[:, 0], atol=1e-12)
+        # The bordered Gale matrix is [[-1/2, 0], [w, Z]].
+        results = check_bordered(square_profile, border_profile(square))
+        assert result(results, "bordered-gale").ok
+        basis = null_basis(square)
+        assert basis.shape == (5, 2)
+        for column in (np.concatenate([[-0.5], square_profile.w]),
+                       np.concatenate([[0.0], square_profile.Z[:, 0]])):
+            assert np.linalg.norm(column - basis @ (basis.T @ column)) <= 1e-10
 
-    def test_spans_bordered_null_space(self, square):
-        view = cm_build(square)
-        gale = cm_gale(view, profile(square))
-        stack = np.vstack([centroid_gram(view.d_tilde), np.ones((1, 5))])
-        _, sing, vt = np.linalg.svd(stack)
-        reference = vt[np.count_nonzero(sing > 1e-10 * sing[0]):].T
+    def test_spans_bordered_null_space(self, square, square_profile):
+        border = border_profile(square)
+        assert result(check_bordered(square_profile, border), "bordered-gale").ok
+        gale = np.zeros((5, 2))
+        gale[0, 0] = -0.5
+        gale[1:] = square_profile.Z_tilde
+        reference = null_basis(square)
         # Subspace angle: projecting onto the reference basis loses nothing.
         q, _ = np.linalg.qr(gale)
         residual = q - reference @ (reference.T @ q)
         assert np.linalg.norm(residual) <= 1e-8
 
-    def test_requires_unit_source(self):
-        d = gen_nonspherical(5, 3, seed=4)
-        with pytest.raises(NotUnitSpherical):
-            cm_gale(cm_build(d), profile(d))
+    def test_border_of_another_instance_fails(self, square, square_profile):
+        assert all(res.ok for res in check_bordered(square_profile, border_profile(square)))
+        # A unit spherical border of the same order and rank, but of another
+        # source: the checks that tie the border to the source fail.
+        other = gen_unit_spherical(InstanceSpec(n=4, r=2, seed=1))
+        results = check_bordered(square_profile, border_profile(other))
+        failed = {res.name for res in results if not res.ok}
+        assert {"bordered-w", "bordered-gale"} <= failed
+        assert {"bordered-balance", "bordered-radius", "bordered-dim",
+                "bordered-rank"}.isdisjoint(failed)
 
 
 class TestWInner:
@@ -169,7 +191,8 @@ class TestWInner:
         report = classify(profile(triangle), EntryIndex(1, 3))
         for t in (-2.0, -1.0, -0.3):
             closed = cm_w_inner(report, t)
-            direct = float(cm_build(triangle.perturbed(0, 2, t)).w_tilde.sum())
+            pert = DistanceMatrix(triangle.perturbed_array(0, 2, t))
+            direct = float(border_profile(pert).w.sum())
             assert_allclose(closed, direct, atol=1e-9)
 
     def test_singleton_branch_avoids_cancelled_pole(self, triangle_profile):
@@ -201,13 +224,11 @@ class TestCrossPath:
         # Unit spherical source: bordered matrix nonspherical; shrunken
         # source: bordered matrix spherical.
         d = gen_unit_spherical(InstanceSpec(n=5, r=3, seed=13))
-        view = cm_build(d)
         e_t = np.ones(6)
-        assert abs(e_t @ pinv(view.d_tilde) @ e_t) <= 1e-9
-        assert view.eig.rank() == 3 + 2
+        assert abs(e_t @ pinv(bordered(d)) @ e_t) <= 1e-9
+        assert sym_eig(bordered(d)).rank() == 3 + 2
         shrunk = DistanceMatrix(0.5 * d.d)
-        view2 = cm_build(shrunk)
-        assert e_t @ pinv(view2.d_tilde) @ e_t > 1e-3
+        assert e_t @ pinv(bordered(shrunk)) @ e_t > 1e-3
 
     @pytest.mark.parametrize("template", default_templates(8),
                              ids=lambda t: f"{t.expected.value}-n{t.spec.n}-r{t.spec.r}")

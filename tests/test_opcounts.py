@@ -3,8 +3,8 @@ matrix of a profile is factored once.
 
 Calls are counted by wrapping numpy's eigh and svd, the yielding
 classifier as seen from the perturbation module, `profile` and
-`radius_squared` under every module name that calls them, and
-`EigDecomp.cond`.  Only a change that lowers a count may tighten its
+`radius_squared` under every module name that calls them, `EigDecomp.cond`
+and `model.centroid_gram`.  Only a change that lowers a count may tighten its
 bound.
 """
 
@@ -16,21 +16,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import edmp.cayley
 import edmp.cli
 import edmp.model
 import edmp.oracle
 import edmp.perturbation
 import edmp.verify
-from edmp import CaseTag, EntryIndex, InstanceSpec, classify, gen_unit_spherical, profile
+from edmp import (
+    CaseTag,
+    DistanceMatrix,
+    EntryIndex,
+    InstanceSpec,
+    classify,
+    gen_unit_spherical,
+    profile,
+)
+from edmp.cayley import bordered
 from edmp.cli import main
 from edmp.linalg import EigDecomp
 from edmp.matio import matrix_to_csv
 from edmp.verify import check_bordered, default_templates, run_verification
 
 # eigh and profile calls of run_verification(21, seed=0), measured with
-# every matrix of an instance factored once.
-VERIFY_21_EIGH_BOUND = 2974
+# every matrix of an instance factored once.  The 67 profiles are the
+# generator's 25 attempts, which give each instance's profile, plus one
+# relabeled and one bordered profile per instance.
+VERIFY_21_EIGH_BOUND = 2953
 VERIFY_21_PROFILE_CALLS = 67
 
 # svd calls of one classify: the Gale test decides NotYielding, the [w Z]
@@ -61,7 +71,7 @@ def counts(monkeypatch):
     for module in (edmp.cli, edmp.verify):
         counting(module, "radius_squared", "radius_squared")
     counting(EigDecomp, "cond", "cond")
-    counting(edmp.cayley, "centroid_gram", "centroid_gram")
+    counting(edmp.model, "centroid_gram", "centroid_gram")
     return seen
 
 
@@ -110,16 +120,19 @@ def test_sweep_classifies_once(counts, tmp_path):
     assert counts["cond"] == 1
 
 
-def test_bordered_view_builds_its_gram_once(counts):
+def test_bordered_checks_read_the_border_profile(counts):
     d = gen_unit_spherical(InstanceSpec(n=6, r=3, seed=0))
+    counts["centroid_gram"] = 0
     prof = profile(d)
-    # A border-direct view reads only w~ and builds no bordered Gram.
-    assert edmp.cayley.cm_build(d).w_tilde.shape == (7,)
-    assert counts["centroid_gram"] == 0
-    # The EDM test, the embedding dimension and the Gale check share one.
-    results = check_bordered(prof, edmp.cayley.cm_build(d))
+    border = profile(DistanceMatrix(bordered(d)))
+    assert counts["centroid_gram"] == 2
+    counts["centroid_gram"] = counts["eigh"] = 0
+    results = check_bordered(prof, border)
     assert all(res.ok for res in results)
-    assert counts["centroid_gram"] == 1
+    # w~, the pseudoinverse, the Gram and the embedding dimension come from
+    # the border profile; only the independent rank check factors anything.
+    assert counts["centroid_gram"] == 0
+    assert counts["eigh"] == 1
 
 
 def test_entry_evaluates_each_closed_radius_once(counts):

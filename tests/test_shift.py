@@ -15,6 +15,7 @@ import pytest
 
 from edmp import (
     CaseTag,
+    DistanceMatrix,
     EntryIndex,
     InstanceSpec,
     Structure,
@@ -43,7 +44,7 @@ def shifted(spec):
     report = classify(profile(d), spec.entry)
     assert report.case_tag is CaseTag.PAIR_UNIT
     entry = spec.entry
-    return report, d.perturbed(entry.i, entry.j, report.theta_c)
+    return report, DistanceMatrix(d.perturbed_array(entry.i, entry.j, report.theta_c))
 
 
 @pytest.mark.parametrize("spec,rel", TEMPLATE_CASES + [pytest.param(SEED22, 1e-5, id="seed22")])

@@ -73,13 +73,31 @@ class TestRunner:
         assert summary.first_failing_seed == 4
         assert "result: FAIL" in summary.render()
 
+    def test_bordered_matrix_not_an_edm_is_a_failed_check(self, monkeypatch, capsys):
+        # The border of 1.21 D belongs to a source of radius 1.1, so it is no
+        # EDM: profile raises NotAnEdm, and verify reports the seed instead
+        # of stopping.
+        real = edmp.verify.bordered
+        monkeypatch.setattr(edmp.verify, "bordered",
+                            lambda d: real(DistanceMatrix(1.21 * d.d)))
+        summary = run_verification(count=1, seed=4)
+        assert summary.first_failing_seed == 4
+        names = [res.name for _, _, res in summary.failures]
+        assert names.count("bordered-profile") == 1
+        assert not [name for name in names if name.startswith("bordered-")
+                    and name != "bordered-profile"]
+        assert main(["verify", "--count", "1", "--seed", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "first failing seed: 4" in out
+        assert "bordered-profile: input matrix is not a Euclidean distance matrix" in out
+
 
 class TestCheckInstance:
     def test_square_passes_everything(self):
         spec = InstanceSpec(n=4, r=2, structure=Structure.GENERIC,
                             entry=EntryIndex(1, 3), seed=0)
         results, tag = check_instance(
-            DistanceMatrix(SQUARE), spec, CaseTag.CONTINUUM_UNIT
+            profile(DistanceMatrix(SQUARE)), spec, CaseTag.CONTINUUM_UNIT
         )
         failed = [r for r in results if not r.ok]
         assert not failed, failed
@@ -89,7 +107,7 @@ class TestCheckInstance:
         spec = InstanceSpec(n=4, r=2, structure=Structure.GENERIC,
                             entry=EntryIndex(1, 2), seed=0)
         results, tag = check_instance(
-            DistanceMatrix(SQUARE), spec, CaseTag.PAIR_UNIT
+            profile(DistanceMatrix(SQUARE)), spec, CaseTag.PAIR_UNIT
         )
         assert tag is CaseTag.TLEQ_TRIVIAL
         assert any(r.name == "case-tag" and not r.ok for r in results)
@@ -148,7 +166,7 @@ class TestTeqMembersBound:
         assert report.theta_c in members
         assert check_teq_members(d, entry, members, DEFAULT_TOL).ok
         spec = InstanceSpec(n, r, Structure.GENERIC, entry, seed)
-        results, _ = check_instance(d, spec, CaseTag.PAIR_UNIT)
+        results, _ = check_instance(profile(d), spec, CaseTag.PAIR_UNIT)
         assert [res for res in results if not res.ok] == []
 
     @pytest.mark.parametrize("seed", [10, 53])
