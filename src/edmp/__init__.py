@@ -25,16 +25,12 @@ from .linalg import (
     DEFAULT_TOL,
     EigDecomp,
     TolerancePolicy,
-    pinv,
     sym_eig,
 )
 from .model import (
     DistanceMatrix,
     EdmProfile,
     Sphericity,
-    bdag_identity,
-    bprime_dag_identity,
-    cm_dag_block,
     profile,
     sphericity,
 )
@@ -61,7 +57,6 @@ from .oracle import (
     InstanceSpec,
     Structure,
     SweepRecord,
-    edm_from_points,
     gen_unit_spherical,
     membership_scan,
     perturbed_sphericity,

@@ -181,21 +181,18 @@ def cmd_analyze(args, tol: TolerancePolicy) -> int:
     return EXIT_OK
 
 
-def _load_unit_profile(args, tol: TolerancePolicy) -> tuple[EdmProfile, EntryIndex]:
+def _load_entry_profile(args, tol: TolerancePolicy) -> tuple[EdmProfile, EntryIndex]:
     d = load_matrix(args.file)
     try:
         entry = EntryIndex(args.k, args.l)
         entry.check_order(d.n)
     except ValueError as exc:
         raise IndexError(str(exc)) from exc
-    prof = profile(d, tol)
-    if not prof.unit_spherical:
-        raise NotUnitSpherical("this subcommand requires a unit spherical EDM")
-    return prof, entry
+    return profile(d, tol), entry
 
 
 def cmd_entry(args, tol: TolerancePolicy) -> int:
-    prof, entry = _load_unit_profile(args, tol)
+    prof, entry = _load_entry_profile(args, tol)
     doc = _base_document("entry", tol, [])
     doc["profile"] = _profile_block(prof)
     try:
@@ -222,7 +219,7 @@ def cmd_sweep(args, tol: TolerancePolicy) -> int:
         raise ParseError("--num must be at least 2")
     if args.margin < 0:
         raise ParseError("--margin must be nonnegative")
-    prof, entry = _load_unit_profile(args, tol)
+    prof, entry = _load_entry_profile(args, tol)
     report = classify(prof, entry)
     lo, hi = report.yielding_report.interval
     ts = np.linspace(lo - args.margin, hi + args.margin, args.num)

@@ -27,7 +27,6 @@ __all__ = [
     "EigDecomp",
     "symmetrize",
     "sym_eig",
-    "pinv",
     "fix_column_signs",
 ]
 
@@ -104,11 +103,6 @@ def sym_eig(a) -> EigDecomp:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
     return EigDecomp(values[::-1].copy(), vectors[:, ::-1].copy())
-
-
-def pinv(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via its spectrum."""
-    return sym_eig(a).pinv(tol)
 
 
 def fix_column_signs(m: np.ndarray) -> np.ndarray:

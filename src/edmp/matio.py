@@ -9,7 +9,6 @@ identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import enum
 import json
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from .model import DistanceMatrix
 
 __all__ = [
     "load_matrix",
-    "parse_matrix_text",
     "matrix_to_csv",
     "matrix_to_json",
     "fmt_float",
@@ -99,16 +97,12 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, enum.Enum):
-        return obj.value
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     return obj
 
 

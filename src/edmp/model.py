@@ -5,9 +5,10 @@ centroid Gram matrix B = -JDJ/2 is positive semidefinite.  From one
 eigendecomposition of B the profile derives the EDM verdict, the
 embedding dimension, a deterministic configuration, B+ and the Gale
 basis (B's null eigenvectors with e projected out), plus w with Dw = e
-and the sphericity data (radius, center, regularity).  Spherical EDMs of
-radius one are the domain of the perturbation machinery in the rest of
-the package.
+and the sphericity data (center, regularity, and the radius and unit
+verdict, which are views of the one Sphericity record).  Spherical EDMs
+of radius one are the domain of the perturbation machinery in the rest
+of the package, and require_unit is its one guard.
 """
 
 from __future__ import annotations
@@ -31,15 +32,10 @@ from .linalg import (
 __all__ = [
     "DistanceMatrix",
     "EdmProfile",
-    "SPHERICITY_TOL",
-    "UNIT_RADIUS_TOL",
     "Sphericity",
     "sphericity",
     "is_edm_array",
     "profile",
-    "bdag_identity",
-    "bprime_dag_identity",
-    "cm_dag_block",
 ]
 
 # Dimensionless sphericity threshold on (e.w) * (e.D.e / n^2); the product
@@ -156,9 +152,6 @@ class EdmProfile:
     Z: np.ndarray | None
     Z_tilde: np.ndarray
     sphere: Sphericity
-    spherical: bool
-    unit_spherical: bool
-    radius: float | None
     center: np.ndarray | None
     regular: bool
     # Zero-test scales, floored at 1e-300: max |w|, the max row norm of Z
@@ -170,6 +163,18 @@ class EdmProfile:
     @property
     def n(self) -> int:
         return self.d.n
+
+    @property
+    def spherical(self) -> bool:
+        return self.sphere.radius_sq is not None
+
+    @property
+    def unit_spherical(self) -> bool:
+        return self.sphere.unit
+
+    @property
+    def radius(self) -> float | None:
+        return float(np.sqrt(self.sphere.radius_sq)) if self.spherical else None
 
 
 def centroid_gram(a: np.ndarray) -> np.ndarray:
@@ -272,9 +277,6 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
         Z=z,
         Z_tilde=_readonly(z_tilde),
         sphere=sphere,
-        spherical=spherical,
-        unit_spherical=sphere.unit,
-        radius=float(np.sqrt(sphere.radius_sq)) if spherical else None,
         center=_readonly(center) if center is not None else None,
         regular=regular,
         w_scale=max(float(np.abs(w).max()), 1e-300),
@@ -287,36 +289,3 @@ def require_unit(prof: EdmProfile) -> None:
     """Raise NotUnitSpherical unless `prof` profiles a unit spherical EDM."""
     if not prof.unit_spherical:
         raise NotUnitSpherical("operation requires a unit spherical EDM")
-
-
-def bdag_identity(prof: EdmProfile) -> np.ndarray:
-    """Pseudoinverse of the centroid Gram matrix as -2 pinv(D) + 4 w w^T."""
-    require_unit(prof)
-    return symmetrize(-2.0 * prof.D_dag + 4.0 * np.outer(prof.w, prof.w))
-
-
-def bprime_dag_identity(prof: EdmProfile) -> np.ndarray:
-    """Pseudoinverse of E - D/2 expressed through pinv(D) and w alone."""
-    require_unit(prof)
-    w = prof.w
-    ww = float(w @ w)
-    dw = prof.D_dag @ w
-    correction = (
-        np.outer(dw, w) + np.outer(w, dw) - (float(w @ dw) / ww) * np.outer(w, w)
-    )
-    return symmetrize(-2.0 * prof.D_dag + (2.0 / ww) * correction)
-
-
-def cm_dag_block(prof: EdmProfile) -> np.ndarray:
-    """Closed-form pseudoinverse of the bordered matrix [[0, e^T], [e, D]].
-
-    Equals [[-2, 2w^T], [2w, -pinv(B)/2]] for unit spherical D.
-    """
-    require_unit(prof)
-    n = prof.n
-    out = np.empty((n + 1, n + 1))
-    out[0, 0] = -2.0
-    out[0, 1:] = 2.0 * prof.w
-    out[1:, 0] = 2.0 * prof.w
-    out[1:, 1:] = -0.5 * prof.B_dag
-    return symmetrize(out)

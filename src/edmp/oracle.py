@@ -25,7 +25,6 @@ __all__ = [
     "Structure",
     "InstanceSpec",
     "SweepRecord",
-    "edm_from_points",
     "gen_unit_spherical",
     "gen_unit_profile",
     "perturbed_sphericity",
@@ -113,10 +112,13 @@ class SweepRecord:
 
     t: float
     is_edm: bool
-    is_spherical: bool
     radius_sq: float | None
     in_t_leq: bool
     in_t_eq: bool
+
+    @property
+    def is_spherical(self) -> bool:
+        return self.radius_sq is not None
 
 
 def edm_from_points(points: np.ndarray) -> DistanceMatrix:
@@ -368,8 +370,7 @@ def membership_scan(
             sphere = perturbed_sphericity(d, entry, t, tol)[0]
             radius_sq, unit = sphere.radius_sq, sphere.unit
         leq = edm_ok and in_t_leq_oracle(d, entry, t)
-        records.append(SweepRecord(t, edm_ok, radius_sq is not None, radius_sq, leq,
-                                   leq and unit))
+        records.append(SweepRecord(t, edm_ok, radius_sq, leq, leq and unit))
     return records
 
 

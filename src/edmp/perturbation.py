@@ -23,8 +23,10 @@ pinv(B):
          = beta2 (t - theta_lower)(t - theta_upper)
 
 classify makes this case split once per entry and returns it as a
-PerturbationReport, whose case tag and T<= fix T=; radius_squared
-evaluates the radius from that report without classifying again.  Both
+PerturbationReport, whose case tag and T<= fix T=; it raises
+NotUnitSpherical (model.require_unit, the one unit guard) for a profile
+that is not unit spherical.  radius_squared evaluates the radius from
+that report without classifying again.  Both
 parallelism tests use the profile's row scales, and the near-parallel
 warnings read the ratio each test measured.
 """
@@ -36,15 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    NumericalFailure,
-    OutsideTleq,
-    PoleAt,
-    PreconditionViolated,
-)
+from .errors import DegenerateDenominator, NumericalFailure, OutsideTleq, PoleAt
 from .linalg import RECON_REL
-from .model import EdmProfile
+from .model import EdmProfile, require_unit
 from .yielding import (
     PARALLEL_TOL,
     EntryIndex,
@@ -145,11 +141,6 @@ class PerturbationReport:
         return self.t_eq
 
 
-def _require_unit(prof: EdmProfile) -> None:
-    if not prof.unit_spherical:
-        raise PreconditionViolated("perturbation sets are defined for unit spherical EDMs")
-
-
 def _build_coefficients(
     prof: EdmProfile, entry: EntryIndex, c: float
 ) -> RadiusCoefficients:
@@ -197,9 +188,10 @@ def _near_parallel(relation: ParallelRelation, rows: str, verdict: str) -> tuple
 def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
     """Complete per-entry report: yielding data, T<=, T=, case tag, coefficients.
 
-    This is the only code that classifies an entry.
+    This is the only code that classifies an entry.  It raises
+    NotUnitSpherical unless `prof` is unit spherical.
     """
-    _require_unit(prof)
+    require_unit(prof)
     yrep = yielding_report(prof, entry)
 
     def report(tag, tleq, coefficients=None, warnings=()):

@@ -11,6 +11,9 @@ and B+ from the profile the generator accepted the instance on, the
 bordered matrix is profiled like any other EDM and gives w~, the
 bordered pseudoinverse, Gram and embedding dimension, and each T=
 member's w(t) and condition number come from one oracle factorization.
+The pseudoinverse identities are defined here, because only these checks
+use them: B+, (E - D/2)+ and the bordered pseudoinverse, each written
+through D+, w and B+ of a unit spherical profile.
 """
 
 from __future__ import annotations
@@ -21,16 +24,8 @@ import numpy as np
 
 from .cayley import bordered, cm_w_inner
 from .errors import EdmpError, PoleAt
-from .linalg import DEFAULT_TOL, RECON_REL, TolerancePolicy, pinv, sym_eig
-from .model import (
-    DistanceMatrix,
-    EdmProfile,
-    bdag_identity,
-    bprime_dag_identity,
-    cm_dag_block,
-    is_edm_array,
-    profile,
-)
+from .linalg import DEFAULT_TOL, RECON_REL, TolerancePolicy, sym_eig, symmetrize
+from .model import DistanceMatrix, EdmProfile, is_edm_array, profile
 from .oracle import (
     InstanceSpec,
     Structure,
@@ -46,9 +41,7 @@ from .yielding import EntryIndex
 __all__ = [
     "CheckResult",
     "VerifySummary",
-    "default_templates",
     "check_instance",
-    "check_teq_members",
     "run_verification",
 ]
 
@@ -244,13 +237,45 @@ def check_profile(prof: EdmProfile, r_target: int) -> list[CheckResult]:
     return out
 
 
+def bdag_identity(prof: EdmProfile) -> np.ndarray:
+    """Pseudoinverse of the centroid Gram matrix as -2 pinv(D) + 4 w w^T,
+    for unit spherical D."""
+    return symmetrize(-2.0 * prof.D_dag + 4.0 * np.outer(prof.w, prof.w))
+
+
+def bprime_dag_identity(prof: EdmProfile) -> np.ndarray:
+    """Pseudoinverse of E - D/2 expressed through pinv(D) and w alone, for
+    unit spherical D."""
+    w = prof.w
+    ww = float(w @ w)
+    dw = prof.D_dag @ w
+    correction = (
+        np.outer(dw, w) + np.outer(w, dw) - (float(w @ dw) / ww) * np.outer(w, w)
+    )
+    return symmetrize(-2.0 * prof.D_dag + (2.0 / ww) * correction)
+
+
+def cm_dag_block(prof: EdmProfile) -> np.ndarray:
+    """Closed-form pseudoinverse of the bordered matrix [[0, e^T], [e, D]].
+
+    Equals [[-2, 2w^T], [2w, -pinv(B)/2]] for unit spherical D.
+    """
+    n = prof.n
+    out = np.empty((n + 1, n + 1))
+    out[0, 0] = -2.0
+    out[0, 1:] = 2.0 * prof.w
+    out[1:, 0] = 2.0 * prof.w
+    out[1:, 1:] = -0.5 * prof.B_dag
+    return symmetrize(out)
+
+
 def check_pinv_identities(prof: EdmProfile) -> list[CheckResult]:
     out: list[CheckResult] = []
     b_prime = 1.0 - 0.5 * prof.d.d
     _check(out, "bdag-identity",
            _mat_rel(bdag_identity(prof), prof.B_dag) <= 1e-8, "B+ identity failed")
     _check(out, "bprime-identity",
-           _mat_rel(bprime_dag_identity(prof), pinv(b_prime, prof.tol)) <= 1e-8,
+           _mat_rel(bprime_dag_identity(prof), sym_eig(b_prime).pinv(prof.tol)) <= 1e-8,
            "B'+ identity failed")
     return out
 

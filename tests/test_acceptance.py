@@ -16,10 +16,7 @@ from edmp import (
     EntryIndex,
     InstanceSpec,
     Structure,
-    bdag_identity,
-    bprime_dag_identity,
     classify,
-    cm_dag_block,
     cm_w_inner,
     gen_unit_spherical,
     profile,
@@ -30,8 +27,9 @@ from edmp import (
     yielding_report,
 )
 from edmp.cayley import bordered
-from edmp.linalg import pinv, sym_eig
+from edmp.linalg import sym_eig
 from edmp.oracle import perturbed_sphericity, sdp_min_radius_sq
+from edmp.verify import bdag_identity, bprime_dag_identity, cm_dag_block
 from conftest import ANTIPODAL, SQUARE, TRIANGLE
 
 SQRT3 = np.sqrt(3.0)
@@ -195,8 +193,8 @@ def test_criterion_4_pseudoinverse_identities():
                     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1.0)
 
                 assert rel(bdag_identity(prof), prof.B_dag) <= 1e-8
-                assert rel(bprime_dag_identity(prof), pinv(b_prime)) <= 1e-8
-                assert rel(cm_dag_block(prof), pinv(bordered(d))) <= 1e-8
+                assert rel(bprime_dag_identity(prof), sym_eig(b_prime).pinv()) <= 1e-8
+                assert rel(cm_dag_block(prof), sym_eig(bordered(d)).pinv()) <= 1e-8
                 count += 1
         assert count == 200
 
@@ -229,7 +227,7 @@ def test_criterion_6_membership_soundness(mixed_pool):
                     m = 2.0 - d.perturbed_array(entry.i, entry.j, float(t))
                     assert sym_eig(m).values[-1] < -1e-10
             for t in report.teq_members():
-                w_t = pinv(d.perturbed_array(entry.i, entry.j, float(t))) @ np.ones(n)
+                w_t = sym_eig(d.perturbed_array(entry.i, entry.j, float(t))).pinv() @ np.ones(n)
                 assert abs(2.0 * float(w_t.sum()) - 1.0) <= 1e-8
 
 

@@ -29,16 +29,19 @@ def _workloads():
 
 WORKLOADS = _workloads()
 
+NARROW_TLEQ = pytest.mark.xfail(
+    strict=True,
+    reason="open FOUND in CHANGES.md: the sweep grid is keyed to the yielding "
+           "interval, not to T<=, so no sample lands in this seed's narrow T<=")
+
 
 @pytest.mark.parametrize("name,seed", [
     ("verify-n8", 0),
     ("sweep-n8", 0),
     ("sweep-n128", 0),
     ("entry-n512", 0),
-    pytest.param("sweep-n128", 15, marks=pytest.mark.xfail(
-        strict=True,
-        reason="open FOUND in CHANGES.md: the sweep grid is keyed to the yielding "
-               "interval, not to T<=, so no sample lands in this seed's narrow T<=")),
+    pytest.param("sweep-n128", 15, marks=NARROW_TLEQ),
+    pytest.param("sweep-n128", 31, marks=NARROW_TLEQ),
 ])
 def test_workload_passes_its_gate(name, seed, tmp_path):
     workload = WORKLOADS[name]

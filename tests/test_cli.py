@@ -181,11 +181,14 @@ class TestEntry:
         code, _, _ = run_cli(capsys, "entry", triangle_file, "--k", "0", "--l", "2")
         assert code == 5
 
-    def test_not_unit_spherical_exits_4(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["entry", "sweep"])
+    def test_not_unit_spherical_exits_4(self, capsys, tmp_path, command):
         scaled = tmp_path / "big.csv"
         scaled.write_text("\n".join(",".join(str(4 * x) for x in row) for row in TRIANGLE))
-        code, _, _ = run_cli(capsys, "entry", str(scaled), "--k", "1", "--l", "2")
+        code, out, err = run_cli(capsys, command, str(scaled), "--k", "1", "--l", "2")
         assert code == 4
+        assert out == ""
+        assert err == "error: operation requires a unit spherical EDM\n"
 
     def test_degenerate_thetas_serialized_by_name(self, capsys, square_file):
         # Antiparallel dual rows: both closed-form endpoints are unbounded,

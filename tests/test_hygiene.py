@@ -1,16 +1,23 @@
 """Import hygiene of the package, checked with the standard library's ast.
 
 Every module-level import of an `edmp` module is used in that module or
-listed in its `__all__`, and every name in `__all__` is defined.
+listed in its `__all__`, every name in `__all__` is defined, and every
+name in `__all__` is used by another module, by the benchmark or is
+documented in the README.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "edmp"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "edmp"
 MODULES = sorted(SRC.glob("*.py"))
+# Code outside the package that counts as a user of its names; tests do not.
+BENCH = sorted(p for p in (REPO / "bench").rglob("*.py") if "tests" not in p.parts)
+README = REPO / "README.md"
 # The package __init__ exists to re-export, so its imports count as used.
 REEXPORTING = "__init__.py"
 
@@ -83,3 +90,32 @@ def test_all_names_are_defined(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     missing = sorted(set(_exports(tree)) - _defined(tree))
     assert not missing, f"{path.name} lists undefined names in __all__: {missing}"
+
+
+def _named(path: Path) -> set[str]:
+    """Names a file reads, imports, reaches as an attribute or spells as a
+    string of its own (the benchmark's tracer looks functions up that way)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = _used(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != REEXPORTING],
+                         ids=lambda p: p.name)
+def test_all_names_are_used_or_documented(path):
+    # The package __init__ re-exports everything, so it is no user.
+    users = [p for p in MODULES if p not in (path, SRC / REEXPORTING)] + BENCH
+    named = set().union(*map(_named, users))
+    readme = README.read_text()
+    exports = _exports(ast.parse(path.read_text(), filename=str(path)))
+    unused = sorted(name for name in exports
+                    if name not in named and not re.search(rf"\b{name}\b", readme))
+    assert not unused, (f"{path.name} exports {unused}, which no other module, "
+                        "no benchmark file and not the README names")

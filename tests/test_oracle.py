@@ -22,7 +22,7 @@ from edmp import (
     sdp_min_radius_sq,
 )
 from edmp.cli import main
-from edmp.linalg import pinv, sym_eig
+from edmp.linalg import sym_eig
 from edmp.matio import load_matrix
 from edmp.model import UNIT_RADIUS_TOL, sphericity
 from edmp.oracle import in_t_leq_oracle, locate_t_leq_boundary, perturbed_sphericity
@@ -152,7 +152,7 @@ class TestPerturbedW:
         sphere, dec = perturbed_sphericity(triangle, entry, 1.0)
         pert = triangle.perturbed_array(0, 1, 1.0)
         assert_allclose((dec.vectors * dec.values) @ dec.vectors.T, pert, atol=1e-12)
-        assert sphere == sphericity(pert, pinv(pert) @ np.ones(3))
+        assert sphere == sphericity(pert, sym_eig(pert).pinv() @ np.ones(3))
         # rho^2 = 1 / (2 e.w) is the hand value 3/4 at t = 1.
         assert_allclose(sphere.radius_sq, 0.75, atol=1e-12)
 
