@@ -59,7 +59,7 @@ from .oracle import (
     SweepRecord,
     gen_unit_spherical,
     membership_scan,
-    perturbed_sphericity,
+    PerturbedLine,
     sdp_min_radius_sq,
 )
 from .verify import run_verification

@@ -31,10 +31,10 @@ from .matio import fmt_float, load_matrix, matrix_to_csv, matrix_to_json, report
 from .model import EdmProfile, profile
 from .oracle import (
     InstanceSpec,
+    PerturbedLine,
     Structure,
     gen_unit_spherical,
     membership_scan,
-    perturbed_sphericity,
 )
 from .perturbation import CaseTag, PerturbationReport, classify, radius_squared
 from .verify import (
@@ -158,8 +158,8 @@ def _cross_check_block(prof: EdmProfile, report: PerturbationReport) -> dict:
         "max_rel_closed_vs_oracle": worst_closed_vs_direct(prof, report.entry, closed),
         "max_rel_border_vs_closed": worst_border_vs_closed(report, closed),
         "max_unit_residual_on_t_eq": max([0.0] + [
-            perturbed_sphericity(prof.d, report.entry, float(t), prof.tol)[0].unit_residual
-            for t in report.teq_members()
+            sphere.unit_residual for sphere, _ in
+            PerturbedLine(prof.d, report.entry).spheres(report.teq_members(), prof.tol)
         ]),
     }
 
@@ -217,11 +217,13 @@ def cmd_entry(args, tol: TolerancePolicy) -> int:
 def cmd_sweep(args, tol: TolerancePolicy) -> int:
     if args.num < 2:
         raise ParseError("--num must be at least 2")
-    if args.margin < 0:
-        raise ParseError("--margin must be nonnegative")
+    if not 0 <= args.margin < np.inf:
+        raise ParseError("--margin must be nonnegative and finite")
     prof, entry = _load_entry_profile(args, tol)
     report = classify(prof, entry)
     lo, hi = report.yielding_report.interval
+    if not np.isfinite((hi + args.margin) - (lo - args.margin)):
+        raise ParseError(f"--margin {args.margin!r} makes the swept range overflow")
     ts = np.linspace(lo - args.margin, hi + args.margin, args.num)
     records = membership_scan(prof.d, entry, ts, prof.tol)
 

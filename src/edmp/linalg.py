@@ -27,6 +27,7 @@ __all__ = [
     "EigDecomp",
     "symmetrize",
     "sym_eig",
+    "sym_eig_stack",
     "fix_column_signs",
 ]
 
@@ -55,11 +56,11 @@ DEFAULT_TOL = TolerancePolicy()
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return the symmetric part (A + A^T)/2 of a square matrix."""
+    """Return the symmetric part (A + A^T)/2 of each square matrix of a stack."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -67,12 +68,13 @@ class EigDecomp:
     """Spectral factorization A = V diag(values) V^T, eigenvalues descending."""
 
     values: np.ndarray
-    vectors: np.ndarray
+    # None when only the eigenvalues were computed.
+    vectors: np.ndarray | None
 
     def _kept(self, tol: TolerancePolicy) -> np.ndarray:
         """Mask of eigenvalues above rank_rel * max|lambda| in magnitude."""
-        cut = tol.rank_rel * (np.abs(self.values).max() if self.values.size else 0.0)
-        return np.abs(self.values) > cut
+        top = np.abs(self.values).max(axis=-1, keepdims=True, initial=0.0)
+        return np.abs(self.values) > tol.rank_rel * top
 
     def rank(self, tol: TolerancePolicy = DEFAULT_TOL) -> int:
         """Numerical rank under the shared cutoff."""
@@ -82,27 +84,35 @@ class EigDecomp:
         """Moore-Penrose inverse: kept eigenvalues inverted, the rest zeroed."""
         inv = np.zeros_like(self.values)
         np.divide(1.0, self.values, out=inv, where=self._kept(tol))
-        return symmetrize((self.vectors * inv) @ self.vectors.T)
+        return symmetrize((self.vectors * inv[..., None, :]) @ self.vectors.swapaxes(-1, -2))
 
     def cond(self, tol: TolerancePolicy = DEFAULT_TOL) -> float:
         """Largest |lambda| over the smallest kept |lambda|; inf when none is kept."""
         kept = np.abs(self.values[self._kept(tol)])
         return float(kept.max() / kept.min()) if kept.size else math.inf
 
-    def is_psd(self, scale: float = PSD_SLACK) -> bool:
-        """Smallest eigenvalue at least -scale * max(1, max|lambda|)."""
-        bound = scale * max(1.0, np.abs(self.values).max())
-        return bool(self.values[-1] >= -bound)
+    def is_psd(self, scale: float = PSD_SLACK):
+        """Smallest eigenvalue at least -scale * max(1, max|lambda|), per matrix."""
+        return self.values[..., -1] >= -scale * np.abs(self.values).max(axis=-1, initial=1.0)
 
 
 def sym_eig(a) -> EigDecomp:
-    """Eigendecomposition of the symmetrized input, eigenvalues descending."""
+    """Eigendecomposition of one symmetrized matrix, eigenvalues descending."""
+    return sym_eig_stack(a)
+
+
+def sym_eig_stack(a, vectors: bool = True) -> EigDecomp:
+    """sym_eig of each matrix of a stack (..., n, n), bit for bit, in one LAPACK
+    call; the arrays keep the stack's leading axes.  With vectors=False only
+    the eigenvalues are computed (eigvalsh, whose last bits may differ)."""
     s = symmetrize(a)
     try:
-        values, vectors = np.linalg.eigh(s)
+        if not vectors:
+            return EigDecomp(np.linalg.eigvalsh(s)[..., ::-1].copy(), None)
+        values, vecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    return EigDecomp(values[::-1].copy(), vectors[:, ::-1].copy())
+    return EigDecomp(values[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 
 def fix_column_signs(m: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .linalg import (
     TolerancePolicy,
     fix_column_signs,
     sym_eig,
+    sym_eig_stack,
     symmetrize,
 )
 
@@ -123,15 +124,17 @@ class DistanceMatrix:
     def n(self) -> int:
         return self.d.shape[0]
 
-    def perturbed_array(self, k: int, l: int, t: float) -> np.ndarray:
-        """Raw copy with t added to the (k,l) and (l,k) entries (0-based).
+    def perturbed_array(self, k: int, l: int, t) -> np.ndarray:
+        """Raw copy with t added to the (k,l) and (l,k) entries (0-based), one
+        per value for a vector t.
 
         No validation: the result may have a negative entry, in which case
         it is simply not an EDM.
         """
-        a = np.array(self.d)
-        a[k, l] += t
-        a[l, k] += t
+        a = np.empty(np.shape(t) + self.d.shape)
+        a[...] = self.d
+        a[..., k, l] += t
+        a[..., l, k] += t
         return a
 
 
@@ -178,25 +181,24 @@ class EdmProfile:
 
 
 def centroid_gram(a: np.ndarray) -> np.ndarray:
-    """B = -JDJ/2 with J the centering projector."""
-    n = a.shape[0]
+    """B = -JDJ/2 with J the centering projector, per matrix of a stack."""
+    n = a.shape[-1]
     j = np.eye(n) - np.full((n, n), 1.0 / n)
     return symmetrize(-0.5 * j @ a @ j)
 
 
-def is_edm_array(a: np.ndarray, gram: EigDecomp | None = None) -> bool:
-    """EDM test for a raw hollow symmetric array.
+def is_edm_array(a: np.ndarray, gram: EigDecomp | None = None):
+    """EDM test for a raw hollow symmetric array, one verdict per matrix of a stack.
 
-    A negative entry fails immediately (it cannot be a squared distance);
-    otherwise the matrix must be negative semidefinite on the complement
-    of the ones vector.  `gram` is the eigendecomposition of
-    centroid_gram(a) when the caller already holds it.
+    A negative entry fails (it cannot be a squared distance); otherwise the
+    matrix must be negative semidefinite on the complement of the ones
+    vector.  `gram` is the eigendecomposition of centroid_gram(a) when the
+    caller already holds it; else its eigenvalues alone are computed.
     """
-    if a.min() < -1e-12 * max(float(np.abs(a).max()), 1.0):
-        return False
     if gram is None:
-        gram = sym_eig(centroid_gram(a))
-    return gram.is_psd()
+        gram = sym_eig_stack(centroid_gram(a), vectors=False)
+    top = np.abs(a).max(axis=(-2, -1), initial=1.0)
+    return (a.min(axis=(-2, -1)) >= -1e-12 * top) & gram.is_psd()
 
 
 def _max_row_norm(a: np.ndarray) -> float:

@@ -5,6 +5,7 @@ unit-norm points whose affine hull is all of R^r, which pins the
 circumcenter at the origin and the circumradius at one.  Oracles check
 membership claims through raw eigenvalue tests and recover the minimal
 feasible radius by bisection, independently of every closed form.
+PerturbedLine factors D + tE^kl for many t at once.
 gen_unit_profile also returns the profile an instance was accepted on,
 so a caller that checks the instance need not profile it again.
 """
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
-from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig
-from .model import DistanceMatrix, EdmProfile, Sphericity, centroid_gram, profile, sphericity
+from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig, sym_eig_stack
+from .model import DistanceMatrix, EdmProfile, Sphericity, is_edm_array, profile, sphericity
 from .yielding import EntryIndex, parallel_relation, singleton_gap
 
 __all__ = [
@@ -27,10 +28,9 @@ __all__ = [
     "SweepRecord",
     "gen_unit_spherical",
     "gen_unit_profile",
-    "perturbed_sphericity",
+    "PerturbedLine",
     "membership_scan",
     "sdp_min_radius_sq",
-    "in_t_leq_oracle",
     "locate_t_leq_boundary",
 ]
 
@@ -49,6 +49,10 @@ GALE_ENTRY_MARGIN = 0.05
 SDP_GAP = 1e-9
 SDP_CAP = 1e4
 BOUNDARY_XTOL = 1e-8
+
+# Entries per PerturbedLine stack: 256 matrices at n=8, one from n=128 on.
+# At n=128, 2**16 and 2**18 raised peak RSS by 4.0 and 17.6 MB, 2**14 by 0.5.
+STACK_ENTRIES = 2**14
 
 
 class Structure(enum.Enum):
@@ -332,25 +336,41 @@ def gen_unit_profile(spec: InstanceSpec, tol: TolerancePolicy = DEFAULT_TOL) -> 
     raise NumericalFailure(f"instance generation did not converge for {spec}")
 
 
-def in_t_leq_oracle(
-    d: DistanceMatrix, entry: EntryIndex, t: float, slack: float = PSD_SLACK
-) -> bool:
-    """Membership in the radius-one set by the raw test 2E - D - tE^kl >= 0.
+class PerturbedLine:
+    """The family D + tE^kl.  Each question takes a vector of t and answers
+    per t, in order; the matrices are built in stacks of at most
+    STACK_ENTRIES entries, and each stack is factored in one LAPACK call."""
 
-    slack is the semidefiniteness slack; boundary location uses a much
-    tighter value since interior eigenvalue noise sits at ~1e-15.
-    """
-    return sym_eig(2.0 - d.perturbed_array(entry.i, entry.j, t)).is_psd(slack)
+    def __init__(self, d: DistanceMatrix, entry: EntryIndex):
+        entry.check_order(d.n)
+        self.d, self.entry = d, entry
 
+    def _each(self, ts, test) -> list:
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        step = max(1, STACK_ENTRIES // self.d.n**2)
+        return [v for at in range(0, ts.size, step) for v in
+                test(self.d.perturbed_array(self.entry.i, self.entry.j, ts[at:at + step]))]
 
-def perturbed_sphericity(
-    d: DistanceMatrix, entry: EntryIndex, t: float, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[Sphericity, EigDecomp]:
-    """Sphericity of D + t E^kl read from w(t) = pinv(D + t E^kl) e, and the
-    eigendecomposition w(t) came from."""
-    pert = d.perturbed_array(entry.i, entry.j, t)
-    dec = sym_eig(pert)
-    return sphericity(pert, dec.pinv(tol) @ np.ones(d.n)), dec
+    def is_edm(self, ts) -> np.ndarray:
+        """is_edm_array of each D + tE^kl."""
+        return np.array(self._each(ts, is_edm_array), dtype=bool)
+
+    def in_t_leq(self, ts, slack: float = PSD_SLACK) -> np.ndarray:
+        """The radius-one test 2E - D - tE^kl >= 0 from eigenvalues only.
+        Boundary location passes a tighter slack: interior noise is ~1e-15."""
+        return np.array(self._each(
+            ts, lambda a: sym_eig_stack(2.0 - a, vectors=False).is_psd(slack)), dtype=bool)
+
+    def spheres(self, ts, tol: TolerancePolicy = DEFAULT_TOL
+                ) -> list[tuple[Sphericity, EigDecomp]]:
+        """Sphericity of each D + tE^kl read from w(t) = pinv(D + tE^kl) e, and
+        the eigenvalues w(t) came from (vectors None), which give kappa."""
+        def stack_spheres(a):
+            dec = sym_eig_stack(a)
+            w = dec.pinv(tol) @ np.ones(self.d.n)
+            return [(sphericity(a[k], w[k]), EigDecomp(dec.values[k], None))
+                    for k in range(len(a))]
+        return self._each(ts, stack_spheres)
 
 
 def membership_scan(
@@ -359,18 +379,19 @@ def membership_scan(
     ts,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> list[SweepRecord]:
-    """Raw eigenvalue verdicts for each sampled perturbation."""
-    entry.check_order(d.n)
+    """Raw eigenvalue verdicts for each sampled perturbation; sphericity and
+    T<= are tested only where D + tE^kl is an EDM."""
+    line = PerturbedLine(d, entry)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    edm = line.is_edm(ts)
+    found = zip(line.spheres(ts[edm], tol), line.in_t_leq(ts[edm]).tolist())
     records = []
-    for t in np.asarray(ts, dtype=float):
-        t = float(t)
-        edm_ok = sym_eig(centroid_gram(d.perturbed_array(entry.i, entry.j, t))).is_psd()
-        radius_sq, unit = None, False
+    for t, edm_ok in zip(ts.tolist(), edm.tolist()):
         if edm_ok:
-            sphere = perturbed_sphericity(d, entry, t, tol)[0]
-            radius_sq, unit = sphere.radius_sq, sphere.unit
-        leq = edm_ok and in_t_leq_oracle(d, entry, t)
-        records.append(SweepRecord(t, edm_ok, radius_sq, leq, leq and unit))
+            (sphere, _), leq = next(found)
+            records.append(SweepRecord(t, True, sphere.radius_sq, leq, leq and sphere.unit))
+        else:
+            records.append(SweepRecord(t, False, None, False, False))
     return records
 
 
@@ -420,11 +441,13 @@ def locate_t_leq_boundary(
     d: DistanceMatrix, entry: EntryIndex, inside: float, outside: float
 ) -> float:
     """Bisect the boundary of the radius-one set between a member and a non-member."""
-    slack = 1e-12
-    if not in_t_leq_oracle(d, entry, inside, slack):
+    line = PerturbedLine(d, entry)
+    def holds(t: float) -> bool:
+        return bool(line.in_t_leq([t], slack=1e-12)[0])
+
+    if not holds(inside):
         raise ValueError(f"t={inside} is not inside the radius-one set")
-    if in_t_leq_oracle(d, entry, outside, slack):
+    if holds(outside):
         raise ValueError(f"t={outside} is not outside the radius-one set")
-    inside, outside = _bisect(lambda t: in_t_leq_oracle(d, entry, t, slack),
-                              inside, outside, BOUNDARY_XTOL)
+    inside, outside = _bisect(holds, inside, outside, BOUNDARY_XTOL)
     return 0.5 * (inside + outside)

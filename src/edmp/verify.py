@@ -25,14 +25,13 @@ import numpy as np
 from .cayley import bordered, cm_w_inner
 from .errors import EdmpError, PoleAt
 from .linalg import DEFAULT_TOL, RECON_REL, TolerancePolicy, sym_eig, symmetrize
-from .model import DistanceMatrix, EdmProfile, is_edm_array, profile
+from .model import DistanceMatrix, EdmProfile, profile
 from .oracle import (
     InstanceSpec,
+    PerturbedLine,
     Structure,
     gen_unit_profile,
-    in_t_leq_oracle,
     locate_t_leq_boundary,
-    perturbed_sphericity,
     sdp_min_radius_sq,
 )
 from .perturbation import CaseTag, PerturbationReport, classify, radius_squared
@@ -172,8 +171,9 @@ def worst_closed_vs_direct(prof: EdmProfile, entry: EntryIndex, closed) -> float
     as the direct radius grows without bound.
     """
     worst = 0.0
-    for t, rho_sq in closed:
-        direct = perturbed_sphericity(prof.d, entry, t, prof.tol)[0].radius_sq
+    spheres = PerturbedLine(prof.d, entry).spheres([t for t, _ in closed], prof.tol)
+    for (_, rho_sq), (sphere, _) in zip(closed, spheres):
+        direct = sphere.radius_sq
         rel = 1.0 if direct is None else abs(rho_sq - direct) / max(1.0, abs(direct))
         worst = max(worst, rel)
     return worst
@@ -315,8 +315,7 @@ def check_teq_members(d: DistanceMatrix, entry: EntryIndex, members,
     """|2 e.w(t) - 1| <= 1e-8 + n*kappa*eps at every reported T= member, where
     w(t) and kappa = cond(D + t E^kl) come from one oracle factorization."""
     rows = []
-    for t in members:
-        sphere, dec = perturbed_sphericity(d, entry, float(t), tol)
+    for sphere, dec in PerturbedLine(d, entry).spheres(members, tol):
         kappa = dec.cond(tol)
         rows.append((sphere.unit_residual, kappa,
                      TEQ_RESIDUAL_TOL + d.n * kappa * np.finfo(float).eps))
@@ -337,28 +336,25 @@ def check_entry(
         _check(out, "case-tag", report.case_tag is expected,
                f"got {report.case_tag.value} expected {expected.value}")
     yrep = report.yielding_report
+    line = PerturbedLine(d, entry)
 
     if yrep.yielding:
         lo, hi = yrep.interval
         delta = 1e-4 * (hi - lo + 1.0)
-        _check(out, "yield-endpoints-edm",
-               is_edm_array(d.perturbed_array(entry.i, entry.j, lo))
-               and is_edm_array(d.perturbed_array(entry.i, entry.j, hi)),
+        edm = line.is_edm([lo, hi, hi + delta, lo - delta])
+        _check(out, "yield-endpoints-edm", edm[0] and edm[1],
                "yield endpoints left the EDM cone")
-        _check(out, "yield-beyond-fails",
-               not is_edm_array(d.perturbed_array(entry.i, entry.j, hi + delta))
-               and not is_edm_array(d.perturbed_array(entry.i, entry.j, lo - delta)),
+        _check(out, "yield-beyond-fails", not edm[2] and not edm[3],
                "EDM-ness survived beyond the yield interval")
 
     tleq = report.t_leq
     if tleq.width > 0.0:
-        outside = [t for t in map(float, tleq.interior_samples(20))
-                   if not in_t_leq_oracle(d, entry, t)]
+        inside = tleq.interior_samples(20)
+        held = line.in_t_leq([*inside, tleq.hi + 1e-3, tleq.lo - 1e-3])
+        outside = [float(t) for t, ok in zip(inside, held) if not ok]
         _check(out, "tleq-interior", not outside,
                f"radius-one test fails at interior t = {outside}")
-        _check(out, "tleq-exterior",
-               not in_t_leq_oracle(d, entry, tleq.hi + 1e-3)
-               and not in_t_leq_oracle(d, entry, tleq.lo - 1e-3),
+        _check(out, "tleq-exterior", not held[-2:].any(),
                "radius-one set extends beyond reported endpoints")
         width = tleq.width
         hi_found = locate_t_leq_boundary(
@@ -378,8 +374,7 @@ def check_entry(
         probes = [t for t in tleq.interior_samples(4)
                   if min(abs(t - m) for m in members) > 0.05 * tleq.width]
         if probes:
-            best = min(perturbed_sphericity(d, entry, float(t), tol)[0].unit_residual
-                       for t in probes)
+            best = min(sphere.unit_residual for sphere, _ in line.spheres(probes, tol))
             _check(out, "teq-nonmembers", best > 1e-6,
                    f"non-member unit residual only {best:.3e}")
 
@@ -447,13 +442,13 @@ def _check_rational_case(prof: EdmProfile, report: PerturbationReport) -> list[C
     border = DistanceMatrix(bordered(d))
     border_entry = EntryIndex(entry.k + 1, entry.l + 1)
     worst_direct = 0.0
-    for t in tleq.interior_samples(3):
-        t = float(t)
+    ts = tleq.interior_samples(3)
+    for t, (sphere, _) in zip(ts, PerturbedLine(border, border_entry).spheres(ts, prof.tol)):
         try:
-            closed = cm_w_inner(report, t)
+            closed = cm_w_inner(report, float(t))
         except PoleAt:
             continue
-        direct = perturbed_sphericity(border, border_entry, t, prof.tol)[0].e_dot_w
+        direct = sphere.e_dot_w
         worst_direct = max(worst_direct, abs(closed - direct) / max(1.0, abs(direct)))
     _check(out, "border-direct", worst_direct <= 1e-8,
            f"closed e~.w~ vs direct rel err {worst_direct:.3e}")

@@ -28,7 +28,7 @@ from edmp import (
 )
 from edmp.cayley import bordered
 from edmp.linalg import sym_eig
-from edmp.oracle import perturbed_sphericity, sdp_min_radius_sq
+from edmp.oracle import PerturbedLine, sdp_min_radius_sq
 from edmp.verify import bdag_identity, bprime_dag_identity, cm_dag_block
 from conftest import ANTIPODAL, SQUARE, TRIANGLE
 
@@ -202,13 +202,12 @@ def test_criterion_4_pseudoinverse_identities():
 def test_criterion_5_cross_path_equality(rational_pool):
     with criterion(5, "bordered and rational radius forms agree"):
         for d, prof, entry, report in rational_pool:
-            iv = report.t_leq
-            for t in iv.interior_samples(20):
-                t = float(t)
+            ts = report.t_leq.interior_samples(20)
+            for t, (sphere, _) in zip(map(float, ts), PerturbedLine(d, entry).spheres(ts)):
                 closed = radius_squared(report, t)
                 border = 1.0 - 0.5 * cm_w_inner(report, t)
                 assert abs(border - closed) <= 1e-10 * max(1.0, abs(closed))
-                direct = perturbed_sphericity(d, entry, t)[0].radius_sq
+                direct = sphere.radius_sq
                 assert abs(closed - direct) <= 1e-8 * max(1.0, abs(direct))
                 assert abs(border - direct) <= 1e-8 * max(1.0, abs(direct))
 

@@ -264,6 +264,14 @@ class TestSweep:
         assert code == 2
         assert "--margin must be nonnegative" in err
 
+    @pytest.mark.parametrize("margin", ["nan", "inf", "1e308"])
+    def test_nonfinite_sweep_range_exits_2(self, capsys, triangle_file, margin):
+        # Each once reached LAPACK with a non-finite t and exited 7.
+        code, out, err = run_cli(capsys, "sweep", triangle_file,
+                                 "--k", "1", "--l", "2", "--margin", margin)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "--margin" in err
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):

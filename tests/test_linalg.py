@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from edmp.linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     fix_column_signs,
     sym_eig,
+    sym_eig_stack,
     symmetrize,
 )
 from conftest import SQUARE, TRIANGLE
@@ -90,6 +91,21 @@ class TestSymEig:
         assert np.linalg.norm((dec.vectors * dec.values) @ dec.vectors.T - a) <= 1e-8 * scale
         n = a.shape[0]
         assert np.linalg.norm(dec.vectors.T @ dec.vectors - np.eye(n)) <= 1e-10 * n
+
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_stack_matches_each_matrix_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(3, n, n))
+        dec = sym_eig_stack(stack)
+        for a, values, vectors, pinv in zip(stack, dec.values, dec.vectors, dec.pinv()):
+            alone = sym_eig(a)
+            assert_array_equal(values, alone.values)
+            assert_array_equal(vectors, alone.vectors)
+            assert_array_equal(pinv, alone.pinv())
+        assert sym_eig_stack(stack, vectors=False).vectors is None
+        assert_allclose(sym_eig_stack(stack, vectors=False).values, dec.values,
+                        atol=1e-12 * n)
+        assert dec.is_psd().shape == (3,)
 
 
 class TestPinv:

@@ -1,16 +1,18 @@
 """Deterministic operation counts: each entry is classified once and each
 matrix of a profile is factored once.
 
-Calls are counted by wrapping numpy's eigh and svd, the yielding
+Calls are counted by wrapping numpy's eigh, eigvalsh and svd, the yielding
 classifier as seen from the perturbation module, `profile` and
 `radius_squared` under every module name that calls them, `EigDecomp.cond`
-and `model.centroid_gram`.  Only a change that lowers a count may tighten its
-bound.
+and `model.centroid_gram`.  An eigh or eigvalsh call on a stack factors
+every matrix of it, so the matrices factored are counted next to the calls.
+Only a change that lowers a count may tighten its bound.
 """
 
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +38,24 @@ from edmp.linalg import EigDecomp
 from edmp.matio import matrix_to_csv
 from edmp.verify import check_bordered, default_templates, run_verification
 
-# eigh and profile calls of run_verification(21, seed=0), measured with
-# every matrix of an instance factored once.  The 67 profiles are the
-# generator's 25 attempts, which give each instance's profile, plus one
-# relabeled and one bordered profile per instance.
-VERIFY_21_EIGH_BOUND = 2953
+# eigh and eigvalsh calls, matrices factored and profile calls of
+# run_verification(21, seed=0), measured with every matrix of an instance
+# factored once and each fixed sample loop factored as one stack.  The
+# stacked yield probes factor the 6 probes with a negative entry that the
+# per-matrix test rejected unfactored, hence 2,959 matrices against the
+# 2,953 of one call per matrix.  The 67 profiles are the generator's 25
+# attempts, which give each instance's profile, plus one relabeled and one
+# bordered profile per instance.
+VERIFY_21_EIGH_BOUND = 2407
+VERIFY_21_MATRIX_BOUND = 2959
 VERIFY_21_PROFILE_CALLS = 67
+
+# `sweep --num 2001` on pairunit-8.csv: 1,417 of the 2,001 samples are EDMs.
+# The profile factors B and D; then one centroid Gram per sample, and D(t)
+# and 2E - D(t) per EDM sample, in stacks of 256 matrices at n = 8.
+SWEEP_EDM_ROWS = 1417
+SWEEP_MATRICES = 2 + 2001 + 2 * SWEEP_EDM_ROWS
+SWEEP_EIGH_BOUND = math.ceil(2001 / 256) * 3
 
 # svd calls of one classify: the Gale test decides NotYielding, the [w Z]
 # test then decides TleqTrivial, and each warning reads the ratio its test
@@ -51,19 +65,24 @@ CLASSIFY_SVD_CALLS = {CaseTag.NOT_YIELDING: 1, CaseTag.TLEQ_TRIVIAL: 2}
 
 @pytest.fixture
 def counts(monkeypatch):
-    seen = {"eigh": 0, "svd": 0, "yielding_report": 0, "profile": 0, "cond": 0,
-            "centroid_gram": 0, "radius_squared": 0}
+    seen = {"eigh": 0, "matrices": 0, "svd": 0, "yielding_report": 0, "profile": 0,
+            "cond": 0, "centroid_gram": 0, "radius_squared": 0}
 
     def counting(module, name, key):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             seen[key] += 1
+            if key == "eigh":
+                seen["matrices"] += math.prod(np.shape(args[0])[:-2])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
+    # "eigh" counts LAPACK calls of both: the semidefiniteness tests read
+    # eigenvalues only.
     counting(np.linalg, "eigh", "eigh")
+    counting(np.linalg, "eigvalsh", "eigh")
     counting(np.linalg, "svd", "svd")
     counting(edmp.perturbation, "yielding_report", "yielding_report")
     for module in (edmp.model, edmp.oracle, edmp.verify):
@@ -88,6 +107,7 @@ def test_verify_classifies_each_entry_once(counts):
     assert summary.passed
     assert counts["yielding_report"] == 21
     assert counts["eigh"] <= VERIFY_21_EIGH_BOUND
+    assert counts["matrices"] <= VERIFY_21_MATRIX_BOUND
     assert counts["profile"] == VERIFY_21_PROFILE_CALLS
 
 
@@ -118,6 +138,17 @@ def test_sweep_classifies_once(counts, tmp_path):
     assert counts["yielding_report"] == 1
     # The one condition number is the profile's kappa(D); none is taken per t.
     assert counts["cond"] == 1
+
+
+def test_sweep_factors_each_sample_in_stacks(counts):
+    path = Path(__file__).parent / "golden" / "pairunit-8.csv"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["sweep", str(path), "--k", "1", "--l", "2", "--num", "2001"])
+    assert code == 0
+    rows = [row.split(",") for row in out.getvalue().splitlines()[1:]]
+    assert sum(cells[1] == "true" for cells in rows) == SWEEP_EDM_ROWS
+    assert counts["matrices"] == SWEEP_MATRICES
+    assert counts["eigh"] <= SWEEP_EIGH_BOUND
 
 
 def test_bordered_checks_read_the_border_profile(counts):

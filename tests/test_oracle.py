@@ -2,11 +2,13 @@
 
 import contextlib
 import io
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from edmp import (
     EntryIndex,
@@ -25,8 +27,8 @@ from edmp.cli import main
 from edmp.linalg import sym_eig
 from edmp.matio import load_matrix
 from edmp.model import UNIT_RADIUS_TOL, sphericity
-from edmp.oracle import in_t_leq_oracle, locate_t_leq_boundary, perturbed_sphericity
-from edmp.verify import check_profile
+from edmp.oracle import PerturbedLine, gen_unit_profile, locate_t_leq_boundary
+from edmp.verify import check_profile, default_templates
 
 from conftest import gen_nonspherical
 
@@ -149,24 +151,26 @@ class TestNonspherical:
 class TestPerturbedW:
     def test_solves_perturbed_system(self, triangle):
         entry = EntryIndex(1, 2)
-        sphere, dec = perturbed_sphericity(triangle, entry, 1.0)
+        [(sphere, dec)] = PerturbedLine(triangle, entry).spheres([1.0])
         pert = triangle.perturbed_array(0, 1, 1.0)
-        assert_allclose((dec.vectors * dec.values) @ dec.vectors.T, pert, atol=1e-12)
-        assert sphere == sphericity(pert, sym_eig(pert).pinv() @ np.ones(3))
+        whole = sym_eig(pert)
+        assert dec.vectors is None
+        assert_array_equal(dec.values, whole.values)
+        assert sphere == sphericity(pert, whole.pinv() @ np.ones(3))
         # rho^2 = 1 / (2 e.w) is the hand value 3/4 at t = 1.
         assert_allclose(sphere.radius_sq, 0.75, atol=1e-12)
 
     def test_condition_grows_near_theta_c(self, triangle):
         # D + t E^13 loses rank at theta_c = -3 for the long side.
         entry = EntryIndex(1, 3)
-        far = perturbed_sphericity(triangle, entry, -1.0)[1].cond()
-        near = perturbed_sphericity(triangle, entry, -3.0 + 1e-6)[1].cond()
+        far, near = (dec.cond() for _, dec in
+                     PerturbedLine(triangle, entry).spheres([-1.0, -3.0 + 1e-6]))
         assert near > 1e4 * far
 
     def test_nonspherical_perturbation_has_no_radius(self, triangle):
         # t = 1 on the long side makes the sides (1, 1, 2) collinear: an EDM
         # with no circumscribing sphere, so there is no radius to report.
-        sphere, _ = perturbed_sphericity(triangle, EntryIndex(1, 3), 1.0)
+        sphere, _ = PerturbedLine(triangle, EntryIndex(1, 3)).spheres([1.0])[0]
         assert sphere.radius_sq is None
         assert not sphere.unit
         assert abs(sphere.e_dot_w) < 1e-12
@@ -210,9 +214,64 @@ class TestMembershipScan:
         scanned = [(rec.t, rec.in_t_leq, rec.in_t_eq)
                    for rec in membership_scan(d, entry, members)]
         assert [in_t_eq for _, _, in_t_eq in scanned] == [True, True]
-        for t, in_t_leq, in_t_eq in rows + scanned:
-            residual = perturbed_sphericity(d, entry, t)[0].unit_residual
+        spheres = PerturbedLine(d, entry).spheres([t for t, _, _ in rows + scanned])
+        for (_, in_t_leq, in_t_eq), (sphere, _) in zip(rows + scanned, spheres):
+            residual = sphere.unit_residual
             assert in_t_eq == (in_t_leq and residual <= UNIT_RADIUS_TOL * d.n)
+
+
+def single_matrix_verdicts(d, entry, t, tol):
+    """EDM, T<= and sphericity of D + tE^kl, one sym_eig per question: the
+    reference the stacked kernel must reproduce."""
+    a = np.array(d.d)
+    a[entry.i, entry.j] += t
+    a[entry.j, entry.i] += t
+    n = d.n
+    j = np.eye(n) - np.full((n, n), 1.0 / n)
+    nonneg = a.min() >= -1e-12 * max(float(np.abs(a).max()), 1.0)
+    edm = nonneg and sym_eig(-0.5 * j @ a @ j).is_psd()
+    leq = sym_eig(2.0 - a).is_psd()
+    return edm, leq, sphericity(a, sym_eig(a).pinv(tol) @ np.ones(n))
+
+
+class TestPerturbedLine:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stacks_match_single_matrices(self, seed):
+        # The yielding ends, the T<= ends and 1e-12 relative to either side
+        # of them, 0 and theta_c, on every verify template.
+        for template in default_templates(8):
+            prof = gen_unit_profile(replace(template.spec, seed=seed))
+            entry = template.spec.entry
+            report = classify(prof, entry)
+            ts = [*report.yielding_report.interval, 0.0]
+            for end in report.t_leq:
+                step = 1e-12 * max(1.0, abs(end))
+                ts += [end - step, end, end + step]
+            if report.theta_c is not None:
+                ts.append(report.theta_c)
+            line = PerturbedLine(prof.d, entry)
+            stacked = zip(line.is_edm(ts), line.in_t_leq(ts), line.spheres(ts, prof.tol))
+            for t, (edm, leq, (sphere, _)) in zip(ts, stacked):
+                assert (edm, leq, sphere) == single_matrix_verdicts(prof.d, entry, t, prof.tol)
+
+    def test_scan_peak_memory_is_one_stack(self):
+        # A stack of all 201 matrices at n=128 would hold 26 MB per array.
+        d = gen_unit_spherical(InstanceSpec(n=128, r=64, seed=0))
+        entry = EntryIndex(1, 2)
+        lo, hi = classify(profile(d), entry).yielding_report.interval
+        ts = np.linspace(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 201)
+        membership_scan(d, entry, [0.0])
+        tracemalloc.start()
+        try:
+            membership_scan(d, entry, [0.0])
+            one = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            records = membership_scan(d, entry, ts)
+            full = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(rec.is_edm for rec in records) > 50
+        assert full - one <= 2**20
 
 
 class TestSdpOracle:
@@ -258,6 +317,5 @@ class TestBoundaryLocation:
 
     def test_oracle_membership_signs(self, triangle):
         entry = EntryIndex(1, 2)
-        assert in_t_leq_oracle(triangle, entry, 1.0)
-        assert not in_t_leq_oracle(triangle, entry, 3.2)
-        assert not in_t_leq_oracle(triangle, entry, -0.2)
+        held = PerturbedLine(triangle, entry).in_t_leq([1.0, 3.2, -0.2])
+        assert held.tolist() == [True, False, False]

@@ -19,7 +19,7 @@ from edmp import (
     radius_squared,
 )
 from edmp.linalg import sym_eig
-from edmp.oracle import edm_from_points, perturbed_sphericity
+from edmp.oracle import PerturbedLine, edm_from_points
 from edmp.verify import default_templates
 from edmp.yielding import ParallelKind, parallel_relation
 
@@ -127,8 +127,8 @@ class TestRadiusSquared:
         # rational form still tracks the true (larger) radius.
         val = radius_squared(report(triangle_profile, 1, 3), 0.5, extrapolate=True)
         assert_allclose(val, 2.0, atol=1e-12)
-        direct = perturbed_sphericity(triangle, EntryIndex(1, 3), 0.5)[0].radius_sq
-        assert_allclose(val, direct, atol=1e-10)
+        [(direct, _)] = PerturbedLine(triangle, EntryIndex(1, 3)).spheres([0.5])
+        assert_allclose(val, direct.radius_sq, atol=1e-10)
 
     def test_singleton_endpoint_limit(self, triangle_profile):
         # At theta_c = theta_lower the rational form has a removable
@@ -144,10 +144,10 @@ class TestRadiusSquared:
         d = gen_unit_spherical(InstanceSpec(n=4, r=3, seed=19))
         entry = EntryIndex(1, 2)
         rep = classify(profile(d), entry)
-        for t in rep.t_leq.interior_samples(7):
+        ts = rep.t_leq.interior_samples(7)
+        for t, (direct, _) in zip(ts, PerturbedLine(d, entry).spheres(ts)):
             closed = radius_squared(rep, float(t))
-            direct = perturbed_sphericity(d, entry, float(t))[0].radius_sq
-            assert_allclose(closed, direct, rtol=1e-8)
+            assert_allclose(closed, direct.radius_sq, rtol=1e-8)
 
 
 class TestTeq:
@@ -252,10 +252,10 @@ class TestClassify:
         yiv = rep.yielding_report.interval
         assert tuple(rep.t_leq) == tuple(yiv)
         assert yiv.lo < 0.0 < yiv.hi
-        for t in rep.t_leq.interior_samples(5):
+        ts = rep.t_leq.interior_samples(5)
+        for t, (direct, _) in zip(ts, PerturbedLine(edm_from_points(pts), entry).spheres(ts)):
             assert radius_squared(rep, float(t)) == 1.0
-            direct = perturbed_sphericity(edm_from_points(pts), entry, float(t))[0].radius_sq
-            assert abs(direct - 1.0) <= 1e-9
+            assert abs(direct.radius_sq - 1.0) <= 1e-9
 
     def test_near_parallel_trivial_set_warns(self):
         # Stacked rows that miss parallelism by ~2e-4 leave the trivial

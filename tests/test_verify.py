@@ -17,7 +17,7 @@ from edmp import (
 )
 from edmp.cli import main
 from edmp.linalg import DEFAULT_TOL
-from edmp.oracle import perturbed_sphericity
+from edmp.oracle import PerturbedLine
 from edmp.verify import (
     check_entry,
     check_instance,
@@ -159,7 +159,7 @@ class TestTeqMembersBound:
     @pytest.mark.parametrize("seed,n,r,entry", ILL_CONDITIONED)
     def test_ill_conditioned_member_passes(self, seed, n, r, entry):
         d, report = self._instance(seed, n, r, entry)
-        sphere, dec = perturbed_sphericity(d, entry, report.theta_c)
+        [(sphere, dec)] = PerturbedLine(d, entry).spheres([report.theta_c])
         assert dec.cond() > 1e8
         assert sphere.unit_residual > 1e-8
         members = report.teq_members()
@@ -182,7 +182,7 @@ class TestTeqMembersBound:
         entry = EntryIndex(1, 2)
         d, report = self._instance(0, 4, 3, entry)
         moved = report.theta_c * (1.0 + 1e-4)
-        _, dec = perturbed_sphericity(d, entry, report.theta_c)
+        [(_, dec)] = PerturbedLine(d, entry).spheres([report.theta_c])
         assert dec.cond() < 100.0
         result = check_teq_members(d, entry, (0.0, moved), DEFAULT_TOL)
         assert not result.ok
