@@ -5,7 +5,8 @@ unit-norm points whose affine hull is all of R^r, which pins the
 circumcenter at the origin and the circumradius at one.  Oracles check
 membership claims through raw eigenvalue tests and recover the minimal
 feasible radius by bisection, independently of every closed form.
-PerturbedLine factors D + tE^kl for many t at once.
+PerturbedLine factors D + tE^kl for many t at once; verify checks each
+end of T<= with one stack of its radius-one test at a tighter slack.
 gen_unit_profile also returns the profile an instance was accepted on,
 so a caller that checks the instance need not profile it again.
 """
@@ -31,7 +32,6 @@ __all__ = [
     "PerturbedLine",
     "membership_scan",
     "sdp_min_radius_sq",
-    "locate_t_leq_boundary",
 ]
 
 MAX_ATTEMPTS = 128
@@ -45,10 +45,9 @@ ZERO_MARGIN = 1e-10
 GALE_ENTRY_MARGIN = 0.05
 
 # sdp_min_radius_sq bisects lam down to a bracket of SDP_GAP and gives up
-# above SDP_CAP; locate_t_leq_boundary bisects t down to BOUNDARY_XTOL.
+# above SDP_CAP.
 SDP_GAP = 1e-9
 SDP_CAP = 1e4
-BOUNDARY_XTOL = 1e-8
 
 # Entries per PerturbedLine stack: 256 matrices at n=8, one from n=128 on.
 # At n=128, 2**16 and 2**18 raised peak RSS by 4.0 and 17.6 MB, 2**14 by 0.5.
@@ -357,7 +356,8 @@ class PerturbedLine:
 
     def in_t_leq(self, ts, slack: float = PSD_SLACK) -> np.ndarray:
         """The radius-one test 2E - D - tE^kl >= 0 from eigenvalues only.
-        Boundary location passes a tighter slack: interior noise is ~1e-15."""
+        verify's probes 1e-6 off each end of T<= pass a tighter slack, 1e-12,
+        since interior noise is ~1e-15 and the defect there ~1e-6."""
         return np.array(self._each(
             ts, lambda a: sym_eig_stack(2.0 - a, vectors=False).is_psd(slack)), dtype=bool)
 
@@ -395,18 +395,6 @@ def membership_scan(
     return records
 
 
-def _bisect(holds, yes: float, no: float, xtol: float) -> tuple[float, float]:
-    """Halve the bracket between yes and no until it is at most xtol wide,
-    keeping holds(yes) true and holds(no) false."""
-    while abs(no - yes) > xtol:
-        mid = 0.5 * (yes + no)
-        if holds(mid):
-            yes = mid
-        else:
-            no = mid
-    return yes, no
-
-
 def sdp_min_radius_sq(d: DistanceMatrix, entry: EntryIndex, t: float) -> float:
     """Least lam with 2 lam E - t E^kl - D >= 0, located by bisection.
 
@@ -434,20 +422,11 @@ def sdp_min_radius_sq(d: DistanceMatrix, entry: EntryIndex, t: float) -> float:
             raise Infeasible("no feasible radius bound below the cap")
     if feasible(lo):
         return lo
-    return _bisect(feasible, hi, lo, SDP_GAP)[0]
+    while hi - lo > SDP_GAP:
+        mid = 0.5 * (hi + lo)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
-
-def locate_t_leq_boundary(
-    d: DistanceMatrix, entry: EntryIndex, inside: float, outside: float
-) -> float:
-    """Bisect the boundary of the radius-one set between a member and a non-member."""
-    line = PerturbedLine(d, entry)
-    def holds(t: float) -> bool:
-        return bool(line.in_t_leq([t], slack=1e-12)[0])
-
-    if not holds(inside):
-        raise ValueError(f"t={inside} is not inside the radius-one set")
-    if holds(outside):
-        raise ValueError(f"t={outside} is not outside the radius-one set")
-    inside, outside = _bisect(holds, inside, outside, BOUNDARY_XTOL)
-    return 0.5 * (inside + outside)

@@ -222,9 +222,8 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
         # throughout.
         return report(CaseTag.CONTINUUM_UNIT, tleq)
 
-    z = prof.Z
-    if z is not None and float(np.linalg.norm(z[entry.i])) > PARALLEL_TOL * prof.z_scale:
-        # w_k != 0 with a nonzero Gale row: radius 1 throughout.
+    if yrep.gale_relation.kind is ParallelKind.SCALAR:
+        # w_k != 0 with nonzero parallel Gale rows: radius 1 throughout.
         return report(CaseTag.CONTINUUM_UNIT, tleq)
 
     if yrep.theta_lower is None or yrep.theta_upper is None:

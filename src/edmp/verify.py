@@ -3,7 +3,8 @@
 Each generated instance is pushed through every structural identity the
 package claims: profile consistency, the pseudoinverse identities, the
 bordered-matrix equivalences, interval endpoint soundness against raw
-eigenvalue oracles, unit-radius membership of the reported sets, and the
+eigenvalue oracles (each end of T<= by one probe 1e-6 inside and one 1e-6
+outside), unit-radius membership of the reported sets, and the
 rational radius formula against both the direct and the bisection
 oracle.  Case coverage across all five classification tags is part of
 the contract.  Each matrix is factored once: the identities read D+, w
@@ -31,7 +32,6 @@ from .oracle import (
     PerturbedLine,
     Structure,
     gen_unit_profile,
-    locate_t_leq_boundary,
     sdp_min_radius_sq,
 )
 from .perturbation import CaseTag, PerturbationReport, classify, radius_squared
@@ -356,16 +356,15 @@ def check_entry(
                f"radius-one test fails at interior t = {outside}")
         _check(out, "tleq-exterior", not held[-2:].any(),
                "radius-one set extends beyond reported endpoints")
-        width = tleq.width
-        hi_found = locate_t_leq_boundary(
-            d, entry, tleq.hi - 0.25 * width, tleq.hi + max(0.1, 0.1 * abs(tleq.hi))
-        )
-        lo_found = locate_t_leq_boundary(
-            d, entry, tleq.lo + 0.25 * width, tleq.lo - max(0.1, 0.1 * abs(tleq.lo))
-        )
-        _check(out, "tleq-endpoint-bisect",
-               abs(hi_found - tleq.hi) <= 1e-6 and abs(lo_found - tleq.lo) <= 1e-6,
-               f"bisected endpoints ({lo_found}, {hi_found}) vs {tuple(tleq)}")
+        # T<= is an interval, so its ends lie within 1e-6 of the reported
+        # ones exactly when probes just inside hold and 1e-6 outside fail.
+        delta = min(1e-6, 0.25 * tleq.width)
+        probes = [tleq.lo + delta, tleq.hi - delta, tleq.lo - 1e-6, tleq.hi + 1e-6]
+        at_ends = line.in_t_leq(probes, slack=1e-12)
+        wrong = [t for t, ok, inner in zip(probes, at_ends, (True, True, False, False))
+                 if ok != inner]
+        _check(out, "tleq-endpoint-probe", not wrong,
+               f"radius-one test contradicts the ends {tuple(tleq)} at t = {wrong}")
 
     members = report.teq_members()
     out.append(check_teq_members(d, entry, members, tol))
@@ -486,8 +485,12 @@ def check_instance(
         results.extend(check_bordered(prof, border))
     tag = None
     if spec.entry is not None:
-        entry_results, tag = check_entry(prof, spec.entry, expected)
-        results.extend(entry_results)
+        try:
+            entry_results, tag = check_entry(prof, spec.entry, expected)
+        except EdmpError as exc:
+            results.append(CheckResult("entry-checks", False, str(exc)))
+        else:
+            results.extend(entry_results)
     return results, tag
 
 

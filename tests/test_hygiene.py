@@ -1,9 +1,10 @@
 """Import hygiene of the package, checked with the standard library's ast.
 
 Every module-level import of an `edmp` module is used in that module or
-listed in its `__all__`, every name in `__all__` is defined, and every
-name in `__all__` is used by another module, by the benchmark or is
-documented in the README.
+listed in its `__all__`, every name in `__all__` is defined, every name
+in `__all__` is used by another module, by the benchmark or is
+documented in the README, and every module-level function, class and
+constant is read by package code or by the benchmark.
 """
 
 import ast
@@ -66,7 +67,8 @@ def _annotations(tree: ast.Module):
 
 def _used(tree: ast.Module) -> set[str]:
     """Names read anywhere, including inside quoted annotations."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
     for note in _annotations(tree):
         for node in ast.walk(note) if note is not None else ():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -119,3 +121,22 @@ def test_all_names_are_used_or_documented(path):
                     if name not in named and not re.search(rf"\b{name}\b", readme))
     assert not unused, (f"{path.name} exports {unused}, which no other module, "
                         "no benchmark file and not the README names")
+
+
+def _read(path: Path) -> set[str]:
+    """Names a module reads, as a name, an attribute or in an annotation;
+    importing or exporting a name does not read it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return _used(tree) | attrs
+
+
+def test_every_definition_is_read():
+    # Tests do not count as readers: a name only they read is dead code.
+    read = set().union(*map(_read, MODULES), *map(_named, BENCH))
+    dead = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        dead += [f"{path.name}: {name}" for name in sorted(_defined(tree) - set(_imports(tree)))
+                 if name not in read and not name.startswith("__")]
+    assert not dead, f"no package code and no benchmark file reads {', '.join(dead)}"

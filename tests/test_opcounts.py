@@ -40,14 +40,14 @@ from edmp.verify import check_bordered, default_templates, run_verification
 
 # eigh and eigvalsh calls, matrices factored and profile calls of
 # run_verification(21, seed=0), measured with every matrix of an instance
-# factored once and each fixed sample loop factored as one stack.  The
-# stacked yield probes factor the 6 probes with a negative entry that the
-# per-matrix test rejected unfactored, hence 2,959 matrices against the
-# 2,953 of one call per matrix.  The 67 profiles are the generator's 25
-# attempts, which give each instance's profile, plus one relabeled and one
-# bordered profile per instance.
-VERIFY_21_EIGH_BOUND = 2407
-VERIFY_21_MATRIX_BOUND = 2959
+# factored once, each fixed sample loop factored as one stack and both ends
+# of T<= checked by one stack of four probes instead of a bisection.  The
+# stacked yield probes also factor the probes with a negative entry, which
+# a per-matrix test would reject unfactored.  The 67 profiles are the
+# generator's 25 attempts, which give each instance's profile, plus one
+# relabeled and one bordered profile per instance.
+VERIFY_21_EIGH_BOUND = 1641
+VERIFY_21_MATRIX_BOUND = 2235
 VERIFY_21_PROFILE_CALLS = 67
 
 # `sweep --num 2001` on pairunit-8.csv: 1,417 of the 2,001 samples are EDMs.

@@ -27,7 +27,7 @@ from edmp.cli import main
 from edmp.linalg import sym_eig
 from edmp.matio import load_matrix
 from edmp.model import UNIT_RADIUS_TOL, sphericity
-from edmp.oracle import PerturbedLine, gen_unit_profile, locate_t_leq_boundary
+from edmp.oracle import PerturbedLine, gen_unit_profile
 from edmp.verify import check_profile, default_templates
 
 from conftest import gen_nonspherical
@@ -305,15 +305,16 @@ class TestSdpOracle:
 
 class TestBoundaryLocation:
     def test_endpoints_match_closed_form(self, triangle):
+        # The radius-one test holds just inside each closed-form end and
+        # fails 1e-6 outside it, so the true ends lie within 1e-6.
         prof = profile(triangle)
         for k, l in [(1, 2), (1, 3)]:
             entry = EntryIndex(k, l)
-            iv = classify(prof, entry).t_leq
-            mid = 0.5 * (iv.lo + iv.hi)
-            hi_found = locate_t_leq_boundary(triangle, entry, mid, iv.hi + 0.5)
-            lo_found = locate_t_leq_boundary(triangle, entry, mid, iv.lo - 0.5)
-            assert abs(hi_found - iv.hi) <= 1e-6
-            assert abs(lo_found - iv.lo) <= 1e-6
+            lo, hi = classify(prof, entry).t_leq
+            delta = min(1e-6, 0.25 * (hi - lo))
+            held = PerturbedLine(triangle, entry).in_t_leq(
+                [lo + delta, hi - delta, lo - 1e-6, hi + 1e-6], slack=1e-12)
+            assert held.tolist() == [True, True, False, False]
 
     def test_oracle_membership_signs(self, triangle):
         entry = EntryIndex(1, 2)

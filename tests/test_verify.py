@@ -16,8 +16,9 @@ from edmp import (
     profile,
 )
 from edmp.cli import main
+from edmp.errors import Infeasible, NumericalFailure
 from edmp.linalg import DEFAULT_TOL
-from edmp.oracle import PerturbedLine
+from edmp.oracle import PerturbedLine, gen_unit_profile
 from edmp.verify import (
     check_entry,
     check_instance,
@@ -91,6 +92,21 @@ class TestRunner:
         assert "first failing seed: 4" in out
         assert "bordered-profile: input matrix is not a Euclidean distance matrix" in out
 
+    @pytest.mark.parametrize("name,error", [
+        ("sdp_min_radius_sq", Infeasible("no feasible radius bound below the cap")),
+        ("classify", NumericalFailure("radius coefficient identities failed")),
+    ])
+    def test_entry_error_is_a_failed_check(self, monkeypatch, capsys, name, error):
+        # An error raised while checking the entry is reported with its seed
+        # and text instead of stopping verify.
+        def fail(*_):
+            raise error
+        monkeypatch.setattr(edmp.verify, name, fail)
+        assert main(["verify", "--count", "1", "--seed", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "first failing seed: 4" in out
+        assert f"entry-checks: {error}" in out
+
 
 class TestCheckInstance:
     def test_square_passes_everything(self):
@@ -128,6 +144,58 @@ class TestCheckInstance:
         interior = next(res for res in results if res.name == "tleq-interior")
         assert not interior.ok
         assert interior.detail.startswith("radius-one test fails at interior t = [")
+
+
+class TestTleqEndpointProbe:
+    """Each end of T<= is checked by one radius-one probe just inside it and
+    one 1e-6 outside it."""
+
+    ENTRY = EntryIndex(1, 2)
+
+    @pytest.fixture
+    def pair_unit(self):
+        # gen --n 4 --r 3 --seed 0 is PairUnit at (1,2).
+        prof = profile(gen_unit_spherical(InstanceSpec(4, 3, seed=0)))
+        report = classify(prof, self.ENTRY)
+        assert report.case_tag is CaseTag.PAIR_UNIT
+        return prof, report
+
+    @staticmethod
+    def _probe(monkeypatch, prof, report, entry, t_leq):
+        moved = replace(report, t_leq=t_leq)
+        monkeypatch.setattr(edmp.verify, "classify", lambda *_: moved)
+        results, _ = check_entry(prof, entry, report.case_tag)
+        return next(res for res in results if res.name == "tleq-endpoint-probe")
+
+    @pytest.mark.parametrize("shift", [1e-5, -1e-5], ids=["out", "in"])
+    def test_end_moved_by_1e_5_fails(self, monkeypatch, pair_unit, shift):
+        prof, report = pair_unit
+        lo, hi = report.t_leq
+        probe = self._probe(monkeypatch, prof, report, self.ENTRY, Interval(lo, hi + shift))
+        assert not probe.ok
+        assert probe.detail.startswith("radius-one test contradicts the ends (")
+
+    @pytest.mark.parametrize("shift", [1e-8, -1e-8], ids=["out", "in"])
+    def test_end_moved_by_1e_8_passes(self, monkeypatch, pair_unit, shift):
+        prof, report = pair_unit
+        lo, hi = report.t_leq
+        assert self._probe(monkeypatch, prof, report, self.ENTRY, Interval(lo, hi + shift)).ok
+
+    def test_halved_tleq_fails_checks_without_raising(self, monkeypatch):
+        # Halving ContinuumUnit's T<= puts the outer probe at its new upper
+        # end inside the radius-one set.
+        template = next(t for t in default_templates()
+                        if t.spec.structure is Structure.ZERO_W_PAIR)
+        prof = gen_unit_profile(template.spec)
+        entry = template.spec.entry
+        report = classify(prof, entry)
+        assert report.case_tag is CaseTag.CONTINUUM_UNIT
+        lo, hi = report.t_leq
+        halved = Interval(lo, 0.5 * (lo + hi))
+        assert not self._probe(monkeypatch, prof, report, entry, halved).ok
+        results, _ = check_entry(prof, entry, CaseTag.CONTINUUM_UNIT)
+        assert {res.name for res in results if not res.ok} >= {
+            "tleq-exterior", "tleq-endpoint-probe"}
 
 
 class TestRadiusComparisons:
