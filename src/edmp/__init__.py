@@ -60,7 +60,6 @@ from .oracle import (
     gen_unit_spherical,
     membership_scan,
     PerturbedLine,
-    sdp_min_radius_sq,
 )
 from .verify import run_verification
 

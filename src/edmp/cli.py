@@ -153,13 +153,14 @@ def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
 def _cross_check_block(prof: EdmProfile, report: PerturbationReport) -> dict:
     tleq = report.t_leq
     closed = closed_radii(report, [0.0] if tleq.width == 0.0 else tleq.interior_samples(21))
+    line = PerturbedLine(prof.d, report.entry)
     return {
         "samples": len(closed),
-        "max_rel_closed_vs_oracle": worst_closed_vs_direct(prof, report.entry, closed),
+        "max_rel_closed_vs_oracle": worst_closed_vs_direct(line, closed, prof.tol),
         "max_rel_border_vs_closed": worst_border_vs_closed(report, closed),
         "max_unit_residual_on_t_eq": max([0.0] + [
-            sphere.unit_residual for sphere, _ in
-            PerturbedLine(prof.d, report.entry).spheres(report.teq_members(), prof.tol)
+            sphere.unit_residual
+            for sphere, _ in line.spheres(report.teq_members(), prof.tol)
         ]),
     }
 

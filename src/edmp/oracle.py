@@ -5,8 +5,10 @@ unit-norm points whose affine hull is all of R^r, which pins the
 circumcenter at the origin and the circumradius at one.  Oracles check
 membership claims through raw eigenvalue tests and recover the minimal
 feasible radius by bisection, independently of every closed form.
-PerturbedLine factors D + tE^kl for many t at once; verify checks each
-end of T<= with one stack of its radius-one test at a tighter slack.
+PerturbedLine factors D + tE^kl for many t at once, for every raw test
+of the line; its bisection oracle bisects a stack of t in lockstep on
+eigenvalues alone, and verify checks each end of T<= with one stack of
+its radius-one test at a tighter slack.
 gen_unit_profile also returns the profile an instance was accepted on,
 so a caller that checks the instance need not profile it again.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
-from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig, sym_eig_stack
+from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig_stack
 from .model import DistanceMatrix, EdmProfile, Sphericity, is_edm_array, profile, sphericity
 from .yielding import EntryIndex, parallel_relation, singleton_gap
 
@@ -31,7 +33,6 @@ __all__ = [
     "gen_unit_profile",
     "PerturbedLine",
     "membership_scan",
-    "sdp_min_radius_sq",
 ]
 
 MAX_ATTEMPTS = 128
@@ -44,8 +45,8 @@ ZERO_MARGIN = 1e-10
 # interval quadratic in the overshoot and hence undetectable; reject them.
 GALE_ENTRY_MARGIN = 0.05
 
-# sdp_min_radius_sq bisects lam down to a bracket of SDP_GAP and gives up
-# above SDP_CAP.
+# PerturbedLine.min_radius_sq bisects lam down to a bracket of SDP_GAP and
+# gives up above SDP_CAP.
 SDP_GAP = 1e-9
 SDP_CAP = 1e4
 
@@ -75,6 +76,8 @@ class InstanceSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise InfeasibleSpec(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
         if self.n < 3:
             raise InfeasibleSpec("instances need at least 3 points")
         if not 1 <= self.r <= self.n - 1:
@@ -361,6 +364,39 @@ class PerturbedLine:
         return np.array(self._each(
             ts, lambda a: sym_eig_stack(2.0 - a, vectors=False).is_psd(slack)), dtype=bool)
 
+    def min_radius_sq(self, ts) -> np.ndarray:
+        """Least lam with 2 lam E - D - tE^kl >= 0 for each t, by bisection.
+
+        The least eigenvalue of 2 lam E - A is concave and nondecreasing in
+        lam, so the feasible set is a ray and bisection on it is exact; the
+        optimum is the squared radius of D + tE^kl whenever that matrix is a
+        spherical EDM.  Every t of a stack is bisected at once: brackets
+        start at [0, 1], an infeasible upper end is doubled, then all are
+        halved to SDP_GAP, each frozen once it is done, so each t sees the
+        midpoints of its own bisection.  For a nonspherical target the PSD
+        defect decays like 1/lam while eigenvalue noise grows like lam, so
+        SDP_CAP must stay moderate for Infeasible to be detectable.
+        """
+        def bisect(a):
+            feas_abs = 1e-13 * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+
+            def feasible(lam):
+                least = sym_eig_stack(2.0 * lam[:, None, None] - a, vectors=False).values[:, -1]
+                return least >= -(feas_abs + 1e-14 * self.d.n * np.abs(lam))
+
+            lo, hi = np.zeros(len(a)), np.ones(len(a))
+            while not (ok := feasible(hi)).all():
+                lo, hi = np.where(ok, lo, hi), np.where(ok, hi, 2.0 * hi)
+                if (hi > SDP_CAP).any():
+                    raise Infeasible("no feasible radius bound below the cap")
+            done = feasible(lo)
+            while (active := ~done & (hi - lo > SDP_GAP)).any():
+                mid = 0.5 * (hi + lo)
+                ok = feasible(mid)
+                lo, hi = np.where(active & ~ok, mid, lo), np.where(active & ok, mid, hi)
+            return np.where(done, lo, hi)
+        return np.array(self._each(ts, bisect), dtype=float)
+
     def spheres(self, ts, tol: TolerancePolicy = DEFAULT_TOL
                 ) -> list[tuple[Sphericity, EigDecomp]]:
         """Sphericity of each D + tE^kl read from w(t) = pinv(D + tE^kl) e, and
@@ -393,40 +429,3 @@ def membership_scan(
         else:
             records.append(SweepRecord(t, False, None, False, False))
     return records
-
-
-def sdp_min_radius_sq(d: DistanceMatrix, entry: EntryIndex, t: float) -> float:
-    """Least lam with 2 lam E - t E^kl - D >= 0, located by bisection.
-
-    The feasible set in lam is a ray, so bisection against the minimum
-    eigenvalue is exact; the optimum equals the squared radius of the
-    perturbed matrix whenever that matrix is a spherical EDM.  For a
-    nonspherical target the PSD defect decays like 1/lam while eigenvalue
-    noise grows like lam, so SDP_CAP must stay moderate for Infeasible to
-    be detectable.
-    """
-    entry.check_order(d.n)
-    pert = d.perturbed_array(entry.i, entry.j, t)
-    ones = np.ones((d.n, d.n))
-    feas_abs = 1e-13 * max(1.0, float(np.abs(pert).max()))
-
-    def feasible(lam: float) -> bool:
-        slack = feas_abs + 1e-14 * d.n * abs(lam)
-        return sym_eig(2.0 * lam * ones - pert).values[-1] >= -slack
-
-    lo, hi = 0.0, 1.0
-    while not feasible(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > SDP_CAP:
-            raise Infeasible("no feasible radius bound below the cap")
-    if feasible(lo):
-        return lo
-    while hi - lo > SDP_GAP:
-        mid = 0.5 * (hi + lo)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-

@@ -3,15 +3,17 @@
 Each generated instance is pushed through every structural identity the
 package claims: profile consistency, the pseudoinverse identities, the
 bordered-matrix equivalences, interval endpoint soundness against raw
-eigenvalue oracles (each end of T<= by one probe 1e-6 inside and one 1e-6
-outside), unit-radius membership of the reported sets, and the
+eigenvalue oracles (each end of T<= by one probe 1e-6 inside and one
+1e-6 outside), unit-radius membership of the reported sets, and the
 rational radius formula against both the direct and the bisection
-oracle.  Case coverage across all five classification tags is part of
-the contract.  Each matrix is factored once: the identities read D+, w
-and B+ from the profile the generator accepted the instance on, the
-bordered matrix is profiled like any other EDM and gives w~, the
-bordered pseudoinverse, Gram and embedding dimension, and each T=
-member's w(t) and condition number come from one oracle factorization.
+oracle, all asked of one PerturbedLine per entry.  Case coverage across
+all five classification tags is part of the contract, so an nmax whose
+templates miss a tag is rejected.  Each matrix is factored once: the
+identities read D+, w and B+ from the profile the generator accepted the
+instance on, the bordered matrix is profiled like any other EDM and
+gives w~, the bordered pseudoinverse, Gram and embedding dimension, and
+each T= member's w(t) and condition number come from one oracle
+factorization.
 The pseudoinverse identities are defined here, because only these checks
 use them: B+, (E - D/2)+ and the bordered pseudoinverse, each written
 through D+, w and B+ of a unit spherical profile.
@@ -27,13 +29,7 @@ from .cayley import bordered, cm_w_inner
 from .errors import EdmpError, PoleAt
 from .linalg import DEFAULT_TOL, RECON_REL, TolerancePolicy, sym_eig, symmetrize
 from .model import DistanceMatrix, EdmProfile, profile
-from .oracle import (
-    InstanceSpec,
-    PerturbedLine,
-    Structure,
-    gen_unit_profile,
-    sdp_min_radius_sq,
-)
+from .oracle import InstanceSpec, PerturbedLine, Structure, gen_unit_profile
 from .perturbation import CaseTag, PerturbationReport, classify, radius_squared
 from .yielding import EntryIndex
 
@@ -115,7 +111,8 @@ class VerifySummary:
 
 
 def default_templates(nmax: int = 8) -> list[Template]:
-    """Structure/case templates cycled by the verification run."""
+    """Structure/case templates cycled by the verification run; an nmax
+    whose templates miss a case tag is rejected, since no run could pass."""
     raw = [
         (3, 2, Structure.GENERIC, (1, 2), CaseTag.PAIR_UNIT),
         (4, 3, Structure.GENERIC, (1, 2), CaseTag.PAIR_UNIT),
@@ -144,8 +141,9 @@ def default_templates(nmax: int = 8) -> list[Template]:
         for (n, r, structure, (k, l), expected) in raw
         if n <= nmax
     ]
-    if not out:
-        raise ValueError("nmax too small: no templates fit")
+    missing = [tag.value for tag in CaseTag if all(t.expected is not tag for t in out)]
+    if missing:
+        raise ValueError(f"nmax {nmax} too small: no template covers {', '.join(missing)}")
     return out
 
 
@@ -163,15 +161,16 @@ def closed_radii(report: PerturbationReport, ts) -> list[tuple[float, float]]:
     return [(t, radius_squared(report, t)) for t in map(float, ts)]
 
 
-def worst_closed_vs_direct(prof: EdmProfile, entry: EntryIndex, closed) -> float:
+def worst_closed_vs_direct(line: PerturbedLine, closed, tol: TolerancePolicy) -> float:
     """Largest |closed - direct| / max(1, |direct|) over the (t, closed)
-    pairs of the rational radius against the direct oracle 1 / (2 e.w(t)).
+    pairs of the rational radius against the direct oracle 1 / (2 e.w(t))
+    on `line`.
 
     A perturbed matrix with no sphere counts as 1, the limit of the error
     as the direct radius grows without bound.
     """
     worst = 0.0
-    spheres = PerturbedLine(prof.d, entry).spheres([t for t, _ in closed], prof.tol)
+    spheres = line.spheres([t for t, _ in closed], tol)
     for (_, rho_sq), (sphere, _) in zip(closed, spheres):
         direct = sphere.radius_sq
         rel = 1.0 if direct is None else abs(rho_sq - direct) / max(1.0, abs(direct))
@@ -310,15 +309,15 @@ def check_bordered(prof: EdmProfile, border: EdmProfile) -> list[CheckResult]:
     return out
 
 
-def check_teq_members(d: DistanceMatrix, entry: EntryIndex, members,
-                      tol: TolerancePolicy) -> CheckResult:
-    """|2 e.w(t) - 1| <= 1e-8 + n*kappa*eps at every reported T= member, where
-    w(t) and kappa = cond(D + t E^kl) come from one oracle factorization."""
+def check_teq_members(line: PerturbedLine, members, tol: TolerancePolicy) -> CheckResult:
+    """|2 e.w(t) - 1| <= 1e-8 + n*kappa*eps at every reported T= member of
+    `line`, where w(t) and kappa = cond(D + t E^kl) come from one oracle
+    factorization."""
     rows = []
-    for sphere, dec in PerturbedLine(d, entry).spheres(members, tol):
+    for sphere, dec in line.spheres(members, tol):
         kappa = dec.cond(tol)
         rows.append((sphere.unit_residual, kappa,
-                     TEQ_RESIDUAL_TOL + d.n * kappa * np.finfo(float).eps))
+                     TEQ_RESIDUAL_TOL + line.d.n * kappa * np.finfo(float).eps))
     residual, kappa, bound = max(rows, key=lambda row: row[0] / row[2])
     ok = bool(residual <= bound)
     return CheckResult("teq-members", ok, "" if ok else (
@@ -330,13 +329,13 @@ def check_entry(
     prof: EdmProfile, entry: EntryIndex, expected: CaseTag | None
 ) -> tuple[list[CheckResult], CaseTag]:
     out: list[CheckResult] = []
-    d, tol = prof.d, prof.tol
+    tol = prof.tol
     report = classify(prof, entry)
     if expected is not None:
         _check(out, "case-tag", report.case_tag is expected,
                f"got {report.case_tag.value} expected {expected.value}")
     yrep = report.yielding_report
-    line = PerturbedLine(d, entry)
+    line = PerturbedLine(prof.d, entry)
 
     if yrep.yielding:
         lo, hi = yrep.interval
@@ -367,7 +366,7 @@ def check_entry(
                f"radius-one test contradicts the ends {tuple(tleq)} at t = {wrong}")
 
     members = report.teq_members()
-    out.append(check_teq_members(d, entry, members, tol))
+    out.append(check_teq_members(line, members, tol))
 
     if report.case_tag is not CaseTag.CONTINUUM_UNIT and tleq.width > 0.0:
         probes = [t for t in tleq.interior_samples(4)
@@ -379,14 +378,12 @@ def check_entry(
 
     if tleq.width > 0.0:
         worst_rel = worst_closed_vs_direct(
-            prof, entry, closed_radii(report, tleq.interior_samples(10)))
+            line, closed_radii(report, tleq.interior_samples(10)), tol)
         _check(out, "radius-direct-agreement", worst_rel <= 1e-8,
                f"closed form vs direct radius rel err {worst_rel:.3e}")
-        sdp_worst = max(
-            abs(sdp_min_radius_sq(d, entry, float(t))
-                - radius_squared(report, float(t)))
-            for t in tleq.interior_samples(3)
-        )
+        ts = tleq.interior_samples(3)
+        sdp_worst = max(abs(lam - rho_sq) for lam, (_, rho_sq)
+                        in zip(line.min_radius_sq(ts), closed_radii(report, ts)))
         _check(out, "radius-sdp-agreement", sdp_worst <= 1e-7,
                f"bisection vs closed form abs err {sdp_worst:.3e}")
 

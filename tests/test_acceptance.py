@@ -28,7 +28,7 @@ from edmp import (
 )
 from edmp.cayley import bordered
 from edmp.linalg import sym_eig
-from edmp.oracle import PerturbedLine, sdp_min_radius_sq
+from edmp.oracle import PerturbedLine
 from edmp.verify import bdag_identity, bprime_dag_identity, cm_dag_block
 from conftest import ANTIPODAL, SQUARE, TRIANGLE
 
@@ -233,10 +233,8 @@ def test_criterion_6_membership_soundness(mixed_pool):
 def test_criterion_7_sdp_oracle(rational_pool):
     with criterion(7, "bisection feasibility oracle matches the radius"):
         for d, prof, entry, report in rational_pool[:6]:
-            iv = report.t_leq
-            for t in iv.interior_samples(10):
-                t = float(t)
-                lam_star = sdp_min_radius_sq(d, entry, t)
+            ts = report.t_leq.interior_samples(10)
+            for t, lam_star in zip(map(float, ts), PerturbedLine(d, entry).min_radius_sq(ts)):
                 assert abs(lam_star - radius_squared(report, t)) <= 1e-7
 
 

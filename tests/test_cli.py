@@ -285,6 +285,13 @@ class TestVerify:
         _, second, _ = run_cli(capsys, "verify", "--count", "4", "--seed", "11")
         assert first == second
 
+    @pytest.mark.parametrize("nmax", ["3", "4"])
+    def test_nmax_missing_a_case_exits_2(self, capsys, nmax):
+        # Below n = 5 no template is NotYielding, so no run could pass.
+        code, out, err = run_cli(capsys, "verify", "--count", "20", "--nmax", nmax)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "NotYielding" in err
+
     def test_injected_failure_exits_1(self, capsys, radius_off_one):
         code, out, _ = run_cli(capsys, "verify", "--count", "1", "--seed", "11")
         assert code == 1
@@ -338,6 +345,13 @@ class TestGen:
         assert code == 6
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_6(self, capsys, seed):
+        code, out, err = run_cli(capsys, "gen", "--n", "4", "--r", "3", "--seed", seed)
+        assert code == 6
+        assert out == ""
+        assert err.splitlines() == [f"error: seed must satisfy 0 <= seed < 2**64, got {seed}"]
 
     def test_numerical_failure_exits_7(self, capsys, monkeypatch):
         def no_convergence(spec, tol):

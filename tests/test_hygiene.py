@@ -3,8 +3,9 @@
 Every module-level import of an `edmp` module is used in that module or
 listed in its `__all__`, every name in `__all__` is defined, every name
 in `__all__` is used by another module, by the benchmark or is
-documented in the README, and every module-level function, class and
-constant is read by package code or by the benchmark.
+documented in the README, every module-level function, class and
+constant is read by package code or by the benchmark, and only `linalg`
+calls LAPACK's symmetric eigensolvers.
 """
 
 import ast
@@ -140,3 +141,12 @@ def test_every_definition_is_read():
         dead += [f"{path.name}: {name}" for name in sorted(_defined(tree) - set(_imports(tree)))
                  if name not in read and not name.startswith("__")]
     assert not dead, f"no package code and no benchmark file reads {', '.join(dead)}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_only_linalg_names_the_eigensolvers(path):
+    # Every factorization goes through sym_eig or sym_eig_stack, where the
+    # operation counts and the benchmark's tracer see it.
+    named = _named(path) & {"eigh", "eigvalsh"}
+    assert not named, f"{path.name} names {sorted(named)}; use linalg.sym_eig_stack"

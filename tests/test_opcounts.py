@@ -40,13 +40,15 @@ from edmp.verify import check_bordered, default_templates, run_verification
 
 # eigh and eigvalsh calls, matrices factored and profile calls of
 # run_verification(21, seed=0), measured with every matrix of an instance
-# factored once, each fixed sample loop factored as one stack and both ends
-# of T<= checked by one stack of four probes instead of a bisection.  The
+# factored once, each fixed sample loop factored as one stack, both ends
+# of T<= checked by one stack of four probes instead of a bisection, and
+# the three samples of radius-sdp-agreement bisected in lockstep: 32 calls
+# per entry with T<= of positive width instead of 32 per sample.  The
 # stacked yield probes also factor the probes with a negative entry, which
 # a per-matrix test would reject unfactored.  The 67 profiles are the
 # generator's 25 attempts, which give each instance's profile, plus one
 # relabeled and one bordered profile per instance.
-VERIFY_21_EIGH_BOUND = 1641
+VERIFY_21_EIGH_BOUND = 745
 VERIFY_21_MATRIX_BOUND = 2235
 VERIFY_21_PROFILE_CALLS = 67
 
@@ -57,6 +59,11 @@ SWEEP_EDM_ROWS = 1417
 SWEEP_MATRICES = 2 + 2001 + 2 * SWEEP_EDM_ROWS
 SWEEP_EIGH_BOUND = math.ceil(2001 / 256) * 3
 
+# eigvalsh calls of one min_radius_sq over a stack whose every squared
+# radius is below one: the upper end 1 holds, the lower end 0 fails, and 30
+# halvings bring [0, 1] down to SDP_GAP = 1e-9.
+MIN_RADIUS_SQ_CALLS = 32
+
 # svd calls of one classify: the Gale test decides NotYielding, the [w Z]
 # test then decides TleqTrivial, and each warning reads the ratio its test
 # measured.
@@ -65,14 +72,15 @@ CLASSIFY_SVD_CALLS = {CaseTag.NOT_YIELDING: 1, CaseTag.TLEQ_TRIVIAL: 2}
 
 @pytest.fixture
 def counts(monkeypatch):
-    seen = {"eigh": 0, "matrices": 0, "svd": 0, "yielding_report": 0, "profile": 0,
-            "cond": 0, "centroid_gram": 0, "radius_squared": 0}
+    seen = {"eigh": 0, "eigvalsh": 0, "matrices": 0, "svd": 0, "yielding_report": 0,
+            "profile": 0, "cond": 0, "centroid_gram": 0, "radius_squared": 0}
 
-    def counting(module, name, key):
+    def counting(module, name, key, *also):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            seen[key] += 1
+            for each in (key, *also):
+                seen[each] += 1
             if key == "eigh":
                 seen["matrices"] += math.prod(np.shape(args[0])[:-2])
             return original(*args, **kwargs)
@@ -80,9 +88,9 @@ def counts(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     # "eigh" counts LAPACK calls of both: the semidefiniteness tests read
-    # eigenvalues only.
+    # eigenvalues only.  "eigvalsh" counts those alone.
     counting(np.linalg, "eigh", "eigh")
-    counting(np.linalg, "eigvalsh", "eigh")
+    counting(np.linalg, "eigvalsh", "eigh", "eigvalsh")
     counting(np.linalg, "svd", "svd")
     counting(edmp.perturbation, "yielding_report", "yielding_report")
     for module in (edmp.model, edmp.oracle, edmp.verify):
@@ -109,6 +117,20 @@ def test_verify_classifies_each_entry_once(counts):
     assert counts["eigh"] <= VERIFY_21_EIGH_BOUND
     assert counts["matrices"] <= VERIFY_21_MATRIX_BOUND
     assert counts["profile"] == VERIFY_21_PROFILE_CALLS
+
+
+def test_min_radius_sq_bisects_a_stack_in_lockstep(counts):
+    spec = InstanceSpec(n=8, r=7, seed=0)
+    prof = profile(gen_unit_spherical(spec))
+    entry = EntryIndex(1, 2)
+    ts = classify(prof, entry).t_leq.interior_samples(3)
+    line = edmp.oracle.PerturbedLine(prof.d, entry)
+    counts["eigh"] = counts["eigvalsh"] = counts["matrices"] = 0
+    lam = line.min_radius_sq(ts)
+    assert (lam < 1.0).all()
+    assert counts["eigvalsh"] == MIN_RADIUS_SQ_CALLS
+    assert counts["eigh"] - counts["eigvalsh"] == 0
+    assert counts["matrices"] == 3 * MIN_RADIUS_SQ_CALLS
 
 
 def test_classify_measures_each_parallelism_once(counts):

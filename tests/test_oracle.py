@@ -21,13 +21,12 @@ from edmp import (
     membership_scan,
     profile,
     radius_squared,
-    sdp_min_radius_sq,
 )
 from edmp.cli import main
 from edmp.linalg import sym_eig
 from edmp.matio import load_matrix
 from edmp.model import UNIT_RADIUS_TOL, sphericity
-from edmp.oracle import PerturbedLine, gen_unit_profile
+from edmp.oracle import SDP_CAP, SDP_GAP, PerturbedLine, gen_unit_profile
 from edmp.verify import check_profile, default_templates
 
 from conftest import gen_nonspherical
@@ -56,6 +55,15 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleSpec):
             InstanceSpec(n=5, r=3, structure=Structure.ZERO_W_PAIR,
                          entry=EntryIndex(1, 2)).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_in_uint64_range(self, seed):
+        with pytest.raises(InfeasibleSpec, match="seed"):
+            gen_unit_spherical(InstanceSpec(n=4, r=3, seed=seed))
+
+    def test_largest_seed_generates(self):
+        d = gen_unit_spherical(InstanceSpec(n=4, r=3, seed=2**64 - 1))
+        assert profile(d).unit_spherical
 
     def test_entry_in_range(self):
         with pytest.raises(InfeasibleSpec):
@@ -274,33 +282,92 @@ class TestPerturbedLine:
         assert full - one <= 2**20
 
 
+def scalar_min_radius_sq(d, entry, t):
+    """Least lam with 2 lam E - D - tE^kl >= 0, bisected one t at a time with
+    one sym_eig per step: the reference the lockstep stack must reproduce."""
+    pert = d.perturbed_array(entry.i, entry.j, t)
+    ones = np.ones((d.n, d.n))
+    feas_abs = 1e-13 * max(1.0, float(np.abs(pert).max()))
+
+    def feasible(lam):
+        slack = feas_abs + 1e-14 * d.n * abs(lam)
+        return sym_eig(2.0 * lam * ones - pert).values[-1] >= -slack
+
+    lo, hi = 0.0, 1.0
+    while not feasible(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > SDP_CAP:
+            raise Infeasible("no feasible radius bound below the cap")
+    if feasible(lo):
+        return lo
+    while hi - lo > SDP_GAP:
+        mid = 0.5 * (hi + lo)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestSdpOracle:
     def test_unperturbed_unit(self, triangle):
-        assert_allclose(sdp_min_radius_sq(triangle, EntryIndex(1, 2), 0.0), 1.0,
-                        atol=1e-8)
+        [lam] = PerturbedLine(triangle, EntryIndex(1, 2)).min_radius_sq([0.0])
+        assert_allclose(lam, 1.0, atol=1e-8)
 
     def test_triangle_interior_value(self, triangle):
         # Independent bisection against the hand value 6/8 at t = 1.
-        assert_allclose(sdp_min_radius_sq(triangle, EntryIndex(1, 2), 1.0), 0.75,
-                        atol=1e-8)
+        [lam] = PerturbedLine(triangle, EntryIndex(1, 2)).min_radius_sq([1.0])
+        assert_allclose(lam, 0.75, atol=1e-8)
 
     def test_constant_radius_entry(self, antipodal):
-        for t in (-1.0, 0.5, 1.5):
-            assert_allclose(sdp_min_radius_sq(antipodal, EntryIndex(3, 4), t), 1.0,
-                            atol=1e-8)
+        lam = PerturbedLine(antipodal, EntryIndex(3, 4)).min_radius_sq([-1.0, 0.5, 1.5])
+        assert_allclose(lam, 1.0, atol=1e-8)
 
     def test_infeasible_for_nonspherical(self):
         d = gen_nonspherical(5, 3, seed=4)
         with pytest.raises(Infeasible):
-            sdp_min_radius_sq(d, EntryIndex(1, 2), 0.0)
+            PerturbedLine(d, EntryIndex(1, 2)).min_radius_sq([0.0])
 
     def test_matches_closed_form_on_generated(self):
         d = gen_unit_spherical(InstanceSpec(n=4, r=3, seed=77))
         entry = EntryIndex(1, 2)
         report = classify(profile(d), entry)
-        for t in report.t_leq.interior_samples(10):
-            t = float(t)
-            assert abs(sdp_min_radius_sq(d, entry, t) - radius_squared(report, t)) <= 1e-7
+        ts = report.t_leq.interior_samples(10)
+        for t, lam in zip(map(float, ts), PerturbedLine(d, entry).min_radius_sq(ts)):
+            assert abs(lam - radius_squared(report, t)) <= 1e-7
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scalar_reference(self, seed):
+        # The samples verify's radius-sdp-agreement check bisects.
+        for template in default_templates(8):
+            prof = gen_unit_profile(replace(template.spec, seed=seed))
+            entry = template.spec.entry
+            tleq = classify(prof, entry).t_leq
+            if tleq.width == 0.0:
+                continue
+            ts = tleq.interior_samples(3)
+            lam = PerturbedLine(prof.d, entry).min_radius_sq(ts)
+            for t, lam_t in zip(map(float, ts), lam):
+                assert abs(lam_t - scalar_min_radius_sq(prof.d, entry, t)) <= SDP_GAP
+
+    def test_mixed_stack_answers_each_t(self, triangle):
+        # On [0, 3] the squared radius is at most one; outside it exceeds
+        # one, so those brackets double first while the others are frozen.
+        entry = EntryIndex(1, 2)
+        line = PerturbedLine(triangle, entry)
+        ts = [1.0, -0.2, 2.0, -0.4, 3.5, 0.5]
+        lam = line.min_radius_sq(ts)
+        assert (lam < 1.0).any() and (lam > 2.0).any()
+        assert lam.tolist() == [line.min_radius_sq([t])[0] for t in ts]
+        for t, lam_t in zip(ts, lam):
+            assert abs(lam_t - scalar_min_radius_sq(triangle, entry, t)) <= SDP_GAP
+
+    def test_one_infeasible_t_fails_the_stack(self, triangle):
+        # D + tE^12 has a negative entry at t = -5, far outside the
+        # yielding interval [-0.46, 6.46].
+        with pytest.raises(Infeasible):
+            PerturbedLine(triangle, EntryIndex(1, 2)).min_radius_sq([1.0, -5.0, 2.0])
 
 
 class TestBoundaryLocation:

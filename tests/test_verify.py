@@ -42,8 +42,11 @@ class TestTemplates:
             assert template.spec.n <= 5
 
     def test_too_small_nmax_rejected(self):
-        with pytest.raises(ValueError):
-            default_templates(nmax=2)
+        # The first NotYielding template has n = 5, so below that no run
+        # could cover every case tag.
+        for nmax in (2, 3, 4):
+            with pytest.raises(ValueError, match="too small"):
+                default_templates(nmax=nmax)
 
 
 class TestRunner:
@@ -93,7 +96,7 @@ class TestRunner:
         assert "bordered-profile: input matrix is not a Euclidean distance matrix" in out
 
     @pytest.mark.parametrize("name,error", [
-        ("sdp_min_radius_sq", Infeasible("no feasible radius bound below the cap")),
+        ("PerturbedLine.min_radius_sq", Infeasible("no feasible radius bound below the cap")),
         ("classify", NumericalFailure("radius coefficient identities failed")),
     ])
     def test_entry_error_is_a_failed_check(self, monkeypatch, capsys, name, error):
@@ -101,7 +104,7 @@ class TestRunner:
         # and text instead of stopping verify.
         def fail(*_):
             raise error
-        monkeypatch.setattr(edmp.verify, name, fail)
+        monkeypatch.setattr(f"edmp.verify.{name}", fail)
         assert main(["verify", "--count", "1", "--seed", "4"]) == 1
         out = capsys.readouterr().out
         assert "first failing seed: 4" in out
@@ -203,7 +206,8 @@ class TestRadiusComparisons:
         # D + E^13 of the triangle is collinear, so the direct oracle finds
         # no sphere; the error is 1, its limit as the direct radius grows.
         closed = [(1.0, 0.25)]
-        assert worst_closed_vs_direct(triangle_profile, EntryIndex(1, 3), closed) == 1.0
+        line = PerturbedLine(triangle_profile.d, EntryIndex(1, 3))
+        assert worst_closed_vs_direct(line, closed, triangle_profile.tol) == 1.0
 
 
 class TestTeqMembersBound:
@@ -232,7 +236,7 @@ class TestTeqMembersBound:
         assert sphere.unit_residual > 1e-8
         members = report.teq_members()
         assert report.theta_c in members
-        assert check_teq_members(d, entry, members, DEFAULT_TOL).ok
+        assert check_teq_members(PerturbedLine(d, entry), members, DEFAULT_TOL).ok
         spec = InstanceSpec(n, r, Structure.GENERIC, entry, seed)
         results, _ = check_instance(profile(d), spec, CaseTag.PAIR_UNIT)
         assert [res for res in results if not res.ok] == []
@@ -250,10 +254,11 @@ class TestTeqMembersBound:
         entry = EntryIndex(1, 2)
         d, report = self._instance(0, 4, 3, entry)
         moved = report.theta_c * (1.0 + 1e-4)
-        [(_, dec)] = PerturbedLine(d, entry).spheres([report.theta_c])
+        line = PerturbedLine(d, entry)
+        [(_, dec)] = line.spheres([report.theta_c])
         assert dec.cond() < 100.0
-        result = check_teq_members(d, entry, (0.0, moved), DEFAULT_TOL)
+        result = check_teq_members(line, (0.0, moved), DEFAULT_TOL)
         assert not result.ok
         assert "unit residual 3.1" in result.detail
         assert "kappa 3.5" in result.detail
-        assert check_teq_members(d, entry, (0.0, report.theta_c), DEFAULT_TOL).ok
+        assert check_teq_members(line, (0.0, report.theta_c), DEFAULT_TOL).ok
