@@ -1,5 +1,6 @@
 """Dense symmetric linear-algebra kernel.
 
+sym_eig is the one eigensolver, for a single matrix or a stack of them.
 The rank cut, the condition number, the semidefiniteness bound and the
 spectral inverse are each written once, as methods of one
 eigendecomposition, so a caller that holds a factorization reuses it.
@@ -27,7 +28,6 @@ __all__ = [
     "EigDecomp",
     "symmetrize",
     "sym_eig",
-    "sym_eig_stack",
     "fix_column_signs",
 ]
 
@@ -77,7 +77,7 @@ class EigDecomp:
         return np.abs(self.values) > tol.rank_rel * top
 
     def rank(self, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-        """Numerical rank under the shared cutoff."""
+        """Numerical rank of one matrix (a stack's would be pooled) under the cutoff."""
         return int(np.count_nonzero(self._kept(tol)))
 
     def pinv(self, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -87,7 +87,8 @@ class EigDecomp:
         return symmetrize((self.vectors * inv[..., None, :]) @ self.vectors.swapaxes(-1, -2))
 
     def cond(self, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-        """Largest |lambda| over the smallest kept |lambda|; inf when none is kept."""
+        """Largest over smallest kept |lambda| of one matrix (pooled on a stack),
+        inf when none is kept."""
         kept = np.abs(self.values[self._kept(tol)])
         return float(kept.max() / kept.min()) if kept.size else math.inf
 
@@ -96,15 +97,11 @@ class EigDecomp:
         return self.values[..., -1] >= -scale * np.abs(self.values).max(axis=-1, initial=1.0)
 
 
-def sym_eig(a) -> EigDecomp:
-    """Eigendecomposition of one symmetrized matrix, eigenvalues descending."""
-    return sym_eig_stack(a)
-
-
-def sym_eig_stack(a, vectors: bool = True) -> EigDecomp:
-    """sym_eig of each matrix of a stack (..., n, n), bit for bit, in one LAPACK
-    call; the arrays keep the stack's leading axes.  With vectors=False only
-    the eigenvalues are computed (eigvalsh, whose last bits may differ)."""
+def sym_eig(a, vectors: bool = True) -> EigDecomp:
+    """Eigendecomposition of a symmetrized matrix, eigenvalues descending; a
+    stack (..., n, n) keeps its leading axes and is factored in one LAPACK call,
+    bit for bit each matrix alone.  With vectors=False only the eigenvalues are
+    computed (eigvalsh, whose last bits may differ)."""
     s = symmetrize(a)
     try:
         if not vectors:

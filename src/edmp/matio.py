@@ -41,7 +41,7 @@ def parse_matrix_text(text: str) -> DistanceMatrix:
         return _parse_csv(text)
     except ParseError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ParseError(f"invalid matrix content: {exc}") from exc
 
 
@@ -64,7 +64,9 @@ def _parse_json(text: str) -> DistanceMatrix:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "n" not in doc or "d" not in doc:
         raise ParseError('JSON matrix needs keys "n" and "d"')
-    n = int(doc["n"])
+    n = doc["n"]
+    if type(n) is not int:  # not bool, a subclass of int
+        raise ParseError(f'"n" must be a JSON integer, got {json.dumps(n)[:40]}')
     d = np.array(doc["d"], dtype=float)
     if d.shape != (n, n):
         raise ParseError(f'"d" has shape {d.shape}, expected ({n}, {n})')
@@ -92,20 +94,14 @@ def matrix_to_json(d: DistanceMatrix, meta: dict | None = None) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _scalar(obj):
+    """json.dumps hook for numpy scalars.  With indent set, json's Python encoder
+    already writes np.float64 (a float) by float.__repr__ and tuples as lists."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def report_json(doc: dict) -> str:
     """Deterministic key-sorted JSON rendering of a report document."""
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=_scalar) + "\n"

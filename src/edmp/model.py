@@ -4,8 +4,9 @@ A hollow symmetric nonnegative matrix D is an EDM exactly when the
 centroid Gram matrix B = -JDJ/2 is positive semidefinite.  From one
 eigendecomposition of B the profile derives the EDM verdict, the
 embedding dimension, a deterministic configuration, B+ and the Gale
-basis (B's null eigenvectors with e projected out), plus w with Dw = e
-and the sphericity data (center, regularity, and the radius and unit
+basis (B's null eigenvectors with e projected out); one of D gives D+,
+w with Dw = e and D's spectrum, whence kappa(D) and rank(D).  It also
+holds the sphericity data (center, regularity, and the radius and unit
 verdict, which are views of the one Sphericity record).  Spherical EDMs
 of radius one are the domain of the perturbation machinery in the rest
 of the package, and require_unit is its one guard.
@@ -26,7 +27,6 @@ from .linalg import (
     TolerancePolicy,
     fix_column_signs,
     sym_eig,
-    sym_eig_stack,
     symmetrize,
 )
 
@@ -148,8 +148,8 @@ class EdmProfile:
     B: np.ndarray
     B_dag: np.ndarray
     D_dag: np.ndarray
-    # kappa(D) under the rank cut, from the factorization that gives D+.
-    cond_d: float
+    # Eigenvalues alone of the factorization that gives D+: kappa(D), rank(D).
+    d_spectrum: EigDecomp
     P: np.ndarray
     w: np.ndarray
     Z: np.ndarray | None
@@ -196,7 +196,7 @@ def is_edm_array(a: np.ndarray, gram: EigDecomp | None = None):
     caller already holds it; else its eigenvalues alone are computed.
     """
     if gram is None:
-        gram = sym_eig_stack(centroid_gram(a), vectors=False)
+        gram = sym_eig(centroid_gram(a), vectors=False)
     top = np.abs(a).max(axis=(-2, -1), initial=1.0)
     return (a.min(axis=(-2, -1)) >= -1e-12 * top) & gram.is_psd()
 
@@ -215,7 +215,7 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     """Full derived profile of an EDM; raises NotAnEdm otherwise.
 
     B is factored once: the EDM verdict, r, P, B+ and the Gale basis all
-    come from that decomposition.  D+ and kappa(D) come from a second one.
+    come from that decomposition.  D+ and D's spectrum come from a second one.
     The row scales that every zero and parallelism test is judged against
     are computed once here.
     """
@@ -235,7 +235,8 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     p = fix_column_signs(dec.vectors[:, :r] * np.sqrt(vals_r))
 
     d_dec = sym_eig(a)
-    d_dag, cond_d = d_dec.pinv(tol), d_dec.cond(tol)
+    d_dag = d_dec.pinv(tol)
+    d_spectrum = EigDecomp(_readonly(d_dec.values), None)
     del d_dec  # else its n x n eigenvectors stay alive through the Gale SVD
     w = d_dag @ e
     b_dag = dec.pinv(tol)
@@ -273,7 +274,7 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
         B=_readonly(b),
         B_dag=_readonly(b_dag),
         D_dag=_readonly(d_dag),
-        cond_d=cond_d,
+        d_spectrum=d_spectrum,
         P=_readonly(p),
         w=_readonly(w),
         Z=z,

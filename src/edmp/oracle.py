@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
-from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig_stack
+from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig
 from .model import DistanceMatrix, EdmProfile, Sphericity, is_edm_array, profile, sphericity
 from .yielding import EntryIndex, parallel_relation, singleton_gap
 
@@ -362,7 +362,7 @@ class PerturbedLine:
         verify's probes 1e-6 off each end of T<= pass a tighter slack, 1e-12,
         since interior noise is ~1e-15 and the defect there ~1e-6."""
         return np.array(self._each(
-            ts, lambda a: sym_eig_stack(2.0 - a, vectors=False).is_psd(slack)), dtype=bool)
+            ts, lambda a: sym_eig(2.0 - a, vectors=False).is_psd(slack)), dtype=bool)
 
     def min_radius_sq(self, ts) -> np.ndarray:
         """Least lam with 2 lam E - D - tE^kl >= 0 for each t, by bisection.
@@ -381,7 +381,7 @@ class PerturbedLine:
             feas_abs = 1e-13 * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
 
             def feasible(lam):
-                least = sym_eig_stack(2.0 * lam[:, None, None] - a, vectors=False).values[:, -1]
+                least = sym_eig(2.0 * lam[:, None, None] - a, vectors=False).values[:, -1]
                 return least >= -(feas_abs + 1e-14 * self.d.n * np.abs(lam))
 
             lo, hi = np.zeros(len(a)), np.ones(len(a))
@@ -402,7 +402,7 @@ class PerturbedLine:
         """Sphericity of each D + tE^kl read from w(t) = pinv(D + tE^kl) e, and
         the eigenvalues w(t) came from (vectors None), which give kappa."""
         def stack_spheres(a):
-            dec = sym_eig_stack(a)
+            dec = sym_eig(a)
             w = dec.pinv(tol) @ np.ones(self.d.n)
             return [(sphericity(a[k], w[k]), EigDecomp(dec.values[k], None))
                     for k in range(len(a))]

@@ -158,7 +158,7 @@ def _build_coefficients(
     b1_alt = alpha1 - 4.0 * c * w_l**2
     b2_alt = alpha2 + 2.0 * w_l**2 * (dd[i, i] + c * c * dd[j, j] - 2.0 * c * dd[i, j])
     # The entries of D+ carry about n kappa(D) eps of error near a rank drop.
-    gate = RECON_REL + prof.n * prof.cond_d * np.finfo(float).eps
+    gate = RECON_REL + prof.n * prof.d_spectrum.cond(prof.tol) * np.finfo(float).eps
     scale1 = max(abs(beta1), abs(b1_alt), 1.0)
     scale2 = max(abs(beta2), abs(b2_alt), 1.0)
     if (abs(beta1 - b1_alt) > gate * scale1

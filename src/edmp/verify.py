@@ -11,9 +11,9 @@ all five classification tags is part of the contract, so an nmax whose
 templates miss a tag is rejected.  Each matrix is factored once: the
 identities read D+, w and B+ from the profile the generator accepted the
 instance on, the bordered matrix is profiled like any other EDM and
-gives w~, the bordered pseudoinverse, Gram and embedding dimension, and
-each T= member's w(t) and condition number come from one oracle
-factorization.
+gives w~, the bordered pseudoinverse, Gram and embedding dimension, both
+rank checks cut the profiles' spectra of D and D~ at their own looser
+cut, and each T= member's w(t) and kappa come from one factorization.
 The pseudoinverse identities are defined here, because only these checks
 use them: B+, (E - D/2)+ and the bordered pseudoinverse, each written
 through D+, w and B+ of a unit spherical profile.
@@ -216,7 +216,7 @@ def check_profile(prof: EdmProfile, r_target: int) -> list[CheckResult]:
            "B != PP^T")
     _check(out, "w-solves", float(np.linalg.norm(d.d @ prof.w - e)) <= 1e-9 * n,
            "Dw != e")
-    rank_d = sym_eig(d.d).rank(RANK_CHECK_TOL)
+    rank_d = prof.d_spectrum.rank(RANK_CHECK_TOL)
     _check(out, "rank-spherical", rank_d == prof.r + 1,
            f"rank(D)={rank_d} expected {prof.r + 1}")
     if prof.Z is not None:
@@ -303,7 +303,7 @@ def check_bordered(prof: EdmProfile, border: EdmProfile) -> list[CheckResult]:
     scale = max(np.linalg.norm(stack) * np.linalg.norm(gale), 1.0)
     _check(out, "bordered-gale", np.linalg.norm(stack @ gale) <= RECON_REL * scale,
            "bordered Gale matrix is not in the expected null space")
-    rank_dt = sym_eig(border.d.d).rank(RANK_CHECK_TOL)
+    rank_dt = border.d_spectrum.rank(RANK_CHECK_TOL)
     _check(out, "bordered-rank", rank_dt == prof.r + 2,
            f"rank(bordered)={rank_dt} expected {prof.r + 2}")
     return out

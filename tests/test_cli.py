@@ -65,6 +65,21 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(bad))
         assert code == 2 and err
 
+    @pytest.mark.parametrize("n, d", [
+        ("1e400", "[[0]]"),
+        ("3.7", "[[0,1,3],[1,0,1],[3,1,0]]"),
+        ("true", "[[0]]"),
+        ("3", "[" * 200_000 + "]" * 200_000),
+    ], ids=["overflowing-n", "float-n", "bool-n", "deep-d"])
+    def test_malformed_json_exits_2(self, capsys, tmp_path, n, d):
+        # The first and the last once ended in a traceback with exit 1, the
+        # verify-failure code.
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"n": {n}, "d": {d}}}')
+        code, out, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "analyze", str(tmp_path / "nope.csv"))
         assert code == 2

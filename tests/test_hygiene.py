@@ -146,7 +146,7 @@ def test_every_definition_is_read():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
                          ids=lambda p: p.name)
 def test_only_linalg_names_the_eigensolvers(path):
-    # Every factorization goes through sym_eig or sym_eig_stack, where the
-    # operation counts and the benchmark's tracer see it.
+    # Every factorization, of one matrix or a stack, goes through sym_eig,
+    # where the operation counts and the benchmark's tracer see it.
     named = _named(path) & {"eigh", "eigvalsh"}
-    assert not named, f"{path.name} names {sorted(named)}; use linalg.sym_eig_stack"
+    assert not named, f"{path.name} names {sorted(named)}; use linalg.sym_eig"

@@ -11,7 +11,6 @@ from edmp.linalg import (
     TolerancePolicy,
     fix_column_signs,
     sym_eig,
-    sym_eig_stack,
     symmetrize,
 )
 from conftest import SQUARE, TRIANGLE
@@ -96,14 +95,14 @@ class TestSymEig:
     def test_stack_matches_each_matrix_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         stack = rng.normal(size=(3, n, n))
-        dec = sym_eig_stack(stack)
+        dec = sym_eig(stack)
         for a, values, vectors, pinv in zip(stack, dec.values, dec.vectors, dec.pinv()):
             alone = sym_eig(a)
             assert_array_equal(values, alone.values)
             assert_array_equal(vectors, alone.vectors)
             assert_array_equal(pinv, alone.pinv())
-        assert sym_eig_stack(stack, vectors=False).vectors is None
-        assert_allclose(sym_eig_stack(stack, vectors=False).values, dec.values,
+        assert sym_eig(stack, vectors=False).vectors is None
+        assert_allclose(sym_eig(stack, vectors=False).values, dec.values,
                         atol=1e-12 * n)
         assert dec.is_psd().shape == (3,)
 

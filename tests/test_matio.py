@@ -46,6 +46,20 @@ def test_json_shape_mismatch_rejected():
         parse_matrix_text('{"n": 4, "d": [[0,1],[1,0]]}')
 
 
+@pytest.mark.parametrize("n", ["3.7", "1e400", "true", '"3"', "null", "[3]"])
+def test_json_order_must_be_an_integer(n):
+    # A float was once truncated (3.7 -> 3), true read as 1, and 1e400
+    # overflowed int() past the parser.
+    with pytest.raises(ParseError, match='"n" must be a JSON integer'):
+        parse_matrix_text(f'{{"n": {n}, "d": [[0,1,3],[1,0,1],[3,1,0]]}}')
+
+
+def test_deeply_nested_json_rejected():
+    deep = "[" * 200_000 + "]" * 200_000
+    with pytest.raises(ParseError):
+        parse_matrix_text(f'{{"n": 3, "d": {deep}}}')
+
+
 def test_non_numeric_cell_rejected():
     with pytest.raises(ParseError):
         parse_matrix_text("0,a,1\na,0,1\n1,1,0\n")
@@ -80,3 +94,10 @@ def test_report_json_sorted_and_typed():
     text = report_json(doc)
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
     assert "true" in text and "1.5" in text
+
+
+def test_report_json_rejects_what_json_cannot_write():
+    with pytest.raises(TypeError):
+        report_json({"a": object()})
+    with pytest.raises(TypeError):
+        report_json({"a": np.zeros(2)})

@@ -1,5 +1,7 @@
 """Tests for EDM recognition, profiles and the pseudoinverse identities."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,11 +18,14 @@ from edmp import (
     profile,
 )
 from edmp.linalg import fix_column_signs, sym_eig
+from edmp.matio import load_matrix
 from edmp.model import centroid_gram, is_edm_array
 from edmp.oracle import edm_from_points
 from edmp.verify import bdag_identity, bprime_dag_identity, cm_dag_block, default_templates
 
 from conftest import SQUARE, gen_nonspherical
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestDistanceMatrix:
@@ -155,6 +160,21 @@ class TestProfile:
         assert p.radius is None
         assert abs(p.w.sum()) <= 1e-9
         assert sym_eig(d.d).rank() == p.r + 2 == 4
+
+    def test_d_spectrum_is_the_spectrum_of_d(self):
+        # The profile keeps the eigenvalues of the factorization that gives
+        # D+, bit for bit those a second factorization of D would give, so
+        # kappa(D) and the rank checks need no second one.
+        matrices = [gen_unit_spherical(t.spec) for t in default_templates(8)]
+        assert len(matrices) == 21
+        for d in [*matrices, load_matrix(GOLDEN / "pairunit-8.csv")]:
+            p = profile(d)
+            alone = sym_eig(d.d)
+            assert p.d_spectrum.vectors is None
+            assert np.array_equal(p.d_spectrum.values, alone.values)
+            assert p.d_spectrum.cond(p.tol) == alone.cond(p.tol)
+            with pytest.raises(ValueError):
+                p.d_spectrum.values[0] = 0.0
 
 
 def _gale_templates(structure=None):

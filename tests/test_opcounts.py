@@ -45,11 +45,13 @@ from edmp.verify import check_bordered, default_templates, run_verification
 # the three samples of radius-sdp-agreement bisected in lockstep: 32 calls
 # per entry with T<= of positive width instead of 32 per sample.  The
 # stacked yield probes also factor the probes with a negative entry, which
-# a per-matrix test would reject unfactored.  The 67 profiles are the
-# generator's 25 attempts, which give each instance's profile, plus one
-# relabeled and one bordered profile per instance.
-VERIFY_21_EIGH_BOUND = 745
-VERIFY_21_MATRIX_BOUND = 2235
+# a per-matrix test would reject unfactored.  The rank checks of D and of
+# the bordered matrix cut the spectra their profiles keep, which saves two
+# factorizations per instance.  The 67 profiles are the generator's 25
+# attempts, which give each instance's profile, plus one relabeled and one
+# bordered profile per instance.
+VERIFY_21_EIGH_BOUND = 703
+VERIFY_21_MATRIX_BOUND = 2193
 VERIFY_21_PROFILE_CALLS = 67
 
 # `sweep --num 2001` on pairunit-8.csv: 1,417 of the 2,001 samples are EDMs.
@@ -182,10 +184,11 @@ def test_bordered_checks_read_the_border_profile(counts):
     counts["centroid_gram"] = counts["eigh"] = 0
     results = check_bordered(prof, border)
     assert all(res.ok for res in results)
-    # w~, the pseudoinverse, the Gram and the embedding dimension come from
-    # the border profile; only the independent rank check factors anything.
+    # w~, the pseudoinverse, the Gram, the embedding dimension and the
+    # spectrum the independent rank check cuts all come from the border
+    # profile: nothing is factored again.
     assert counts["centroid_gram"] == 0
-    assert counts["eigh"] == 1
+    assert counts["eigh"] == 0
 
 
 def test_entry_evaluates_each_closed_radius_once(counts):
