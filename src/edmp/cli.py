@@ -89,6 +89,7 @@ def _tolerances_block(tol: TolerancePolicy) -> dict:
 
 
 def _profile_block(prof: EdmProfile) -> dict:
+    center = prof.center  # solved when read, so read once
     return {
         "n": prof.n,
         "embedding_dim": prof.r,
@@ -100,7 +101,7 @@ def _profile_block(prof: EdmProfile) -> dict:
         "w": list(prof.w),
         "e_dot_w": prof.sphere.e_dot_w,
         "gale_columns": 0 if prof.Z is None else prof.Z.shape[1],
-        "center": None if prof.center is None else list(prof.center),
+        "center": None if center is None else list(center),
     }
 
 
@@ -153,15 +154,15 @@ def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
 def _cross_check_block(prof: EdmProfile, report: PerturbationReport) -> dict:
     tleq = report.t_leq
     closed = closed_radii(report, [0.0] if tleq.width == 0.0 else tleq.interior_samples(21))
-    line = PerturbedLine(prof.d, report.entry)
+    # One stack of w(t): the samples, then the T= members.
+    spheres = PerturbedLine(prof.d, report.entry).spheres(
+        [*(t for t, _ in closed), *report.teq_members()], prof.tol)
     return {
         "samples": len(closed),
-        "max_rel_closed_vs_oracle": worst_closed_vs_direct(line, closed, prof.tol),
+        "max_rel_closed_vs_oracle": worst_closed_vs_direct(closed, spheres[:len(closed)]),
         "max_rel_border_vs_closed": worst_border_vs_closed(report, closed),
-        "max_unit_residual_on_t_eq": max([0.0] + [
-            sphere.unit_residual
-            for sphere, _ in line.spheres(report.teq_members(), prof.tol)
-        ]),
+        "max_unit_residual_on_t_eq": max(
+            [0.0] + [sphere.unit_residual for sphere, _ in spheres[len(closed):]]),
     }
 
 
@@ -225,7 +226,10 @@ def cmd_sweep(args, tol: TolerancePolicy) -> int:
     lo, hi = report.yielding_report.interval
     if not np.isfinite((hi + args.margin) - (lo - args.margin)):
         raise ParseError(f"--margin {args.margin!r} makes the swept range overflow")
-    ts = np.linspace(lo - args.margin, hi + args.margin, args.num)
+    try:
+        ts = np.linspace(lo - args.margin, hi + args.margin, args.num)
+    except MemoryError as exc:
+        raise ParseError(f"--num {args.num} is too large: {exc}") from exc
     records = membership_scan(prof.d, entry, ts, prof.tol)
 
     def fmt_bool(x: bool) -> str:

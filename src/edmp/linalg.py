@@ -115,12 +115,9 @@ def sym_eig(a, vectors: bool = True) -> EigDecomp:
 def fix_column_signs(m: np.ndarray) -> np.ndarray:
     """Flip column signs so the first significant entry of each is positive."""
     m = np.array(m, dtype=float)
-    for col in range(m.shape[1]):
-        column = m[:, col]
-        top = np.abs(column).max()
-        if top == 0.0:
-            continue
-        lead = np.argmax(np.abs(column) > 1e-12 * top)
-        if column[lead] < 0.0:
-            m[:, col] = -column
+    mag = np.abs(m)
+    # A zero column has no significant entry; argmax then reads its 0 at row 0.
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = m[lead, np.arange(m.shape[1])] < 0.0
+    m[:, flip] = -m[:, flip]
     return m

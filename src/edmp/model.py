@@ -155,7 +155,6 @@ class EdmProfile:
     Z: np.ndarray | None
     Z_tilde: np.ndarray
     sphere: Sphericity
-    center: np.ndarray | None
     regular: bool
     # Zero-test scales, floored at 1e-300: max |w|, the max row norm of Z
     # (None when Z is None) and the max row norm of [w Z].
@@ -178,6 +177,15 @@ class EdmProfile:
     @property
     def radius(self) -> float | None:
         return float(np.sqrt(self.sphere.radius_sq)) if self.spherical else None
+
+    @property
+    def center(self) -> np.ndarray | None:
+        """Circumcenter in P's coordinates, solved when read: the least squares
+        c with P c = (diag B - mean(diag B)) / 2; None unless spherical."""
+        if not self.spherical:
+            return None
+        rhs = 0.5 * (np.diag(self.B) - np.full(self.n, np.diag(self.B).mean()))
+        return _readonly(np.linalg.lstsq(self.P, rhs, rcond=None)[0])
 
 
 def centroid_gram(a: np.ndarray) -> np.ndarray:
@@ -244,11 +252,6 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     sphere = sphericity(a, w)
     spherical = sphere.radius_sq is not None
 
-    center = None
-    if spherical:
-        rhs = 0.5 * (np.diag(b) - np.full(n, np.diag(b).mean()))
-        center, *_ = np.linalg.lstsq(p, rhs, rcond=None)
-
     de = a @ e
     regular = spherical and bool(
         np.linalg.norm(de - de.mean() * e) <= RECON_REL * max(np.linalg.norm(de), 1.0)
@@ -280,7 +283,6 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
         Z=z,
         Z_tilde=_readonly(z_tilde),
         sphere=sphere,
-        center=_readonly(center) if center is not None else None,
         regular=regular,
         w_scale=max(float(np.abs(w).max()), 1e-300),
         z_scale=None if z is None else _max_row_norm(z),

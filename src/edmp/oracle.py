@@ -7,8 +7,9 @@ membership claims through raw eigenvalue tests and recover the minimal
 feasible radius by bisection, independently of every closed form.
 PerturbedLine factors D + tE^kl for many t at once, for every raw test
 of the line; its bisection oracle bisects a stack of t in lockstep on
-eigenvalues alone, and verify checks each end of T<= with one stack of
-its radius-one test at a tighter slack.
+eigenvalues alone, inside a bracket the raw test proves around a given
+estimate where it can, and verify asks each of its questions of an
+entry in one stack (the ends of T<= at a tighter slack).
 gen_unit_profile also returns the profile an instance was accepted on,
 so a caller that checks the instance need not profile it again.
 """
@@ -46,9 +47,11 @@ ZERO_MARGIN = 1e-10
 GALE_ENTRY_MARGIN = 0.05
 
 # PerturbedLine.min_radius_sq bisects lam down to a bracket of SDP_GAP and
-# gives up above SDP_CAP.
+# gives up above SDP_CAP; a bracket around an estimate has verify's radius
+# tolerance, SDP_BRACKET, as half-width.
 SDP_GAP = 1e-9
 SDP_CAP = 1e4
+SDP_BRACKET = 1e-7
 
 # Entries per PerturbedLine stack: 256 matrices at n=8, one from n=128 on.
 # At n=128, 2**16 and 2**18 raised peak RSS by 4.0 and 17.6 MB, 2**14 by 0.5.
@@ -347,55 +350,68 @@ class PerturbedLine:
         entry.check_order(d.n)
         self.d, self.entry = d, entry
 
-    def _each(self, ts, test) -> list:
+    def _each(self, ts, test, *aligned) -> list:
+        """test(stack, *chunks) per stack; each of `aligned` is a scalar or one value per t."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
+        aligned = [np.broadcast_to(np.asarray(x, dtype=float), ts.shape) for x in aligned]
         step = max(1, STACK_ENTRIES // self.d.n**2)
         return [v for at in range(0, ts.size, step) for v in
-                test(self.d.perturbed_array(self.entry.i, self.entry.j, ts[at:at + step]))]
+                test(self.d.perturbed_array(self.entry.i, self.entry.j, ts[at:at + step]),
+                     *(x[at:at + step] for x in aligned))]
 
     def is_edm(self, ts) -> np.ndarray:
         """is_edm_array of each D + tE^kl."""
         return np.array(self._each(ts, is_edm_array), dtype=bool)
 
-    def in_t_leq(self, ts, slack: float = PSD_SLACK) -> np.ndarray:
-        """The radius-one test 2E - D - tE^kl >= 0 from eigenvalues only.
-        verify's probes 1e-6 off each end of T<= pass a tighter slack, 1e-12,
-        since interior noise is ~1e-15 and the defect there ~1e-6."""
+    def in_t_leq(self, ts, slack=PSD_SLACK) -> np.ndarray:
+        """The radius-one test 2E - D - tE^kl >= 0 from eigenvalues only, at a
+        slack for all t or one per t.  verify's probes 1e-6 off each end of
+        T<= pass 1e-12, since interior noise is ~1e-15 and the defect ~1e-6."""
         return np.array(self._each(
-            ts, lambda a: sym_eig(2.0 - a, vectors=False).is_psd(slack)), dtype=bool)
+            ts, lambda a, s: sym_eig(2.0 - a, vectors=False).is_psd(s), slack), dtype=bool)
 
-    def min_radius_sq(self, ts) -> np.ndarray:
+    def min_radius_sq(self, ts, near=None) -> np.ndarray:
         """Least lam with 2 lam E - D - tE^kl >= 0 for each t, by bisection.
 
         The least eigenvalue of 2 lam E - A is concave and nondecreasing in
         lam, so the feasible set is a ray and bisection on it is exact; the
         optimum is the squared radius of D + tE^kl whenever that matrix is a
-        spherical EDM.  Every t of a stack is bisected at once: brackets
-        start at [0, 1], an infeasible upper end is doubled, then all are
-        halved to SDP_GAP, each frozen once it is done, so each t sees the
-        midpoints of its own bisection.  For a nonspherical target the PSD
-        defect decays like 1/lam while eigenvalue noise grows like lam, so
-        SDP_CAP must stay moderate for Infeasible to be detectable.
+        spherical EDM.  Every t of a stack is bisected at once, each frozen
+        once done.  Where the raw test fails at near - SDP_BRACKET and holds
+        at near + SDP_BRACKET, for an estimate `near` per t, that proved
+        bracket is halved to SDP_GAP; every other t starts from [0, 1],
+        whose infeasible upper end is doubled.  For a nonspherical target
+        the PSD defect decays like 1/lam while eigenvalue noise grows like
+        lam, so SDP_CAP must stay moderate for Infeasible to be detectable.
         """
-        def bisect(a):
+        def bisect(a, near=None):
             feas_abs = 1e-13 * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
 
             def feasible(lam):
-                least = sym_eig(2.0 * lam[:, None, None] - a, vectors=False).values[:, -1]
+                # lam is (m,) or, for both ends of every bracket, (2, m).
+                least = sym_eig(2.0 * lam[..., None, None] - a, vectors=False).values[..., -1]
                 return least >= -(feas_abs + 1e-14 * self.d.n * np.abs(lam))
 
-            lo, hi = np.zeros(len(a)), np.ones(len(a))
-            while not (ok := feasible(hi)).all():
-                lo, hi = np.where(ok, lo, hi), np.where(ok, hi, 2.0 * hi)
-                if (hi > SDP_CAP).any():
-                    raise Infeasible("no feasible radius bound below the cap")
-            done = feasible(lo)
+            lo, hi, done = np.zeros(len(a)), np.ones(len(a)), np.zeros(len(a), dtype=bool)
+            proved = done
+            if near is not None:
+                # A non-finite estimate would not factor; bracket 0 instead.
+                ends = np.where(np.isfinite(near), near, 0.0) + [[-SDP_BRACKET], [SDP_BRACKET]]
+                ok = feasible(ends)
+                proved = ~ok[0] & ok[1]
+                lo, hi = np.where(proved, ends, [lo, hi])
+            if not proved.all():
+                while not (ok := feasible(hi) | proved).all():
+                    lo, hi = np.where(ok, lo, hi), np.where(ok, hi, 2.0 * hi)
+                    if (hi > SDP_CAP).any():
+                        raise Infeasible("no feasible radius bound below the cap")
+                done = ~proved & feasible(lo)
             while (active := ~done & (hi - lo > SDP_GAP)).any():
                 mid = 0.5 * (hi + lo)
                 ok = feasible(mid)
                 lo, hi = np.where(active & ~ok, mid, lo), np.where(active & ok, mid, hi)
             return np.where(done, lo, hi)
-        return np.array(self._each(ts, bisect), dtype=float)
+        return np.array(self._each(ts, bisect, *(() if near is None else (near,))), dtype=float)
 
     def spheres(self, ts, tol: TolerancePolicy = DEFAULT_TOL
                 ) -> list[tuple[Sphericity, EigDecomp]]:
@@ -409,12 +425,8 @@ class PerturbedLine:
         return self._each(ts, stack_spheres)
 
 
-def membership_scan(
-    d: DistanceMatrix,
-    entry: EntryIndex,
-    ts,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> list[SweepRecord]:
+def membership_scan(d: DistanceMatrix, entry: EntryIndex, ts,
+                    tol: TolerancePolicy = DEFAULT_TOL) -> list[SweepRecord]:
     """Raw eigenvalue verdicts for each sampled perturbation; sphericity and
     T<= are tested only where D + tE^kl is an EDM."""
     line = PerturbedLine(d, entry)

@@ -6,7 +6,9 @@ bordered-matrix equivalences, interval endpoint soundness against raw
 eigenvalue oracles (each end of T<= by one probe 1e-6 inside and one
 1e-6 outside), unit-radius membership of the reported sets, and the
 rational radius formula against both the direct and the bisection
-oracle, all asked of one PerturbedLine per entry.  Case coverage across
+oracle, all asked of one PerturbedLine per entry, one stack per question
+(the bisection inside brackets its raw test proves around the closed
+radii, which only place them).  Case coverage across
 all five classification tags is part of the contract, so an nmax whose
 templates miss a tag is rejected.  Each matrix is factored once: the
 identities read D+, w and B+ from the profile the generator accepted the
@@ -27,7 +29,7 @@ import numpy as np
 
 from .cayley import bordered, cm_w_inner
 from .errors import EdmpError, PoleAt
-from .linalg import DEFAULT_TOL, RECON_REL, TolerancePolicy, sym_eig, symmetrize
+from .linalg import DEFAULT_TOL, PSD_SLACK, RECON_REL, TolerancePolicy, sym_eig, symmetrize
 from .model import DistanceMatrix, EdmProfile, profile
 from .oracle import InstanceSpec, PerturbedLine, Structure, gen_unit_profile
 from .perturbation import CaseTag, PerturbationReport, classify, radius_squared
@@ -161,16 +163,15 @@ def closed_radii(report: PerturbationReport, ts) -> list[tuple[float, float]]:
     return [(t, radius_squared(report, t)) for t in map(float, ts)]
 
 
-def worst_closed_vs_direct(line: PerturbedLine, closed, tol: TolerancePolicy) -> float:
+def worst_closed_vs_direct(closed, spheres) -> float:
     """Largest |closed - direct| / max(1, |direct|) over the (t, closed)
-    pairs of the rational radius against the direct oracle 1 / (2 e.w(t))
-    on `line`.
+    pairs of the rational radius against the direct oracle 1 / (2 e.w(t)),
+    read from the PerturbedLine.spheres rows of the same t.
 
     A perturbed matrix with no sphere counts as 1, the limit of the error
     as the direct radius grows without bound.
     """
     worst = 0.0
-    spheres = line.spheres([t for t, _ in closed], tol)
     for (_, rho_sq), (sphere, _) in zip(closed, spheres):
         direct = sphere.radius_sq
         rel = 1.0 if direct is None else abs(rho_sq - direct) / max(1.0, abs(direct))
@@ -309,15 +310,15 @@ def check_bordered(prof: EdmProfile, border: EdmProfile) -> list[CheckResult]:
     return out
 
 
-def check_teq_members(line: PerturbedLine, members, tol: TolerancePolicy) -> CheckResult:
-    """|2 e.w(t) - 1| <= 1e-8 + n*kappa*eps at every reported T= member of
-    `line`, where w(t) and kappa = cond(D + t E^kl) come from one oracle
-    factorization."""
+def check_teq_members(spheres, tol: TolerancePolicy) -> CheckResult:
+    """|2 e.w(t) - 1| <= 1e-8 + n*kappa*eps at every reported T= member,
+    given its PerturbedLine.spheres row: w(t) and kappa = cond(D + t E^kl)
+    come from one oracle factorization, whose n eigenvalues give n."""
     rows = []
-    for sphere, dec in line.spheres(members, tol):
+    for sphere, dec in spheres:
         kappa = dec.cond(tol)
         rows.append((sphere.unit_residual, kappa,
-                     TEQ_RESIDUAL_TOL + line.d.n * kappa * np.finfo(float).eps))
+                     TEQ_RESIDUAL_TOL + dec.values.size * kappa * np.finfo(float).eps))
     residual, kappa, bound = max(rows, key=lambda row: row[0] / row[2])
     ok = bool(residual <= bound)
     return CheckResult("teq-members", ok, "" if ok else (
@@ -348,42 +349,49 @@ def check_entry(
 
     tleq = report.t_leq
     if tleq.width > 0.0:
+        # One stack: 20 samples inside and 2 at 1e-3 outside, then the end
+        # probes at 1e-12.  T<= is an interval, so its ends lie within 1e-6 of
+        # the reported ones exactly when probes just inside hold and 1e-6
+        # outside fail.
+        delta = min(1e-6, 0.25 * tleq.width)
+        probes = [tleq.lo + delta, tleq.hi - delta, tleq.lo - 1e-6, tleq.hi + 1e-6]
         inside = tleq.interior_samples(20)
-        held = line.in_t_leq([*inside, tleq.hi + 1e-3, tleq.lo - 1e-3])
+        held = line.in_t_leq([*inside, tleq.hi + 1e-3, tleq.lo - 1e-3, *probes],
+                             slack=np.repeat([PSD_SLACK, 1e-12], [22, 4]))
         outside = [float(t) for t, ok in zip(inside, held) if not ok]
         _check(out, "tleq-interior", not outside,
                f"radius-one test fails at interior t = {outside}")
-        _check(out, "tleq-exterior", not held[-2:].any(),
+        _check(out, "tleq-exterior", not held[20:22].any(),
                "radius-one set extends beyond reported endpoints")
-        # T<= is an interval, so its ends lie within 1e-6 of the reported
-        # ones exactly when probes just inside hold and 1e-6 outside fail.
-        delta = min(1e-6, 0.25 * tleq.width)
-        probes = [tleq.lo + delta, tleq.hi - delta, tleq.lo - 1e-6, tleq.hi + 1e-6]
-        at_ends = line.in_t_leq(probes, slack=1e-12)
-        wrong = [t for t, ok, inner in zip(probes, at_ends, (True, True, False, False))
+        wrong = [t for t, ok, inner in zip(probes, held[22:], (True, True, False, False))
                  if ok != inner]
         _check(out, "tleq-endpoint-probe", not wrong,
                f"radius-one test contradicts the ends {tuple(tleq)} at t = {wrong}")
 
+    # One stack of w(t): T= members, non-members, radius-direct samples.
     members = report.teq_members()
-    out.append(check_teq_members(line, members, tol))
-
-    if report.case_tag is not CaseTag.CONTINUUM_UNIT and tleq.width > 0.0:
-        probes = [t for t in tleq.interior_samples(4)
-                  if min(abs(t - m) for m in members) > 0.05 * tleq.width]
-        if probes:
-            best = min(sphere.unit_residual for sphere, _ in line.spheres(probes, tol))
-            _check(out, "teq-nonmembers", best > 1e-6,
-                   f"non-member unit residual only {best:.3e}")
+    nonmembers, direct = [], []
+    if tleq.width > 0.0:
+        direct = tleq.interior_samples(10)
+        if report.case_tag is not CaseTag.CONTINUUM_UNIT:
+            nonmembers = [t for t in tleq.interior_samples(4)
+                          if min(abs(t - m) for m in members) > 0.05 * tleq.width]
+    spheres = line.spheres([*members, *nonmembers, *direct], tol)
+    cut = len(members) + len(nonmembers)
+    out.append(check_teq_members(spheres[:len(members)], tol))
+    if nonmembers:
+        best = min(sphere.unit_residual for sphere, _ in spheres[len(members):cut])
+        _check(out, "teq-nonmembers", best > 1e-6,
+               f"non-member unit residual only {best:.3e}")
 
     if tleq.width > 0.0:
-        worst_rel = worst_closed_vs_direct(
-            line, closed_radii(report, tleq.interior_samples(10)), tol)
+        worst_rel = worst_closed_vs_direct(closed_radii(report, direct), spheres[cut:])
         _check(out, "radius-direct-agreement", worst_rel <= 1e-8,
                f"closed form vs direct radius rel err {worst_rel:.3e}")
         ts = tleq.interior_samples(3)
-        sdp_worst = max(abs(lam - rho_sq) for lam, (_, rho_sq)
-                        in zip(line.min_radius_sq(ts), closed_radii(report, ts)))
+        closed = [rho_sq for _, rho_sq in closed_radii(report, ts)]
+        sdp_worst = max(abs(lam - rho_sq) for lam, rho_sq
+                        in zip(line.min_radius_sq(ts, near=closed), closed))
         _check(out, "radius-sdp-agreement", sdp_worst <= 1e-7,
                f"bisection vs closed form abs err {sdp_worst:.3e}")
 
@@ -435,11 +443,10 @@ def _check_rational_case(prof: EdmProfile, report: PerturbationReport) -> list[C
            f"bordered vs rational radius rel err {worst:.3e}")
     # The closed form of e~.w~(t) against a raw bordered pseudoinverse: the
     # border of D + t E^kl is D~ + t E^{k+1,l+1}.
-    border = DistanceMatrix(bordered(d))
-    border_entry = EntryIndex(entry.k + 1, entry.l + 1)
+    border = PerturbedLine(DistanceMatrix(bordered(d)), EntryIndex(entry.k + 1, entry.l + 1))
     worst_direct = 0.0
     ts = tleq.interior_samples(3)
-    for t, (sphere, _) in zip(ts, PerturbedLine(border, border_entry).spheres(ts, prof.tol)):
+    for t, (sphere, _) in zip(ts, border.spheres(ts, prof.tol)):
         try:
             closed = cm_w_inner(report, float(t))
         except PoleAt:
@@ -457,11 +464,8 @@ def _check_rational_case(prof: EdmProfile, report: PerturbationReport) -> list[C
     return out
 
 
-def check_instance(
-    prof: EdmProfile,
-    spec: InstanceSpec,
-    expected: CaseTag | None,
-) -> tuple[list[CheckResult], CaseTag | None]:
+def check_instance(prof: EdmProfile, spec: InstanceSpec, expected: CaseTag | None
+                   ) -> tuple[list[CheckResult], CaseTag | None]:
     """All structural checks for one generated instance, given its profile."""
     results = check_profile(prof, spec.r)
     if not prof.unit_spherical:
@@ -491,12 +495,8 @@ def check_instance(
     return results, tag
 
 
-def run_verification(
-    count: int,
-    seed: int,
-    nmax: int = 8,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> VerifySummary:
+def run_verification(count: int, seed: int, nmax: int = 8,
+                     tol: TolerancePolicy = DEFAULT_TOL) -> VerifySummary:
     """Generate `count` instances over the template cycle and check them all."""
     if count < 1:
         raise ValueError("count must be at least 1")

@@ -279,6 +279,14 @@ class TestSweep:
         assert code == 2
         assert "--margin must be nonnegative" in err
 
+    def test_unallocatable_num_exits_2(self, capsys, triangle_file):
+        # numpy refuses a 7 TiB grid at once; it once left a traceback and exit 1.
+        code, out, err = run_cli(capsys, "sweep", triangle_file,
+                                 "--k", "1", "--l", "2", "--num", str(10**12))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: --num ")
+
     @pytest.mark.parametrize("margin", ["nan", "inf", "1e308"])
     def test_nonfinite_sweep_range_exits_2(self, capsys, triangle_file, margin):
         # Each once reached LAPACK with a non-finite t and exited 7.

@@ -200,6 +200,37 @@ class TestHelpers:
         fixed = fix_column_signs(m)
         assert fixed[0, 0] > 0 and fixed[1, 1] > 0
 
+    @staticmethod
+    def loop_fix_column_signs(m):
+        """One column at a time: the reference the vectorized form must match."""
+        m = np.array(m, dtype=float)
+        for col in range(m.shape[1]):
+            column = m[:, col]
+            top = np.abs(column).max()
+            if top == 0.0:
+                continue
+            lead = np.argmax(np.abs(column) > 1e-12 * top)
+            if column[lead] < 0.0:
+                m[:, col] = -column
+        return m
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fix_column_signs_matches_column_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(7, 6))
+        m[:, 1] = 0.0
+        # Leading entries below, at and above the 1e-12 relative cut.
+        m[:3, 2] = [-1e-14, 0.0, -1e-13]
+        m[0, 3] = -0.5e-12 * np.abs(m[:, 3]).max()
+        m[:2, 4] = [2e-13, -1e-11]
+        m[:, 5] = -np.abs(m[:, 5])
+        m[0, 5] = -0.0
+        for a in (m, -m, m[:, :0], rng.normal(size=(5, 3))):
+            fixed = fix_column_signs(a)
+            ref = self.loop_fix_column_signs(a)
+            assert_array_equal(fixed, ref)
+            assert np.array_equal(np.signbit(fixed), np.signbit(ref))
+
     def test_tolerance_policy_validation(self):
         with pytest.raises(ValueError):
             TolerancePolicy(rank_rel=0.0)

@@ -31,27 +31,30 @@ from edmp import (
     classify,
     gen_unit_spherical,
     profile,
+    radius_squared,
 )
 from edmp.cayley import bordered
 from edmp.cli import main
 from edmp.linalg import EigDecomp
 from edmp.matio import matrix_to_csv
-from edmp.verify import check_bordered, default_templates, run_verification
+from edmp.oracle import gen_unit_profile
+from edmp.verify import check_bordered, check_entry, default_templates, run_verification
 
 # eigh and eigvalsh calls, matrices factored and profile calls of
 # run_verification(21, seed=0), measured with every matrix of an instance
-# factored once, each fixed sample loop factored as one stack, both ends
-# of T<= checked by one stack of four probes instead of a bisection, and
-# the three samples of radius-sdp-agreement bisected in lockstep: 32 calls
-# per entry with T<= of positive width instead of 32 per sample.  The
+# factored once, each entry's T<= tests and w(t) reads asked in one stack
+# each, both ends of T<= checked by four probes in that stack instead of a
+# bisection, and the three samples of radius-sdp-agreement bisected in
+# lockstep inside brackets the raw test proves around the closed radii: 9
+# calls per entry with T<= of positive width instead of 32 from [0, 1].  The
 # stacked yield probes also factor the probes with a negative entry, which
 # a per-matrix test would reject unfactored.  The rank checks of D and of
 # the bordered matrix cut the spectra their profiles keep, which saves two
 # factorizations per instance.  The 67 profiles are the generator's 25
 # attempts, which give each instance's profile, plus one relabeled and one
 # bordered profile per instance.
-VERIFY_21_EIGH_BOUND = 703
-VERIFY_21_MATRIX_BOUND = 2193
+VERIFY_21_EIGH_BOUND = 343
+VERIFY_21_MATRIX_BOUND = 1269
 VERIFY_21_PROFILE_CALLS = 67
 
 # `sweep --num 2001` on pairunit-8.csv: 1,417 of the 2,001 samples are EDMs.
@@ -65,6 +68,11 @@ SWEEP_EIGH_BOUND = math.ceil(2001 / 256) * 3
 # radius is below one: the upper end 1 holds, the lower end 0 fails, and 30
 # halvings bring [0, 1] down to SDP_GAP = 1e-9.
 MIN_RADIUS_SQ_CALLS = 32
+
+# eigvalsh calls of one bracketed min_radius_sq whose every bracket holds:
+# one stack of both ends of each bracket, then 8 halvings bring its width
+# 2 SDP_BRACKET = 2e-7 down to SDP_GAP.
+BRACKETED_MIN_RADIUS_SQ_CALLS = 9
 
 # svd calls of one classify: the Gale test decides NotYielding, the [w Z]
 # test then decides TleqTrivial, and each warning reads the ratio its test
@@ -133,6 +141,50 @@ def test_min_radius_sq_bisects_a_stack_in_lockstep(counts):
     assert counts["eigvalsh"] == MIN_RADIUS_SQ_CALLS
     assert counts["eigh"] - counts["eigvalsh"] == 0
     assert counts["matrices"] == 3 * MIN_RADIUS_SQ_CALLS
+
+
+def test_bracketed_min_radius_sq_halves_proved_brackets(counts):
+    spec = InstanceSpec(n=8, r=7, seed=0)
+    prof = profile(gen_unit_spherical(spec))
+    entry = EntryIndex(1, 2)
+    report = classify(prof, entry)
+    ts = report.t_leq.interior_samples(3)
+    near = [radius_squared(report, float(t)) for t in ts]
+    line = edmp.oracle.PerturbedLine(prof.d, entry)
+    counts["eigh"] = counts["eigvalsh"] = 0
+    line.min_radius_sq(ts, near=near)
+    assert counts["eigvalsh"] <= BRACKETED_MIN_RADIUS_SQ_CALLS
+    assert counts["eigh"] - counts["eigvalsh"] == 0
+
+
+def test_verify_asks_each_entry_question_in_one_stack(counts, monkeypatch):
+    # The T<= tests and the w(t) reads of each entry are one method call and
+    # one LAPACK call each on the entry's own line; the border's line in the
+    # rational checks is another matrix.
+    asked = []
+
+    def recording(name):
+        original = getattr(edmp.oracle.PerturbedLine, name)
+
+        def wrapper(line, *args, **kwargs):
+            before = counts["eigh"]
+            out = original(line, *args, **kwargs)
+            asked.append((name, line.d, counts["eigh"] - before))
+            return out
+
+        monkeypatch.setattr(edmp.oracle.PerturbedLine, name, wrapper)
+
+    recording("in_t_leq")
+    recording("spheres")
+    for template in default_templates(8):
+        prof = gen_unit_profile(template.spec)
+        asked.clear()
+        results, _ = check_entry(prof, template.spec.entry, template.expected)
+        assert all(res.ok for res in results)
+        own = [(name, lapack) for name, d, lapack in asked if d is prof.d]
+        width = classify(prof, template.spec.entry).t_leq.width
+        expected = [("in_t_leq", 1)] if width > 0.0 else []
+        assert sorted(own) == sorted(expected + [("spheres", 1)])
 
 
 def test_classify_measures_each_parallelism_once(counts):

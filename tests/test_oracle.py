@@ -23,7 +23,7 @@ from edmp import (
     radius_squared,
 )
 from edmp.cli import main
-from edmp.linalg import sym_eig
+from edmp.linalg import PSD_SLACK, sym_eig
 from edmp.matio import load_matrix
 from edmp.model import UNIT_RADIUS_TOL, sphericity
 from edmp.oracle import SDP_CAP, SDP_GAP, PerturbedLine, gen_unit_profile
@@ -351,6 +351,37 @@ class TestSdpOracle:
             for t, lam_t in zip(map(float, ts), lam):
                 assert abs(lam_t - scalar_min_radius_sq(prof.d, entry, t)) <= SDP_GAP
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bracket_matches_unbracketed(self, seed):
+        # With the closed radii as estimates, every bracket holds and the
+        # answer lies within SDP_GAP of the bisection from [0, 1].
+        for template in default_templates(8):
+            prof = gen_unit_profile(replace(template.spec, seed=seed))
+            entry = template.spec.entry
+            report = classify(prof, entry)
+            if report.t_leq.width == 0.0:
+                continue
+            ts = report.t_leq.interior_samples(3)
+            near = [radius_squared(report, float(t)) for t in ts]
+            line = PerturbedLine(prof.d, entry)
+            assert_allclose(line.min_radius_sq(ts, near=near), line.min_radius_sq(ts),
+                            rtol=0.0, atol=SDP_GAP)
+
+    def test_missed_bracket_falls_back(self):
+        # An estimate 1e-3 off leaves its optimum outside the bracket, so
+        # that t is bisected from [0, 1] exactly as without an estimate.
+        d = gen_unit_spherical(InstanceSpec(n=8, r=7, seed=0))
+        entry = EntryIndex(1, 2)
+        report = classify(profile(d), entry)
+        ts = report.t_leq.interior_samples(3)
+        near = np.array([radius_squared(report, float(t)) for t in ts])
+        line = PerturbedLine(d, entry)
+        lam = line.min_radius_sq(ts)
+        for shift in ([1e-3, 0.0, -1e-3], [np.nan, 0.0, np.inf]):
+            mixed = line.min_radius_sq(ts, near=near + shift)
+            assert mixed[0] == lam[0] and mixed[2] == lam[2]
+            assert abs(mixed[1] - lam[1]) <= SDP_GAP
+
     def test_mixed_stack_answers_each_t(self, triangle):
         # On [0, 3] the squared radius is at most one; outside it exceeds
         # one, so those brackets double first while the others are frozen.
@@ -387,3 +418,13 @@ class TestBoundaryLocation:
         entry = EntryIndex(1, 2)
         held = PerturbedLine(triangle, entry).in_t_leq([1.0, 3.2, -0.2])
         assert held.tolist() == [True, False, False]
+
+    def test_slack_per_t(self, triangle):
+        # One stack at two slacks answers as two stacks at one slack each.
+        entry = EntryIndex(1, 3)
+        lo, hi = classify(profile(triangle), entry).t_leq
+        ts = [lo - 1e-10, hi + 1e-10, lo - 1e-10, hi + 1e-10]
+        line = PerturbedLine(triangle, entry)
+        held = line.in_t_leq(ts, slack=[PSD_SLACK, PSD_SLACK, 1e-12, 1e-12])
+        assert held.tolist() == [True, True, False, False]
+        assert held.tolist() == [*line.in_t_leq(ts[:2]), *line.in_t_leq(ts[2:], slack=1e-12)]

@@ -102,7 +102,7 @@ class TestRunner:
     def test_entry_error_is_a_failed_check(self, monkeypatch, capsys, name, error):
         # An error raised while checking the entry is reported with its seed
         # and text instead of stopping verify.
-        def fail(*_):
+        def fail(*_, **__):
             raise error
         monkeypatch.setattr(f"edmp.verify.{name}", fail)
         assert main(["verify", "--count", "1", "--seed", "4"]) == 1
@@ -206,8 +206,31 @@ class TestRadiusComparisons:
         # D + E^13 of the triangle is collinear, so the direct oracle finds
         # no sphere; the error is 1, its limit as the direct radius grows.
         closed = [(1.0, 0.25)]
-        line = PerturbedLine(triangle_profile.d, EntryIndex(1, 3))
-        assert worst_closed_vs_direct(line, closed, triangle_profile.tol) == 1.0
+        spheres = PerturbedLine(triangle_profile.d, EntryIndex(1, 3)).spheres([1.0])
+        assert worst_closed_vs_direct(closed, spheres) == 1.0
+
+
+class TestSdpAgreement:
+    """radius-sdp-agreement bisects inside brackets its closed radii place,
+    and a wrong radius still meets the bisection's true optimum."""
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6], ids=["up", "down"])
+    def test_moved_radius_fails_with_true_optimum(self, monkeypatch, scale):
+        entry = EntryIndex(1, 2)
+        prof = profile(gen_unit_spherical(InstanceSpec(4, 3, seed=0)))
+        report = classify(prof, entry)
+        ts = report.t_leq.interior_samples(3)
+        lam = PerturbedLine(prof.d, entry).min_radius_sq(ts)
+        real = edmp.verify.closed_radii
+        monkeypatch.setattr(edmp.verify, "closed_radii", lambda *args: [
+            (t, scale * rho_sq) for t, rho_sq in real(*args)])
+        results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT)
+        sdp = next(res for res in results if res.name == "radius-sdp-agreement")
+        assert not sdp.ok
+        worst = max(abs(lam_t - scale * rho_sq)
+                    for lam_t, (_, rho_sq) in zip(lam, real(report, ts)))
+        assert worst > 1e-7
+        assert sdp.detail == f"bisection vs closed form abs err {worst:.3e}"
 
 
 class TestTeqMembersBound:
@@ -236,7 +259,7 @@ class TestTeqMembersBound:
         assert sphere.unit_residual > 1e-8
         members = report.teq_members()
         assert report.theta_c in members
-        assert check_teq_members(PerturbedLine(d, entry), members, DEFAULT_TOL).ok
+        assert check_teq_members(PerturbedLine(d, entry).spheres(members), DEFAULT_TOL).ok
         spec = InstanceSpec(n, r, Structure.GENERIC, entry, seed)
         results, _ = check_instance(profile(d), spec, CaseTag.PAIR_UNIT)
         assert [res for res in results if not res.ok] == []
@@ -257,8 +280,8 @@ class TestTeqMembersBound:
         line = PerturbedLine(d, entry)
         [(_, dec)] = line.spheres([report.theta_c])
         assert dec.cond() < 100.0
-        result = check_teq_members(line, (0.0, moved), DEFAULT_TOL)
+        result = check_teq_members(line.spheres([0.0, moved]), DEFAULT_TOL)
         assert not result.ok
         assert "unit residual 3.1" in result.detail
         assert "kappa 3.5" in result.detail
-        assert check_teq_members(line, (0.0, report.theta_c), DEFAULT_TOL).ok
+        assert check_teq_members(line.spheres([0.0, report.theta_c]), DEFAULT_TOL).ok
