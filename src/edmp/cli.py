@@ -155,8 +155,8 @@ def _cross_check_block(prof: EdmProfile, report: PerturbationReport) -> dict:
     tleq = report.t_leq
     closed = closed_radii(report, [0.0] if tleq.width == 0.0 else tleq.interior_samples(21))
     # One stack of w(t): the samples, then the T= members.
-    spheres = PerturbedLine(prof.d, report.entry).spheres(
-        [*(t for t, _ in closed), *report.teq_members()], prof.tol)
+    spheres = PerturbedLine(prof, report.entry).spheres(
+        [*(t for t, _ in closed), *report.teq_members()])
     return {
         "samples": len(closed),
         "max_rel_closed_vs_oracle": worst_closed_vs_direct(closed, spheres[:len(closed)]),
@@ -230,7 +230,7 @@ def cmd_sweep(args, tol: TolerancePolicy) -> int:
         ts = np.linspace(lo - args.margin, hi + args.margin, args.num)
     except MemoryError as exc:
         raise ParseError(f"--num {args.num} is too large: {exc}") from exc
-    records = membership_scan(prof.d, entry, ts, prof.tol)
+    records = membership_scan(prof, entry, ts)
 
     def fmt_bool(x: bool) -> str:
         return "true" if x else "false"
@@ -282,7 +282,10 @@ def cmd_gen(args, tol: TolerancePolicy) -> int:
             raise InfeasibleSpec(str(exc)) from exc
     spec = InstanceSpec(n=args.n, r=args.r, structure=structure, entry=entry,
                         seed=args.seed)
-    d = gen_unit_spherical(spec, tol)
+    try:
+        d = gen_unit_spherical(spec, tol)
+    except MemoryError as exc:
+        raise ParseError(f"--n {args.n} is too large: {exc}") from exc
     stamp = (
         f"edmp gen --n {args.n} --r {args.r} --structure {structure.value}"
         + (f" --k {entry.k} --l {entry.l}" if entry is not None else "")

@@ -5,7 +5,8 @@ centroid Gram matrix B = -JDJ/2 is positive semidefinite.  From one
 eigendecomposition of B the profile derives the EDM verdict, the
 embedding dimension, a deterministic configuration, B+ and the Gale
 basis (B's null eigenvectors with e projected out); one of D gives D+,
-w with Dw = e and D's spectrum, whence kappa(D) and rank(D).  It also
+w with Dw = e, D's spectrum, whence kappa(D) and rank(D), and the
+eigenvectors above the rank cut, a basis of range(D).  It also
 holds the sphericity data (center, regularity, and the radius and unit
 verdict, which are views of the one Sphericity record).  Spherical EDMs
 of radius one are the domain of the perturbation machinery in the rest
@@ -150,6 +151,8 @@ class EdmProfile:
     D_dag: np.ndarray
     # Eigenvalues alone of the factorization that gives D+: kappa(D), rank(D).
     d_spectrum: EigDecomp
+    # Its eigenvectors above the rank cut: an orthonormal basis of range(D).
+    d_range: np.ndarray
     P: np.ndarray
     w: np.ndarray
     Z: np.ndarray | None
@@ -188,11 +191,16 @@ class EdmProfile:
         return _readonly(np.linalg.lstsq(self.P, rhs, rcond=None)[0])
 
 
-def centroid_gram(a: np.ndarray) -> np.ndarray:
-    """B = -JDJ/2 with J the centering projector, per matrix of a stack."""
+def centroid_gram(a: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+    """B = -JDJ/2, J = I - uu^T/(u.u), per matrix of a stack; u is e or Q^T e."""
     n = a.shape[-1]
-    j = np.eye(n) - np.full((n, n), 1.0 / n)
+    j = np.eye(n) - (np.full((n, n), 1.0 / n) if u is None else np.outer(u, u) / (u @ u))
     return symmetrize(-0.5 * j @ a @ j)
+
+
+def nonnegative_entries(least, top):
+    """No entry below -1e-12 * top, given the least and top = max(1, max|entry|)."""
+    return least >= -1e-12 * top
 
 
 def is_edm_array(a: np.ndarray, gram: EigDecomp | None = None):
@@ -206,7 +214,7 @@ def is_edm_array(a: np.ndarray, gram: EigDecomp | None = None):
     if gram is None:
         gram = sym_eig(centroid_gram(a), vectors=False)
     top = np.abs(a).max(axis=(-2, -1), initial=1.0)
-    return (a.min(axis=(-2, -1)) >= -1e-12 * top) & gram.is_psd()
+    return nonnegative_entries(a.min(axis=(-2, -1)), top) & gram.is_psd()
 
 
 def _max_row_norm(a: np.ndarray) -> float:
@@ -223,9 +231,9 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     """Full derived profile of an EDM; raises NotAnEdm otherwise.
 
     B is factored once: the EDM verdict, r, P, B+ and the Gale basis all
-    come from that decomposition.  D+ and D's spectrum come from a second one.
-    The row scales that every zero and parallelism test is judged against
-    are computed once here.
+    come from that decomposition.  D+, D's spectrum and d_range come from
+    a second one.  The row scales that every zero and parallelism test is
+    judged against are computed once here.
     """
     a = d.d
     n = d.n
@@ -245,6 +253,7 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     d_dec = sym_eig(a)
     d_dag = d_dec.pinv(tol)
     d_spectrum = EigDecomp(_readonly(d_dec.values), None)
+    d_range = _readonly(d_dec.vectors[:, d_dec._kept(tol)])
     del d_dec  # else its n x n eigenvectors stay alive through the Gale SVD
     w = d_dag @ e
     b_dag = dec.pinv(tol)
@@ -278,6 +287,7 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
         B_dag=_readonly(b_dag),
         D_dag=_readonly(d_dag),
         d_spectrum=d_spectrum,
+        d_range=d_range,
         P=_readonly(p),
         w=_readonly(w),
         Z=z,

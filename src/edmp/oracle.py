@@ -6,10 +6,11 @@ circumcenter at the origin and the circumradius at one.  Oracles check
 membership claims through raw eigenvalue tests and recover the minimal
 feasible radius by bisection, independently of every closed form.
 PerturbedLine factors D + tE^kl for many t at once, for every raw test
-of the line; its bisection oracle bisects a stack of t in lockstep on
-eigenvalues alone, inside a bracket the raw test proves around a given
-estimate where it can, and verify asks each of its questions of an
-entry in one stack (the ends of T<= at a tighter slack).
+of the line, compressed to the span of range(D), e, e_k and e_l; its
+bisection oracle bisects a stack of t in lockstep on eigenvalues alone,
+inside a bracket the raw test proves around a given estimate where it
+can, and verify asks each of its questions of an entry in one stack (the
+ends of T<= at a tighter slack).
 gen_unit_profile also returns the profile an instance was accepted on,
 so a caller that checks the instance need not profile it again.
 """
@@ -23,7 +24,8 @@ import numpy as np
 
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
 from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig
-from .model import DistanceMatrix, EdmProfile, Sphericity, is_edm_array, profile, sphericity
+from .model import (DistanceMatrix, EdmProfile, Sphericity, centroid_gram,
+                    nonnegative_entries, profile, sphericity)
 from .yielding import EntryIndex, parallel_relation, singleton_gap
 
 __all__ = [
@@ -53,8 +55,8 @@ SDP_GAP = 1e-9
 SDP_CAP = 1e4
 SDP_BRACKET = 1e-7
 
-# Entries per PerturbedLine stack: 256 matrices at n=8, one from n=128 on.
-# At n=128, 2**16 and 2**18 raised peak RSS by 4.0 and 17.6 MB, 2**14 by 0.5.
+# Entries per PerturbedLine stack of M(t) of order m: 256 at m=8, 3 at m=67, one from m=128 on.
+# At m=128, 2**16 and 2**18 raised peak RSS by 4.0 and 17.6 MB, 2**14 by 0.5.
 STACK_ENTRIES = 2**14
 
 
@@ -342,33 +344,55 @@ def gen_unit_profile(spec: InstanceSpec, tol: TolerancePolicy = DEFAULT_TOL) -> 
 
 
 class PerturbedLine:
-    """The family D + tE^kl.  Each question takes a vector of t and answers
-    per t, in order; the matrices are built in stacks of at most
-    STACK_ENTRIES entries, and each stack is factored in one LAPACK call."""
+    """D + tE^kl of a profiled D in an orthonormal basis Q of S = range(D) +
+    span{e, e_k, e_l}: each matrix a raw test factors vanishes on S-perp, so
+    its compression by Q (M(t) = Q^T D(t) Q, u = Q^T e; Q = I, q None, where
+    rank(D) + 3 >= n) keeps its nonzero eigenvalues.  Each question answers
+    per t, factoring stacks of at most STACK_ENTRIES entries in one call."""
 
-    def __init__(self, d: DistanceMatrix, entry: EntryIndex):
-        entry.check_order(d.n)
-        self.d, self.entry = d, entry
+    def __init__(self, prof: EdmProfile, entry: EntryIndex):
+        entry.check_order(prof.n)
+        self.prof, self.entry = prof, entry
+        d, n, i, j = prof.d.d, prof.n, entry.i, entry.j
+        self._top = max(1.0, float(np.delete(d, [i * n + j, j * n + i]).max()))
+        self.q, self.m0, self._u = None, d, np.ones(n)
+        v = prof.d_range
+        if v.shape[1] + 3 < n:
+            x = np.column_stack([np.full(n, n ** -0.5), np.eye(n)[:, [i, j]]])
+            x -= v @ (v.T @ x)
+            left, s, _ = np.linalg.svd(x, full_matrices=False)
+            self.q = np.column_stack([v, left[:, s > prof.tol.rank_rel]])
+            self.m0, self._u = self.q.T @ d @ self.q, self.q.sum(axis=0)
+        self._uu = np.outer(self._u, self._u)
+        qk, ql = np.eye(n)[[i, j]] if self.q is None else self.q[[i, j]]
+        self._ekl = np.outer(qk, ql) + np.outer(ql, qk)
 
     def _each(self, ts, test, *aligned) -> list:
-        """test(stack, *chunks) per stack; each of `aligned` is a scalar or one value per t."""
+        """test(stack of M(t), *chunks) per stack; each `aligned` is a scalar or one per t."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         aligned = [np.broadcast_to(np.asarray(x, dtype=float), ts.shape) for x in aligned]
-        step = max(1, STACK_ENTRIES // self.d.n**2)
+        step = max(1, STACK_ENTRIES // len(self.m0) ** 2)
         return [v for at in range(0, ts.size, step) for v in
-                test(self.d.perturbed_array(self.entry.i, self.entry.j, ts[at:at + step]),
+                test(self.m0 + ts[at:at + step, None, None] * self._ekl,
                      *(x[at:at + step] for x in aligned))]
 
+    def _entry_range(self, ts):
+        """Least entry and max(1, max|entry|) of each raw D + tE^kl (D is hollow, >= 0)."""
+        moved = self.prof.d.d[self.entry.i, self.entry.j] + np.asarray(ts, dtype=float).reshape(-1)
+        return np.minimum(moved, 0.0), np.maximum(np.abs(moved), self._top)
+
     def is_edm(self, ts) -> np.ndarray:
-        """is_edm_array of each D + tE^kl."""
-        return np.array(self._each(ts, is_edm_array), dtype=bool)
+        """is_edm_array of each D + tE^kl, with the centroid Gram of M(t)."""
+        gram = self._each(ts, lambda m: sym_eig(centroid_gram(m, self._u), vectors=False).is_psd())
+        return nonnegative_entries(*self._entry_range(ts)) & np.array(gram, dtype=bool)
 
     def in_t_leq(self, ts, slack=PSD_SLACK) -> np.ndarray:
         """The radius-one test 2E - D - tE^kl >= 0 from eigenvalues only, at a
         slack for all t or one per t.  verify's probes 1e-6 off each end of
         T<= pass 1e-12, since interior noise is ~1e-15 and the defect ~1e-6."""
         return np.array(self._each(
-            ts, lambda a, s: sym_eig(2.0 - a, vectors=False).is_psd(s), slack), dtype=bool)
+            ts, lambda m, s: sym_eig(2.0 * self._uu - m, vectors=False).is_psd(s), slack),
+            dtype=bool)
 
     def min_radius_sq(self, ts, near=None) -> np.ndarray:
         """Least lam with 2 lam E - D - tE^kl >= 0 for each t, by bisection.
@@ -384,13 +408,14 @@ class PerturbedLine:
         the PSD defect decays like 1/lam while eigenvalue noise grows like
         lam, so SDP_CAP must stay moderate for Infeasible to be detectable.
         """
-        def bisect(a, near=None):
-            feas_abs = 1e-13 * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+        def bisect(a, t, near=None):
+            feas_abs = 1e-13 * self._entry_range(t)[1]
 
             def feasible(lam):
-                # lam is (m,) or, for both ends of every bracket, (2, m).
-                least = sym_eig(2.0 * lam[..., None, None] - a, vectors=False).values[..., -1]
-                return least >= -(feas_abs + 1e-14 * self.d.n * np.abs(lam))
+                # lam is (s,) for a stack of s or, for both ends of every bracket, (2, s).
+                least = sym_eig(2.0 * lam[..., None, None] * self._uu - a,
+                                vectors=False).values[..., -1]
+                return least >= -(feas_abs + 1e-14 * self.prof.n * np.abs(lam))
 
             lo, hi, done = np.zeros(len(a)), np.ones(len(a)), np.zeros(len(a), dtype=bool)
             proved = done
@@ -411,28 +436,31 @@ class PerturbedLine:
                 ok = feasible(mid)
                 lo, hi = np.where(active & ~ok, mid, lo), np.where(active & ok, mid, hi)
             return np.where(done, lo, hi)
-        return np.array(self._each(ts, bisect, *(() if near is None else (near,))), dtype=float)
+        near = () if near is None else (near,)
+        return np.array(self._each(ts, bisect, ts, *near), dtype=float)
 
-    def spheres(self, ts, tol: TolerancePolicy = DEFAULT_TOL
-                ) -> list[tuple[Sphericity, EigDecomp]]:
-        """Sphericity of each D + tE^kl read from w(t) = pinv(D + tE^kl) e, and
-        the eigenvalues w(t) came from (vectors None), which give kappa."""
-        def stack_spheres(a):
-            dec = sym_eig(a)
-            w = dec.pinv(tol) @ np.ones(self.d.n)
-            return [(sphericity(a[k], w[k]), EigDecomp(dec.values[k], None))
-                    for k in range(len(a))]
-        return self._each(ts, stack_spheres)
+    def spheres(self, ts) -> list[tuple[Sphericity, EigDecomp]]:
+        """Sphericity of each raw D + tE^kl, formed STACK_ENTRIES entries at a
+        time, from w(t) = Q pinv(M(t)) u = pinv(D + tE^kl) e under the rank
+        cut, and the eigenvalues of M(t) it came from (vectors None): kappa."""
+        def stack_spheres(m, t):
+            dec = sym_eig(m)
+            w, raw = dec.pinv(self.prof.tol) @ self._u, m  # with Q = I, M(t) is D + tE^kl
+            if self.q is not None:
+                w, step = w @ self.q.T, max(1, STACK_ENTRIES // self.prof.n ** 2)
+                raw = (a for k in range(0, len(t), step) for a in
+                       self.prof.d.perturbed_array(self.entry.i, self.entry.j, t[k:k + step]))
+            return [(sphericity(a, wk), EigDecomp(values, None))
+                    for a, wk, values in zip(raw, w, dec.values)]
+        return self._each(ts, stack_spheres, ts)
 
 
-def membership_scan(d: DistanceMatrix, entry: EntryIndex, ts,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> list[SweepRecord]:
-    """Raw eigenvalue verdicts for each sampled perturbation; sphericity and
-    T<= are tested only where D + tE^kl is an EDM."""
-    line = PerturbedLine(d, entry)
+def membership_scan(prof: EdmProfile, entry: EntryIndex, ts) -> list[SweepRecord]:
+    """Raw eigenvalue verdicts per sampled t; sphericity and T<= only where D + tE^kl is an EDM."""
+    line = PerturbedLine(prof, entry)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     edm = line.is_edm(ts)
-    found = zip(line.spheres(ts[edm], tol), line.in_t_leq(ts[edm]).tolist())
+    found = zip(line.spheres(ts[edm]), line.in_t_leq(ts[edm]).tolist())
     records = []
     for t, edm_ok in zip(ts.tolist(), edm.tolist()):
         if edm_ok:

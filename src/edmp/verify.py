@@ -13,9 +13,9 @@ all five classification tags is part of the contract, so an nmax whose
 templates miss a tag is rejected.  Each matrix is factored once: the
 identities read D+, w and B+ from the profile the generator accepted the
 instance on, the bordered matrix is profiled like any other EDM and
-gives w~, the bordered pseudoinverse, Gram and embedding dimension, both
-rank checks cut the profiles' spectra of D and D~ at their own looser
-cut, and each T= member's w(t) and kappa come from one factorization.
+gives w~, the bordered pseudoinverse, Gram, embedding dimension and line,
+both rank checks cut the profiles' spectra of D and D~ at their own
+looser cut, and each T= member's w(t) and kappa come from one factorization.
 The pseudoinverse identities are defined here, because only these checks
 use them: B+, (E - D/2)+ and the bordered pseudoinverse, each written
 through D+, w and B+ of a unit spherical profile.
@@ -313,7 +313,7 @@ def check_bordered(prof: EdmProfile, border: EdmProfile) -> list[CheckResult]:
 def check_teq_members(spheres, tol: TolerancePolicy) -> CheckResult:
     """|2 e.w(t) - 1| <= 1e-8 + n*kappa*eps at every reported T= member,
     given its PerturbedLine.spheres row: w(t) and kappa = cond(D + t E^kl)
-    come from one oracle factorization, whose n eigenvalues give n."""
+    come from one oracle factorization, whose order gives n."""
     rows = []
     for sphere, dec in spheres:
         kappa = dec.cond(tol)
@@ -327,7 +327,8 @@ def check_teq_members(spheres, tol: TolerancePolicy) -> CheckResult:
 
 
 def check_entry(
-    prof: EdmProfile, entry: EntryIndex, expected: CaseTag | None
+    prof: EdmProfile, entry: EntryIndex, expected: CaseTag | None,
+    border: EdmProfile | None = None,
 ) -> tuple[list[CheckResult], CaseTag]:
     out: list[CheckResult] = []
     tol = prof.tol
@@ -336,7 +337,7 @@ def check_entry(
         _check(out, "case-tag", report.case_tag is expected,
                f"got {report.case_tag.value} expected {expected.value}")
     yrep = report.yielding_report
-    line = PerturbedLine(prof.d, entry)
+    line = PerturbedLine(prof, entry)
 
     if yrep.yielding:
         lo, hi = yrep.interval
@@ -376,7 +377,7 @@ def check_entry(
         if report.case_tag is not CaseTag.CONTINUUM_UNIT:
             nonmembers = [t for t in tleq.interior_samples(4)
                           if min(abs(t - m) for m in members) > 0.05 * tleq.width]
-    spheres = line.spheres([*members, *nonmembers, *direct], tol)
+    spheres = line.spheres([*members, *nonmembers, *direct])
     cut = len(members) + len(nonmembers)
     out.append(check_teq_members(spheres[:len(members)], tol))
     if nonmembers:
@@ -396,11 +397,12 @@ def check_entry(
                f"bisection vs closed form abs err {sdp_worst:.3e}")
 
     if report.coefficients is not None:
-        out.extend(_check_rational_case(prof, report))
+        out.extend(_check_rational_case(prof, report, border))
     return out, report.case_tag
 
 
-def _check_rational_case(prof: EdmProfile, report: PerturbationReport) -> list[CheckResult]:
+def _check_rational_case(prof: EdmProfile, report: PerturbationReport,
+                         border: EdmProfile | None) -> list[CheckResult]:
     out: list[CheckResult] = []
     d, entry = prof.d, report.entry
     coeffs = report.coefficients
@@ -443,10 +445,12 @@ def _check_rational_case(prof: EdmProfile, report: PerturbationReport) -> list[C
            f"bordered vs rational radius rel err {worst:.3e}")
     # The closed form of e~.w~(t) against a raw bordered pseudoinverse: the
     # border of D + t E^kl is D~ + t E^{k+1,l+1}.
-    border = PerturbedLine(DistanceMatrix(bordered(d)), EntryIndex(entry.k + 1, entry.l + 1))
+    if border is None:
+        border = profile(DistanceMatrix(bordered(d)), prof.tol)
+    line = PerturbedLine(border, EntryIndex(entry.k + 1, entry.l + 1))
     worst_direct = 0.0
     ts = tleq.interior_samples(3)
-    for t, (sphere, _) in zip(ts, border.spheres(ts, prof.tol)):
+    for t, (sphere, _) in zip(ts, line.spheres(ts)):
         try:
             closed = cm_w_inner(report, float(t))
         except PoleAt:
@@ -478,6 +482,7 @@ def check_instance(prof: EdmProfile, spec: InstanceSpec, expected: CaseTag | Non
            shuffled.r == prof.r and abs(shuffled.radius - prof.radius) <= 1e-10,
            f"relabeled profile gives r={shuffled.r}, radius={shuffled.radius!r}")
     results.extend(check_pinv_identities(prof))
+    border = None
     try:
         border = profile(DistanceMatrix(bordered(d)), tol)
     except EdmpError as exc:
@@ -487,7 +492,7 @@ def check_instance(prof: EdmProfile, spec: InstanceSpec, expected: CaseTag | Non
     tag = None
     if spec.entry is not None:
         try:
-            entry_results, tag = check_entry(prof, spec.entry, expected)
+            entry_results, tag = check_entry(prof, spec.entry, expected, border)
         except EdmpError as exc:
             results.append(CheckResult("entry-checks", False, str(exc)))
         else:

@@ -203,7 +203,7 @@ def test_criterion_5_cross_path_equality(rational_pool):
     with criterion(5, "bordered and rational radius forms agree"):
         for d, prof, entry, report in rational_pool:
             ts = report.t_leq.interior_samples(20)
-            for t, (sphere, _) in zip(map(float, ts), PerturbedLine(d, entry).spheres(ts)):
+            for t, (sphere, _) in zip(map(float, ts), PerturbedLine(prof, entry).spheres(ts)):
                 closed = radius_squared(report, t)
                 border = 1.0 - 0.5 * cm_w_inner(report, t)
                 assert abs(border - closed) <= 1e-10 * max(1.0, abs(closed))
@@ -234,7 +234,7 @@ def test_criterion_7_sdp_oracle(rational_pool):
     with criterion(7, "bisection feasibility oracle matches the radius"):
         for d, prof, entry, report in rational_pool[:6]:
             ts = report.t_leq.interior_samples(10)
-            for t, lam_star in zip(map(float, ts), PerturbedLine(d, entry).min_radius_sq(ts)):
+            for t, lam_star in zip(map(float, ts), PerturbedLine(prof, entry).min_radius_sq(ts)):
                 assert abs(lam_star - radius_squared(report, t)) <= 1e-7
 
 

@@ -351,6 +351,14 @@ class TestGen:
         code, out3, _ = run_cli(capsys, "entry", str(path), "--k", "1", "--l", "3")
         assert json.loads(out3)["entry"]["yielding"] is True
 
+    def test_unallocatable_n_exits_2(self, capsys):
+        # numpy refuses the 7.28 TiB Gram matrix at once; it once left a
+        # traceback and exit 1.
+        code, out, err = run_cli(capsys, "gen", "--n", str(10**6), "--r", "2")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: --n ")
+
     def test_infeasible_exits_6(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "--n", "3", "--r", "3")
         assert code == 6

@@ -5,7 +5,8 @@ Calls are counted by wrapping numpy's eigh, eigvalsh and svd, the yielding
 classifier as seen from the perturbation module, `profile` and
 `radius_squared` under every module name that calls them, `EigDecomp.cond`
 and `model.centroid_gram`.  An eigh or eigvalsh call on a stack factors
-every matrix of it, so the matrices factored are counted next to the calls.
+every matrix of it, so the matrices factored are counted next to the calls,
+with the largest order factored.
 Only a change that lowers a count may tighten its bound.
 """
 
@@ -28,6 +29,7 @@ from edmp import (
     DistanceMatrix,
     EntryIndex,
     InstanceSpec,
+    Structure,
     classify,
     gen_unit_spherical,
     profile,
@@ -83,7 +85,8 @@ CLASSIFY_SVD_CALLS = {CaseTag.NOT_YIELDING: 1, CaseTag.TLEQ_TRIVIAL: 2}
 @pytest.fixture
 def counts(monkeypatch):
     seen = {"eigh": 0, "eigvalsh": 0, "matrices": 0, "svd": 0, "yielding_report": 0,
-            "profile": 0, "cond": 0, "centroid_gram": 0, "radius_squared": 0}
+            "profile": 0, "cond": 0, "centroid_gram": 0, "radius_squared": 0,
+            "max_order": 0}
 
     def counting(module, name, key, *also):
         original = getattr(module, name)
@@ -93,6 +96,7 @@ def counts(monkeypatch):
                 seen[each] += 1
             if key == "eigh":
                 seen["matrices"] += math.prod(np.shape(args[0])[:-2])
+                seen["max_order"] = max(seen["max_order"], np.shape(args[0])[-1])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -134,7 +138,7 @@ def test_min_radius_sq_bisects_a_stack_in_lockstep(counts):
     prof = profile(gen_unit_spherical(spec))
     entry = EntryIndex(1, 2)
     ts = classify(prof, entry).t_leq.interior_samples(3)
-    line = edmp.oracle.PerturbedLine(prof.d, entry)
+    line = edmp.oracle.PerturbedLine(prof, entry)
     counts["eigh"] = counts["eigvalsh"] = counts["matrices"] = 0
     lam = line.min_radius_sq(ts)
     assert (lam < 1.0).all()
@@ -150,11 +154,29 @@ def test_bracketed_min_radius_sq_halves_proved_brackets(counts):
     report = classify(prof, entry)
     ts = report.t_leq.interior_samples(3)
     near = [radius_squared(report, float(t)) for t in ts]
-    line = edmp.oracle.PerturbedLine(prof.d, entry)
+    line = edmp.oracle.PerturbedLine(prof, entry)
     counts["eigh"] = counts["eigvalsh"] = 0
     line.min_radius_sq(ts, near=near)
     assert counts["eigvalsh"] <= BRACKETED_MIN_RADIUS_SQ_CALLS
     assert counts["eigh"] - counts["eigvalsh"] == 0
+
+
+def test_perturbed_line_factors_at_the_order_of_the_range(counts):
+    # A zero-gale pair at n=128, r=64: every raw test of D + tE^kl factors
+    # at the order of range(D) + span{e, e_k, e_l}, at most r + 3.
+    spec = InstanceSpec(128, 64, Structure.ZERO_GALE_PAIR, EntryIndex(1, 2), seed=0)
+    prof = gen_unit_profile(spec)
+    report = classify(prof, spec.entry)
+    counts["eigh"] = counts["max_order"] = 0
+    line = edmp.oracle.PerturbedLine(prof, spec.entry)
+    assert counts["eigh"] == 0
+    ts = report.t_leq.interior_samples(3)
+    near = [radius_squared(report, float(t)) for t in ts]
+    for ask in (line.is_edm, line.in_t_leq, line.spheres):
+        ask(ts)
+    line.min_radius_sq(ts, near=near)
+    assert counts["eigh"] > 0
+    assert counts["max_order"] <= spec.r + 3
 
 
 def test_verify_asks_each_entry_question_in_one_stack(counts, monkeypatch):
@@ -169,7 +191,7 @@ def test_verify_asks_each_entry_question_in_one_stack(counts, monkeypatch):
         def wrapper(line, *args, **kwargs):
             before = counts["eigh"]
             out = original(line, *args, **kwargs)
-            asked.append((name, line.d, counts["eigh"] - before))
+            asked.append((name, line.prof, counts["eigh"] - before))
             return out
 
         monkeypatch.setattr(edmp.oracle.PerturbedLine, name, wrapper)
@@ -181,7 +203,7 @@ def test_verify_asks_each_entry_question_in_one_stack(counts, monkeypatch):
         asked.clear()
         results, _ = check_entry(prof, template.spec.entry, template.expected)
         assert all(res.ok for res in results)
-        own = [(name, lapack) for name, d, lapack in asked if d is prof.d]
+        own = [(name, lapack) for name, p, lapack in asked if p is prof]
         width = classify(prof, template.spec.entry).t_leq.width
         expected = [("in_t_leq", 1)] if width > 0.0 else []
         assert sorted(own) == sorted(expected + [("spheres", 1)])

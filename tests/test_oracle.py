@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -22,10 +23,11 @@ from edmp import (
     profile,
     radius_squared,
 )
+import edmp.cli
 from edmp.cli import main
 from edmp.linalg import PSD_SLACK, sym_eig
-from edmp.matio import load_matrix
-from edmp.model import UNIT_RADIUS_TOL, sphericity
+from edmp.matio import load_matrix, matrix_to_csv
+from edmp.model import UNIT_RADIUS_TOL, is_edm_array, sphericity
 from edmp.oracle import SDP_CAP, SDP_GAP, PerturbedLine, gen_unit_profile
 from edmp.verify import check_profile, default_templates
 
@@ -159,7 +161,7 @@ class TestNonspherical:
 class TestPerturbedW:
     def test_solves_perturbed_system(self, triangle):
         entry = EntryIndex(1, 2)
-        [(sphere, dec)] = PerturbedLine(triangle, entry).spheres([1.0])
+        [(sphere, dec)] = PerturbedLine(profile(triangle), entry).spheres([1.0])
         pert = triangle.perturbed_array(0, 1, 1.0)
         whole = sym_eig(pert)
         assert dec.vectors is None
@@ -172,13 +174,13 @@ class TestPerturbedW:
         # D + t E^13 loses rank at theta_c = -3 for the long side.
         entry = EntryIndex(1, 3)
         far, near = (dec.cond() for _, dec in
-                     PerturbedLine(triangle, entry).spheres([-1.0, -3.0 + 1e-6]))
+                     PerturbedLine(profile(triangle), entry).spheres([-1.0, -3.0 + 1e-6]))
         assert near > 1e4 * far
 
     def test_nonspherical_perturbation_has_no_radius(self, triangle):
         # t = 1 on the long side makes the sides (1, 1, 2) collinear: an EDM
         # with no circumscribing sphere, so there is no radius to report.
-        sphere, _ = PerturbedLine(triangle, EntryIndex(1, 3)).spheres([1.0])[0]
+        sphere, _ = PerturbedLine(profile(triangle), EntryIndex(1, 3)).spheres([1.0])[0]
         assert sphere.radius_sq is None
         assert not sphere.unit
         assert abs(sphere.e_dot_w) < 1e-12
@@ -187,7 +189,7 @@ class TestPerturbedW:
 class TestMembershipScan:
     def test_triangle_long_side_landmarks(self, triangle):
         entry = EntryIndex(1, 3)
-        recs = membership_scan(triangle, entry, [0.0, 0.5, 1.0])
+        recs = membership_scan(profile(triangle), entry, [0.0, 0.5, 1.0])
         at0, at_half, at1 = recs
         assert at0.in_t_eq and at0.in_t_leq and at0.is_edm
         # t = 0.5: spherical EDM of radius 2 > 1.
@@ -200,7 +202,7 @@ class TestMembershipScan:
 
     def test_record_chain_invariant(self, antipodal):
         ts = np.linspace(-3.0, 3.0, 25)
-        for rec in membership_scan(antipodal, EntryIndex(3, 4), ts):
+        for rec in membership_scan(profile(antipodal), EntryIndex(3, 4), ts):
             if rec.in_t_eq:
                 assert rec.in_t_leq
             if rec.in_t_leq:
@@ -218,11 +220,12 @@ class TestMembershipScan:
                 for cells in (row.split(",") for row in out.getvalue().splitlines()[1:])]
         assert len(rows) == 2001
         # The grid misses the two T= points, so they are scanned as well.
-        members = classify(profile(d), entry).teq_members()
+        prof = profile(d)
+        members = classify(prof, entry).teq_members()
         scanned = [(rec.t, rec.in_t_leq, rec.in_t_eq)
-                   for rec in membership_scan(d, entry, members)]
+                   for rec in membership_scan(prof, entry, members)]
         assert [in_t_eq for _, _, in_t_eq in scanned] == [True, True]
-        spheres = PerturbedLine(d, entry).spheres([t for t, _, _ in rows + scanned])
+        spheres = PerturbedLine(prof, entry).spheres([t for t, _, _ in rows + scanned])
         for (_, in_t_leq, in_t_eq), (sphere, _) in zip(rows + scanned, spheres):
             residual = sphere.unit_residual
             assert in_t_eq == (in_t_leq and residual <= UNIT_RADIUS_TOL * d.n)
@@ -257,29 +260,123 @@ class TestPerturbedLine:
                 ts += [end - step, end, end + step]
             if report.theta_c is not None:
                 ts.append(report.theta_c)
-            line = PerturbedLine(prof.d, entry)
-            stacked = zip(line.is_edm(ts), line.in_t_leq(ts), line.spheres(ts, prof.tol))
+            line = PerturbedLine(prof, entry)
+            stacked = zip(line.is_edm(ts), line.in_t_leq(ts), line.spheres(ts))
             for t, (edm, leq, (sphere, _)) in zip(ts, stacked):
                 assert (edm, leq, sphere) == single_matrix_verdicts(prof.d, entry, t, prof.tol)
 
     def test_scan_peak_memory_is_one_stack(self):
         # A stack of all 201 matrices at n=128 would hold 26 MB per array.
-        d = gen_unit_spherical(InstanceSpec(n=128, r=64, seed=0))
+        prof = profile(gen_unit_spherical(InstanceSpec(n=128, r=64, seed=0)))
         entry = EntryIndex(1, 2)
-        lo, hi = classify(profile(d), entry).yielding_report.interval
+        lo, hi = classify(prof, entry).yielding_report.interval
         ts = np.linspace(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 201)
-        membership_scan(d, entry, [0.0])
+        membership_scan(prof, entry, [0.0])
         tracemalloc.start()
         try:
-            membership_scan(d, entry, [0.0])
+            membership_scan(prof, entry, [0.0])
             one = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            records = membership_scan(d, entry, ts)
+            records = membership_scan(prof, entry, ts)
             full = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert sum(rec.is_edm for rec in records) > 50
         assert full - one <= 2**20
+
+
+class FullOrderLine:
+    """The stacked kernel at full order n: each D + tE^kl formed entry by
+    entry and factored as it is, the reference the compressed line must
+    reproduce."""
+
+    def __init__(self, prof, entry):
+        self.prof, self.entry = prof, entry
+
+    def stack(self, ts):
+        return self.prof.d.perturbed_array(self.entry.i, self.entry.j, np.asarray(ts, float))
+
+    def is_edm(self, ts):
+        return is_edm_array(self.stack(ts))
+
+    def in_t_leq(self, ts, slack):
+        return sym_eig(2.0 - self.stack(ts), vectors=False).is_psd(slack)
+
+    def spheres(self, ts):
+        a = self.stack(ts)
+        w = sym_eig(a).pinv(self.prof.tol) @ np.ones(self.prof.n)
+        return [sphericity(a[k], w[k]) for k in range(len(a))]
+
+
+COMPRESSED = [(Structure.ZERO_GALE_PAIR, 32, 16), (Structure.MIRROR_PAIR, 32, 16),
+              (Structure.GENERIC, 32, 16), (Structure.ZERO_GALE_PAIR, 128, 64)]
+
+
+class TestCompressedLine:
+    """At r < n - 4 the line works in a basis Q of range(D) + span{e, e_k, e_l}."""
+
+    @staticmethod
+    def _line(structure, n, r, seed):
+        entry = EntryIndex(1, 2)
+        prof = gen_unit_profile(InstanceSpec(n, r, structure, entry, seed))
+        line = PerturbedLine(prof, entry)
+        assert line.q is not None and line.q.shape[1] <= r + 4
+        return prof, entry, line
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("structure,n,r", COMPRESSED, ids=lambda x: getattr(x, "value", x))
+    def test_verdicts_match_full_order(self, structure, n, r, seed):
+        # A 41-point grid over the yielding interval and half its width on
+        # either side, and probes 1e-12, 1e-9 and 1e-6 relative to either
+        # side of each end of T<=.
+        prof, entry, line = self._line(structure, n, r, seed)
+        full = FullOrderLine(prof, entry)
+        report = classify(prof, entry)
+        lo, hi = report.yielding_report.interval
+        half = 0.5 * (hi - lo) or 1.0
+        ts = list(np.linspace(lo - half, hi + half, 41))
+        for end in report.t_leq:
+            ts += [end + side * h * max(1.0, abs(end))
+                   for h in (1e-12, 1e-9, 1e-6) for side in (-1.0, 1.0)]
+        edm = line.is_edm(ts)
+        assert edm.tolist() == full.is_edm(ts).tolist()
+        for slack in (PSD_SLACK, 1e-12):
+            assert line.in_t_leq(ts, slack).tolist() == full.in_t_leq(ts, slack).tolist()
+        at_edm = [t for t, ok in zip(ts, edm) if ok]
+        for (sphere, _), ref in zip(line.spheres(at_edm), full.spheres(at_edm)):
+            assert (sphere.radius_sq is None) == (ref.radius_sq is None)
+            assert sphere.unit == ref.unit
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("structure,n,r", COMPRESSED, ids=lambda x: getattr(x, "value", x))
+    def test_radii_match_full_order_inside_tleq(self, structure, n, r, seed):
+        prof, entry, line = self._line(structure, n, r, seed)
+        tleq = classify(prof, entry).t_leq
+        ts = tleq.interior_samples(10) if tleq.width > 0.0 else [tleq.lo]
+        for (sphere, dec), ref in zip(line.spheres(ts), FullOrderLine(prof, entry).spheres(ts)):
+            assert abs(sphere.radius_sq - ref.radius_sq) <= 1e-11 * abs(ref.radius_sq)
+            assert dec.values.size == line.q.shape[1]
+
+    @pytest.mark.parametrize("structure,n,r", COMPRESSED, ids=lambda x: getattr(x, "value", x))
+    def test_basis_is_orthonormal_and_holds_d(self, structure, n, r):
+        prof, _, line = self._line(structure, n, r, 0)
+        q = line.q
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+        assert np.abs(q @ line.m0 @ q.T - prof.d.d).max() <= 1e-13 * np.abs(prof.d.d).max()
+
+    def test_entry_cross_check_sees_a_moved_radius(self, monkeypatch, tmp_path):
+        # The compressed oracle is live: closed radii scaled by 1 + 1e-6 show
+        # in entry's closed-vs-oracle residual at n=128.
+        spec = InstanceSpec(128, 64, Structure.ZERO_GALE_PAIR, EntryIndex(1, 2), 0)
+        path = tmp_path / "d.csv"
+        path.write_text(matrix_to_csv(gen_unit_spherical(spec)))
+        real = edmp.cli.closed_radii
+        monkeypatch.setattr(edmp.cli, "closed_radii", lambda *args: [
+            (t, (1.0 + 1e-6) * rho_sq) for t, rho_sq in real(*args)])
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["entry", str(path), "--k", "1", "--l", "2"]) == 0
+        check = json.loads(out.getvalue())["entry"]["cross_check"]
+        assert check["max_rel_closed_vs_oracle"] >= 5e-7
 
 
 def scalar_min_radius_sq(d, entry, t):
@@ -312,29 +409,30 @@ def scalar_min_radius_sq(d, entry, t):
 
 class TestSdpOracle:
     def test_unperturbed_unit(self, triangle):
-        [lam] = PerturbedLine(triangle, EntryIndex(1, 2)).min_radius_sq([0.0])
+        [lam] = PerturbedLine(profile(triangle), EntryIndex(1, 2)).min_radius_sq([0.0])
         assert_allclose(lam, 1.0, atol=1e-8)
 
     def test_triangle_interior_value(self, triangle):
         # Independent bisection against the hand value 6/8 at t = 1.
-        [lam] = PerturbedLine(triangle, EntryIndex(1, 2)).min_radius_sq([1.0])
+        [lam] = PerturbedLine(profile(triangle), EntryIndex(1, 2)).min_radius_sq([1.0])
         assert_allclose(lam, 0.75, atol=1e-8)
 
     def test_constant_radius_entry(self, antipodal):
-        lam = PerturbedLine(antipodal, EntryIndex(3, 4)).min_radius_sq([-1.0, 0.5, 1.5])
+        lam = PerturbedLine(profile(antipodal), EntryIndex(3, 4)).min_radius_sq([-1.0, 0.5, 1.5])
         assert_allclose(lam, 1.0, atol=1e-8)
 
     def test_infeasible_for_nonspherical(self):
         d = gen_nonspherical(5, 3, seed=4)
         with pytest.raises(Infeasible):
-            PerturbedLine(d, EntryIndex(1, 2)).min_radius_sq([0.0])
+            PerturbedLine(profile(d), EntryIndex(1, 2)).min_radius_sq([0.0])
 
     def test_matches_closed_form_on_generated(self):
         d = gen_unit_spherical(InstanceSpec(n=4, r=3, seed=77))
         entry = EntryIndex(1, 2)
-        report = classify(profile(d), entry)
+        prof = profile(d)
+        report = classify(prof, entry)
         ts = report.t_leq.interior_samples(10)
-        for t, lam in zip(map(float, ts), PerturbedLine(d, entry).min_radius_sq(ts)):
+        for t, lam in zip(map(float, ts), PerturbedLine(prof, entry).min_radius_sq(ts)):
             assert abs(lam - radius_squared(report, t)) <= 1e-7
 
     @pytest.mark.parametrize("seed", range(5))
@@ -347,7 +445,7 @@ class TestSdpOracle:
             if tleq.width == 0.0:
                 continue
             ts = tleq.interior_samples(3)
-            lam = PerturbedLine(prof.d, entry).min_radius_sq(ts)
+            lam = PerturbedLine(prof, entry).min_radius_sq(ts)
             for t, lam_t in zip(map(float, ts), lam):
                 assert abs(lam_t - scalar_min_radius_sq(prof.d, entry, t)) <= SDP_GAP
 
@@ -363,19 +461,19 @@ class TestSdpOracle:
                 continue
             ts = report.t_leq.interior_samples(3)
             near = [radius_squared(report, float(t)) for t in ts]
-            line = PerturbedLine(prof.d, entry)
+            line = PerturbedLine(prof, entry)
             assert_allclose(line.min_radius_sq(ts, near=near), line.min_radius_sq(ts),
                             rtol=0.0, atol=SDP_GAP)
 
     def test_missed_bracket_falls_back(self):
         # An estimate 1e-3 off leaves its optimum outside the bracket, so
         # that t is bisected from [0, 1] exactly as without an estimate.
-        d = gen_unit_spherical(InstanceSpec(n=8, r=7, seed=0))
+        prof = profile(gen_unit_spherical(InstanceSpec(n=8, r=7, seed=0)))
         entry = EntryIndex(1, 2)
-        report = classify(profile(d), entry)
+        report = classify(prof, entry)
         ts = report.t_leq.interior_samples(3)
         near = np.array([radius_squared(report, float(t)) for t in ts])
-        line = PerturbedLine(d, entry)
+        line = PerturbedLine(prof, entry)
         lam = line.min_radius_sq(ts)
         for shift in ([1e-3, 0.0, -1e-3], [np.nan, 0.0, np.inf]):
             mixed = line.min_radius_sq(ts, near=near + shift)
@@ -386,7 +484,7 @@ class TestSdpOracle:
         # On [0, 3] the squared radius is at most one; outside it exceeds
         # one, so those brackets double first while the others are frozen.
         entry = EntryIndex(1, 2)
-        line = PerturbedLine(triangle, entry)
+        line = PerturbedLine(profile(triangle), entry)
         ts = [1.0, -0.2, 2.0, -0.4, 3.5, 0.5]
         lam = line.min_radius_sq(ts)
         assert (lam < 1.0).any() and (lam > 2.0).any()
@@ -398,7 +496,7 @@ class TestSdpOracle:
         # D + tE^12 has a negative entry at t = -5, far outside the
         # yielding interval [-0.46, 6.46].
         with pytest.raises(Infeasible):
-            PerturbedLine(triangle, EntryIndex(1, 2)).min_radius_sq([1.0, -5.0, 2.0])
+            PerturbedLine(profile(triangle), EntryIndex(1, 2)).min_radius_sq([1.0, -5.0, 2.0])
 
 
 class TestBoundaryLocation:
@@ -410,13 +508,13 @@ class TestBoundaryLocation:
             entry = EntryIndex(k, l)
             lo, hi = classify(prof, entry).t_leq
             delta = min(1e-6, 0.25 * (hi - lo))
-            held = PerturbedLine(triangle, entry).in_t_leq(
+            held = PerturbedLine(profile(triangle), entry).in_t_leq(
                 [lo + delta, hi - delta, lo - 1e-6, hi + 1e-6], slack=1e-12)
             assert held.tolist() == [True, True, False, False]
 
     def test_oracle_membership_signs(self, triangle):
         entry = EntryIndex(1, 2)
-        held = PerturbedLine(triangle, entry).in_t_leq([1.0, 3.2, -0.2])
+        held = PerturbedLine(profile(triangle), entry).in_t_leq([1.0, 3.2, -0.2])
         assert held.tolist() == [True, False, False]
 
     def test_slack_per_t(self, triangle):
@@ -424,7 +522,7 @@ class TestBoundaryLocation:
         entry = EntryIndex(1, 3)
         lo, hi = classify(profile(triangle), entry).t_leq
         ts = [lo - 1e-10, hi + 1e-10, lo - 1e-10, hi + 1e-10]
-        line = PerturbedLine(triangle, entry)
+        line = PerturbedLine(profile(triangle), entry)
         held = line.in_t_leq(ts, slack=[PSD_SLACK, PSD_SLACK, 1e-12, 1e-12])
         assert held.tolist() == [True, True, False, False]
         assert held.tolist() == [*line.in_t_leq(ts[:2]), *line.in_t_leq(ts[2:], slack=1e-12)]

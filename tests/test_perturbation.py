@@ -122,12 +122,12 @@ class TestRadiusSquared:
         with pytest.raises(OutsideTleq):
             radius_squared(report(triangle_profile, 1, 3), 0.5)
 
-    def test_extrapolation_matches_direct_oracle(self, triangle, triangle_profile):
+    def test_extrapolation_matches_direct_oracle(self, triangle_profile):
         # Beyond the radius-one set but inside the yield interval the
         # rational form still tracks the true (larger) radius.
         val = radius_squared(report(triangle_profile, 1, 3), 0.5, extrapolate=True)
         assert_allclose(val, 2.0, atol=1e-12)
-        [(direct, _)] = PerturbedLine(triangle, EntryIndex(1, 3)).spheres([0.5])
+        [(direct, _)] = PerturbedLine(triangle_profile, EntryIndex(1, 3)).spheres([0.5])
         assert_allclose(val, direct.radius_sq, atol=1e-10)
 
     def test_singleton_endpoint_limit(self, triangle_profile):
@@ -145,7 +145,7 @@ class TestRadiusSquared:
         entry = EntryIndex(1, 2)
         rep = classify(profile(d), entry)
         ts = rep.t_leq.interior_samples(7)
-        for t, (direct, _) in zip(ts, PerturbedLine(d, entry).spheres(ts)):
+        for t, (direct, _) in zip(ts, PerturbedLine(profile(d), entry).spheres(ts)):
             closed = radius_squared(rep, float(t))
             assert_allclose(closed, direct.radius_sq, rtol=1e-8)
 
@@ -253,7 +253,7 @@ class TestClassify:
         assert tuple(rep.t_leq) == tuple(yiv)
         assert yiv.lo < 0.0 < yiv.hi
         ts = rep.t_leq.interior_samples(5)
-        for t, (direct, _) in zip(ts, PerturbedLine(edm_from_points(pts), entry).spheres(ts)):
+        for t, (direct, _) in zip(ts, PerturbedLine(prof, entry).spheres(ts)):
             assert radius_squared(rep, float(t)) == 1.0
             assert abs(direct.radius_sq - 1.0) <= 1e-9
 

@@ -206,7 +206,7 @@ class TestRadiusComparisons:
         # D + E^13 of the triangle is collinear, so the direct oracle finds
         # no sphere; the error is 1, its limit as the direct radius grows.
         closed = [(1.0, 0.25)]
-        spheres = PerturbedLine(triangle_profile.d, EntryIndex(1, 3)).spheres([1.0])
+        spheres = PerturbedLine(triangle_profile, EntryIndex(1, 3)).spheres([1.0])
         assert worst_closed_vs_direct(closed, spheres) == 1.0
 
 
@@ -220,7 +220,7 @@ class TestSdpAgreement:
         prof = profile(gen_unit_spherical(InstanceSpec(4, 3, seed=0)))
         report = classify(prof, entry)
         ts = report.t_leq.interior_samples(3)
-        lam = PerturbedLine(prof.d, entry).min_radius_sq(ts)
+        lam = PerturbedLine(prof, entry).min_radius_sq(ts)
         real = edmp.verify.closed_radii
         monkeypatch.setattr(edmp.verify, "closed_radii", lambda *args: [
             (t, scale * rho_sq) for t, rho_sq in real(*args)])
@@ -254,12 +254,12 @@ class TestTeqMembersBound:
     @pytest.mark.parametrize("seed,n,r,entry", ILL_CONDITIONED)
     def test_ill_conditioned_member_passes(self, seed, n, r, entry):
         d, report = self._instance(seed, n, r, entry)
-        [(sphere, dec)] = PerturbedLine(d, entry).spheres([report.theta_c])
+        [(sphere, dec)] = PerturbedLine(profile(d), entry).spheres([report.theta_c])
         assert dec.cond() > 1e8
         assert sphere.unit_residual > 1e-8
         members = report.teq_members()
         assert report.theta_c in members
-        assert check_teq_members(PerturbedLine(d, entry).spheres(members), DEFAULT_TOL).ok
+        assert check_teq_members(PerturbedLine(profile(d), entry).spheres(members), DEFAULT_TOL).ok
         spec = InstanceSpec(n, r, Structure.GENERIC, entry, seed)
         results, _ = check_instance(profile(d), spec, CaseTag.PAIR_UNIT)
         assert [res for res in results if not res.ok] == []
@@ -277,7 +277,7 @@ class TestTeqMembersBound:
         entry = EntryIndex(1, 2)
         d, report = self._instance(0, 4, 3, entry)
         moved = report.theta_c * (1.0 + 1e-4)
-        line = PerturbedLine(d, entry)
+        line = PerturbedLine(profile(d), entry)
         [(_, dec)] = line.spheres([report.theta_c])
         assert dec.cond() < 100.0
         result = check_teq_members(line.spheres([0.0, moved]), DEFAULT_TOL)
