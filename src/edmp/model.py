@@ -192,9 +192,9 @@ class EdmProfile:
 
 
 def centroid_gram(a: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-    """B = -JDJ/2, J = I - uu^T/(u.u), per matrix of a stack; u is e or Q^T e."""
-    n = a.shape[-1]
-    j = np.eye(n) - (np.full((n, n), 1.0 / n) if u is None else np.outer(u, u) / (u @ u))
+    """B = -JDJ/2, J = I - uu^T/(u.u), per matrix of a stack; u is e (default) or Q^T e."""
+    u = np.ones(a.shape[-1]) if u is None else u
+    j = np.eye(len(u)) - u[:, None] * u / (u @ u)
     return symmetrize(-0.5 * j @ a @ j)
 
 

@@ -5,12 +5,11 @@ unit-norm points whose affine hull is all of R^r, which pins the
 circumcenter at the origin and the circumradius at one.  Oracles check
 membership claims through raw eigenvalue tests and recover the minimal
 feasible radius by bisection, independently of every closed form.
-PerturbedLine factors D + tE^kl for many t at once, for every raw test
-of the line, compressed to the span of range(D), e, e_k and e_l; its
-bisection oracle bisects a stack of t in lockstep on eigenvalues alone,
-inside a bracket the raw test proves around a given estimate where it
-can, and verify asks each of its questions of an entry in one stack (the
-ends of T<= at a tighter slack).
+PerturbedLine factors D + tE^kl for many t at once, for every raw test of the
+line, compressed to the span of range(D), e, e_k and e_l; its bisection oracle
+bisects a stack of t in lockstep on eigenvalues alone, inside a bracket the raw
+test proves around a given estimate where it can, and verify asks each of its
+questions of an entry in one stack (the ends of T<= at a tighter slack).
 gen_unit_profile also returns the profile an instance was accepted on,
 so a caller that checks the instance need not profile it again.
 """
@@ -344,33 +343,37 @@ def gen_unit_profile(spec: InstanceSpec, tol: TolerancePolicy = DEFAULT_TOL) -> 
 
 
 class PerturbedLine:
-    """D + tE^kl of a profiled D in an orthonormal basis Q of S = range(D) +
-    span{e, e_k, e_l}: each matrix a raw test factors vanishes on S-perp, so
-    its compression by Q (M(t) = Q^T D(t) Q, u = Q^T e; Q = I, q None, where
-    rank(D) + 3 >= n) keeps its nonzero eigenvalues.  Each question answers
-    per t, factoring stacks of at most STACK_ENTRIES entries in one call."""
+    """D + tE^kl of a profiled D in an orthonormal basis Q of S = range(D) + span{e, e_k, e_l}:
+    each matrix a raw test factors vanishes on S-perp, so M(t) = Q^T D(t) Q and u = Q^T e keep
+    its nonzero eigenvalues (Q = I, q None, where rank(D) + 3 >= n).  Each question answers per
+    t, factoring stacks of at most STACK_ENTRIES entries in one call."""
 
     def __init__(self, prof: EdmProfile, entry: EntryIndex):
         entry.check_order(prof.n)
         self.prof, self.entry = prof, entry
         d, n, i, j = prof.d.d, prof.n, entry.i, entry.j
-        self._top = max(1.0, float(np.delete(d, [i * n + j, j * n + i]).max()))
-        self.q, self.m0, self._u = None, d, np.ones(n)
+        top, pair = d.max(), [i * n + j, j * n + i]  # D is hollow and >= 0: max|entry| off (k,l)
+        self._top = max(1.0, float(top if d[i, j] < top else np.delete(d, pair).max()))
         v = prof.d_range
-        if v.shape[1] + 3 < n:
-            x = np.column_stack([np.full(n, n ** -0.5), np.eye(n)[:, [i, j]]])
-            x -= v @ (v.T @ x)
+        if v.shape[1] + 3 >= n:
+            self.q, self.m0, self._u, self._ekl = None, d, np.ones(n), np.zeros((n, n))
+            self._ekl[i, j] = self._ekl[j, i] = 1.0
+        else:
+            x = np.zeros((n, 3))
+            x[:, 0], x[i, 1], x[j, 2] = n ** -0.5, 1.0, 1.0
+            for _ in range(2):  # twice, so a column nearly in range(D) keeps no trace of it
+                x -= v @ (v.T @ x)
             left, s, _ = np.linalg.svd(x, full_matrices=False)
             self.q = np.column_stack([v, left[:, s > prof.tol.rank_rel]])
             self.m0, self._u = self.q.T @ d @ self.q, self.q.sum(axis=0)
-        self._uu = np.outer(self._u, self._u)
-        qk, ql = np.eye(n)[[i, j]] if self.q is None else self.q[[i, j]]
-        self._ekl = np.outer(qk, ql) + np.outer(ql, qk)
+            qk, ql = self.q[[i, j]]
+            self._ekl = np.outer(qk, ql) + np.outer(ql, qk)
+        self._two_uu = 2.0 * self._u[:, None] * self._u
 
     def _each(self, ts, test, *aligned) -> list:
         """test(stack of M(t), *chunks) per stack; each `aligned` is a scalar or one per t."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        aligned = [np.broadcast_to(np.asarray(x, dtype=float), ts.shape) for x in aligned]
+        aligned = [np.full(ts.shape, x, dtype=float) for x in aligned]
         step = max(1, STACK_ENTRIES // len(self.m0) ** 2)
         return [v for at in range(0, ts.size, step) for v in
                 test(self.m0 + ts[at:at + step, None, None] * self._ekl,
@@ -391,7 +394,7 @@ class PerturbedLine:
         slack for all t or one per t.  verify's probes 1e-6 off each end of
         T<= pass 1e-12, since interior noise is ~1e-15 and the defect ~1e-6."""
         return np.array(self._each(
-            ts, lambda m, s: sym_eig(2.0 * self._uu - m, vectors=False).is_psd(s), slack),
+            ts, lambda m, s: sym_eig(self._two_uu - m, vectors=False).is_psd(s), slack),
             dtype=bool)
 
     def min_radius_sq(self, ts, near=None) -> np.ndarray:
@@ -413,7 +416,7 @@ class PerturbedLine:
 
             def feasible(lam):
                 # lam is (s,) for a stack of s or, for both ends of every bracket, (2, s).
-                least = sym_eig(2.0 * lam[..., None, None] * self._uu - a,
+                least = sym_eig(lam[..., None, None] * self._two_uu - a,
                                 vectors=False).values[..., -1]
                 return least >= -(feas_abs + 1e-14 * self.prof.n * np.abs(lam))
 

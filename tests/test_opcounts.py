@@ -201,7 +201,8 @@ def test_verify_asks_each_entry_question_in_one_stack(counts, monkeypatch):
     for template in default_templates(8):
         prof = gen_unit_profile(template.spec)
         asked.clear()
-        results, _ = check_entry(prof, template.spec.entry, template.expected)
+        results, _ = check_entry(prof, template.spec.entry, template.expected,
+                                  profile(DistanceMatrix(bordered(prof.d))))
         assert all(res.ok for res in results)
         own = [(name, lapack) for name, p, lapack in asked if p is prof]
         width = classify(prof, template.spec.entry).t_leq.width

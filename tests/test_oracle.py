@@ -28,7 +28,7 @@ from edmp.cli import main
 from edmp.linalg import PSD_SLACK, sym_eig
 from edmp.matio import load_matrix, matrix_to_csv
 from edmp.model import UNIT_RADIUS_TOL, is_edm_array, sphericity
-from edmp.oracle import SDP_CAP, SDP_GAP, PerturbedLine, gen_unit_profile
+from edmp.oracle import SDP_CAP, SDP_GAP, PerturbedLine, edm_from_points, gen_unit_profile
 from edmp.verify import check_profile, default_templates
 
 from conftest import gen_nonspherical
@@ -312,6 +312,38 @@ COMPRESSED = [(Structure.ZERO_GALE_PAIR, 32, 16), (Structure.MIRROR_PAIR, 32, 16
               (Structure.GENERIC, 32, 16), (Structure.ZERO_GALE_PAIR, 128, 64)]
 
 
+def unit_profile(points):
+    return profile(edm_from_points(points / np.linalg.norm(points, axis=1)[:, None]))
+
+
+def kappa_1e8_profile():
+    # 32 unit points in R^16 whose last coordinate is shrunk by 5e-4 lie near
+    # a 15-sphere: a generic D with kappa(D) = 7.9e7, all of whose range the
+    # rank cut keeps.
+    points = np.random.default_rng(0).standard_normal((32, 16))
+    points[:, -1] *= 5e-4
+    prof = unit_profile(points)
+    assert 5e7 < prof.d_spectrum.cond() < 2e8
+    return prof
+
+
+def e1_near_range_profile():
+    # Points 2..32 lie within 1e-8 of the hyperplane x_16 = 0.3 and point 1
+    # does not, so an affine function of the points is nearly the indicator
+    # of point 1: e_1 lies within ~1e-8 of range(D) = span{e, P}, and one
+    # projection leaves its residual ~1e-8 off orthogonal to range(D).
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((32, 16))
+    points[:, -1] = 0.3 + 1e-8 * rng.standard_normal(32)
+    rest = points[:, :-1]
+    rest *= np.sqrt(1.0 - points[:, -1:] ** 2) / np.linalg.norm(rest, axis=1)[:, None]
+    points[0] = rng.standard_normal(16)
+    return unit_profile(points)
+
+
+SPECIAL = {"kappa-1e8": kappa_1e8_profile, "e1-near-range": e1_near_range_profile}
+
+
 class TestCompressedLine:
     """At r < n - 4 the line works in a basis Q of range(D) + span{e, e_k, e_l}."""
 
@@ -357,9 +389,15 @@ class TestCompressedLine:
             assert abs(sphere.radius_sq - ref.radius_sq) <= 1e-11 * abs(ref.radius_sq)
             assert dec.values.size == line.q.shape[1]
 
-    @pytest.mark.parametrize("structure,n,r", COMPRESSED, ids=lambda x: getattr(x, "value", x))
+    @pytest.mark.parametrize("structure,n,r", [*COMPRESSED, *((name, 32, 16) for name in SPECIAL)],
+                             ids=lambda x: getattr(x, "value", x))
     def test_basis_is_orthonormal_and_holds_d(self, structure, n, r):
-        prof, _, line = self._line(structure, n, r, 0)
+        if structure in SPECIAL:
+            prof = SPECIAL[structure]()
+            line = PerturbedLine(prof, EntryIndex(1, 2))
+            assert line.q.shape == (n, prof.r + 3)
+        else:
+            prof, _, line = self._line(structure, n, r, 0)
         q = line.q
         assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
         assert np.abs(q @ line.m0 @ q.T - prof.d.d).max() <= 1e-13 * np.abs(prof.d.d).max()

@@ -19,6 +19,7 @@ from edmp.cli import main
 from edmp.errors import Infeasible, NumericalFailure
 from edmp.linalg import DEFAULT_TOL
 from edmp.oracle import PerturbedLine, gen_unit_profile
+from edmp.cayley import bordered
 from edmp.verify import (
     check_entry,
     check_instance,
@@ -29,6 +30,10 @@ from edmp.verify import (
 )
 from edmp.yielding import Interval
 from conftest import SQUARE
+
+
+def bordered_profile(prof):
+    return profile(DistanceMatrix(bordered(prof.d)), prof.tol)
 
 
 class TestTemplates:
@@ -95,6 +100,28 @@ class TestRunner:
         assert "first failing seed: 4" in out
         assert "bordered-profile: input matrix is not a Euclidean distance matrix" in out
 
+    def test_failed_bordered_profile_keeps_the_entry_checks(self, monkeypatch):
+        # Where the bordered profile fails, each rational case still reports
+        # every entry check; only border-direct, which factors the border's
+        # line, is skipped, and bordered-profile is the one failure.
+        rational = []
+        for template in default_templates(8):
+            prof = gen_unit_profile(template.spec)
+            if classify(prof, template.spec.entry).coefficients is not None:
+                rational.append((template, prof, check_instance(prof, template.spec,
+                                                                template.expected)[0]))
+        assert rational
+        real = edmp.verify.bordered
+        monkeypatch.setattr(edmp.verify, "bordered",
+                            lambda d: real(DistanceMatrix(1.21 * d.d)))
+        for template, prof, whole in rational:
+            results, tag = check_instance(prof, template.spec, template.expected)
+            assert tag is template.expected
+            assert [res.name for res in results if not res.ok] == ["bordered-profile"]
+            kept = [res.name for res in whole
+                    if not res.name.startswith("bordered-") and res.name != "border-direct"]
+            assert [res.name for res in results if res.name != "bordered-profile"] == kept
+
     @pytest.mark.parametrize("name,error", [
         ("PerturbedLine.min_radius_sq", Infeasible("no feasible radius bound below the cap")),
         ("classify", NumericalFailure("radius coefficient identities failed")),
@@ -138,12 +165,12 @@ class TestCheckInstance:
         prof = profile(gen_unit_spherical(InstanceSpec(4, 3, seed=0)))
         report = classify(prof, entry)
         assert report.case_tag is CaseTag.PAIR_UNIT
-        results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT)
+        results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT, bordered_profile(prof))
         assert [res for res in results if not res.ok] == []
         lo, hi = report.t_leq
         widened = replace(report, t_leq=Interval(lo, hi + 0.1 * (hi - lo)))
         monkeypatch.setattr(edmp.verify, "classify", lambda *_: widened)
-        results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT)
+        results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT, bordered_profile(prof))
         interior = next(res for res in results if res.name == "tleq-interior")
         assert not interior.ok
         assert interior.detail.startswith("radius-one test fails at interior t = [")
@@ -167,7 +194,7 @@ class TestTleqEndpointProbe:
     def _probe(monkeypatch, prof, report, entry, t_leq):
         moved = replace(report, t_leq=t_leq)
         monkeypatch.setattr(edmp.verify, "classify", lambda *_: moved)
-        results, _ = check_entry(prof, entry, report.case_tag)
+        results, _ = check_entry(prof, entry, report.case_tag, bordered_profile(prof))
         return next(res for res in results if res.name == "tleq-endpoint-probe")
 
     @pytest.mark.parametrize("shift", [1e-5, -1e-5], ids=["out", "in"])
@@ -196,7 +223,7 @@ class TestTleqEndpointProbe:
         lo, hi = report.t_leq
         halved = Interval(lo, 0.5 * (lo + hi))
         assert not self._probe(monkeypatch, prof, report, entry, halved).ok
-        results, _ = check_entry(prof, entry, CaseTag.CONTINUUM_UNIT)
+        results, _ = check_entry(prof, entry, CaseTag.CONTINUUM_UNIT, bordered_profile(prof))
         assert {res.name for res in results if not res.ok} >= {
             "tleq-exterior", "tleq-endpoint-probe"}
 
@@ -224,7 +251,7 @@ class TestSdpAgreement:
         real = edmp.verify.closed_radii
         monkeypatch.setattr(edmp.verify, "closed_radii", lambda *args: [
             (t, scale * rho_sq) for t, rho_sq in real(*args)])
-        results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT)
+        results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT, bordered_profile(prof))
         sdp = next(res for res in results if res.name == "radius-sdp-agreement")
         assert not sdp.ok
         worst = max(abs(lam_t - scale * rho_sq)
