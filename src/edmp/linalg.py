@@ -73,8 +73,8 @@ class EigDecomp:
 
     def _kept(self, tol: TolerancePolicy) -> np.ndarray:
         """Mask of eigenvalues above rank_rel * max|lambda| in magnitude."""
-        top = np.abs(self.values).max(axis=-1, keepdims=True, initial=0.0)
-        return np.abs(self.values) > tol.rank_rel * top
+        mag = np.abs(self.values)
+        return mag > tol.rank_rel * mag.max(axis=-1, keepdims=True, initial=0.0)
 
     def rank(self, tol: TolerancePolicy = DEFAULT_TOL) -> int:
         """Numerical rank of one matrix (a stack's would be pooled) under the cutoff."""
@@ -82,8 +82,12 @@ class EigDecomp:
 
     def pinv(self, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         """Moore-Penrose inverse: kept eigenvalues inverted, the rest zeroed."""
+        return self._inverse(self._kept(tol))
+
+    def _inverse(self, kept: np.ndarray) -> np.ndarray:
+        """pinv for a rank-cut mask the caller already holds."""
         inv = np.zeros_like(self.values)
-        np.divide(1.0, self.values, out=inv, where=self._kept(tol))
+        np.divide(1.0, self.values, out=inv, where=kept)
         return symmetrize((self.vectors * inv[..., None, :]) @ self.vectors.swapaxes(-1, -2))
 
     def cond(self, tol: TolerancePolicy = DEFAULT_TOL) -> float:

@@ -36,6 +36,7 @@ __all__ = [
     "EdmProfile",
     "Sphericity",
     "sphericity",
+    "sphericities",
     "is_edm_array",
     "profile",
 ]
@@ -60,19 +61,24 @@ class Sphericity(NamedTuple):
     unit: bool
 
 
-def sphericity(a: np.ndarray, w: np.ndarray) -> Sphericity:
-    """Sphericity, squared radius and unit verdict of a from its w (a w = e).
+def sphericities(etw, ede, n: int) -> list[Sphericity]:
+    """The one sphericity rule: a record per e.w of matrices a of order n, where
+    a w = e and e.a.e is ede (one scalar, or one per e.w).
 
-    The one place e.w is formed and judged, for a profile and for every
-    perturbed matrix alike.
+    It judges a profile and each stack of perturbed matrices alike.
     """
-    n = a.shape[0]
-    e = np.ones(n)
-    etw = float(e @ w)
-    spherical = etw * (float(e @ a @ e) / n**2) > SPHERICITY_TOL
-    residual = abs(2.0 * etw - 1.0)
-    return Sphericity(etw, 1.0 / (2.0 * etw) if spherical else None, residual,
-                      spherical and residual <= UNIT_RADIUS_TOL * n)
+    etw = np.asarray(etw, dtype=float).reshape(-1)
+    spherical = etw * (ede / n**2) > SPHERICITY_TOL
+    residual = np.abs(2.0 * etw - 1.0)
+    unit = spherical & (residual <= UNIT_RADIUS_TOL * n)
+    return [Sphericity(x, 1.0 / (2.0 * x) if ok else None, res, u) for x, ok, res, u in
+            zip(etw.tolist(), spherical.tolist(), residual.tolist(), unit.tolist())]
+
+
+def sphericity(a: np.ndarray, w: np.ndarray) -> Sphericity:
+    """Sphericity, squared radius and unit verdict of a from its w (a w = e)."""
+    e = np.ones(a.shape[0])
+    return sphericities(float(e @ w), float(e @ a @ e), a.shape[0])[0]
 
 
 @dataclass(frozen=True)
@@ -124,19 +130,6 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return self.d.shape[0]
-
-    def perturbed_array(self, k: int, l: int, t) -> np.ndarray:
-        """Raw copy with t added to the (k,l) and (l,k) entries (0-based), one
-        per value for a vector t.
-
-        No validation: the result may have a negative entry, in which case
-        it is simply not an EDM.
-        """
-        a = np.empty(np.shape(t) + self.d.shape)
-        a[...] = self.d
-        a[..., k, l] += t
-        a[..., l, k] += t
-        return a
 
 
 @dataclass(frozen=True)
@@ -251,9 +244,10 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     p = fix_column_signs(dec.vectors[:, :r] * np.sqrt(vals_r))
 
     d_dec = sym_eig(a)
-    d_dag = d_dec.pinv(tol)
+    kept = d_dec._kept(tol)
+    d_dag = d_dec._inverse(kept)
     d_spectrum = EigDecomp(_readonly(d_dec.values), None)
-    d_range = _readonly(d_dec.vectors[:, d_dec._kept(tol)])
+    d_range = _readonly(d_dec.vectors[:, kept])
     del d_dec  # else its n x n eigenvectors stay alive through the Gale SVD
     w = d_dag @ e
     b_dag = dec.pinv(tol)

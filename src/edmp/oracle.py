@@ -24,7 +24,7 @@ import numpy as np
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
 from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig
 from .model import (DistanceMatrix, EdmProfile, Sphericity, centroid_gram,
-                    nonnegative_entries, profile, sphericity)
+                    nonnegative_entries, profile, sphericities)
 from .yielding import EntryIndex, parallel_relation, singleton_gap
 
 __all__ = [
@@ -55,6 +55,7 @@ SDP_CAP = 1e4
 SDP_BRACKET = 1e-7
 
 # Entries per PerturbedLine stack of M(t) of order m: 256 at m=8, 3 at m=67, one from m=128 on.
+# These m x m stacks are all a question forms per t; spheres forms no n x n array.
 # At m=128, 2**16 and 2**18 raised peak RSS by 4.0 and 17.6 MB, 2**14 by 0.5.
 STACK_ENTRIES = 2**14
 
@@ -443,18 +444,18 @@ class PerturbedLine:
         return np.array(self._each(ts, bisect, ts, *near), dtype=float)
 
     def spheres(self, ts) -> list[tuple[Sphericity, EigDecomp]]:
-        """Sphericity of each raw D + tE^kl, formed STACK_ENTRIES entries at a
-        time, from w(t) = Q pinv(M(t)) u = pinv(D + tE^kl) e under the rank
-        cut, and the eigenvalues of M(t) it came from (vectors None): kappa."""
+        """Sphericity of each raw D + tE^kl under the rank cut, and the eigenvalues
+        of M(t) it came from (vectors None): kappa.  A stack is judged at once from
+        e.w(t) = u.pinv(M(t)) u, as w(t) = pinv(D + tE^kl) e = Q pinv(M(t)) u, and
+        e.(D + tE^kl).e = e.D.e + 2t, with no n x n array per t."""
+        ede = float(self.prof.d.d.sum())
+
         def stack_spheres(m, t):
             dec = sym_eig(m)
-            w, raw = dec.pinv(self.prof.tol) @ self._u, m  # with Q = I, M(t) is D + tE^kl
-            if self.q is not None:
-                w, step = w @ self.q.T, max(1, STACK_ENTRIES // self.prof.n ** 2)
-                raw = (a for k in range(0, len(t), step) for a in
-                       self.prof.d.perturbed_array(self.entry.i, self.entry.j, t[k:k + step]))
-            return [(sphericity(a, wk), EigDecomp(values, None))
-                    for a, wk, values in zip(raw, w, dec.values)]
+            w = dec.pinv(self.prof.tol) @ self._u
+            etw = (w[:, None, :] @ self._u[:, None])[:, 0, 0]
+            return zip(sphericities(etw, ede + 2.0 * t, self.prof.n),
+                       (EigDecomp(values, None) for values in dec.values))
         return self._each(ts, stack_spheres, ts)
 
 

@@ -8,7 +8,8 @@ TRIANGLE: an isosceles triangle on the unit circle with squared side
     lengths (1, 1, 3); w = (1/2, -1/2, 1/2).
 
 gen_nonspherical builds the non-cospherical EDMs the tests use as
-negative inputs; the library itself never needs one.
+negative inputs, and perturbed_array the raw D + tE^kl the tests check
+against; the library itself needs neither.
 """
 
 import numpy as np
@@ -65,6 +66,20 @@ def radius_off_one(monkeypatch):
     real = edmp.verify.gen_unit_profile
     monkeypatch.setattr(edmp.verify, "gen_unit_profile",
                         lambda *args: profile(DistanceMatrix(1.21 * real(*args).d.d)))
+
+
+def perturbed_array(d: DistanceMatrix, k: int, l: int, t) -> np.ndarray:
+    """Raw copy of d with t added to the (k,l) and (l,k) entries (0-based), one
+    per value for a vector t.
+
+    No validation: the result may have a negative entry, in which case
+    it is simply not an EDM.
+    """
+    a = np.empty(np.shape(t) + d.d.shape)
+    a[...] = d.d
+    a[..., k, l] += t
+    a[..., l, k] += t
+    return a
 
 
 def gen_nonspherical(n: int, r: int, seed: int) -> DistanceMatrix:

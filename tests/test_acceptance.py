@@ -30,7 +30,7 @@ from edmp.cayley import bordered
 from edmp.linalg import sym_eig
 from edmp.oracle import PerturbedLine
 from edmp.verify import bdag_identity, bprime_dag_identity, cm_dag_block
-from conftest import ANTIPODAL, SQUARE, TRIANGLE
+from conftest import ANTIPODAL, SQUARE, TRIANGLE, perturbed_array
 
 SQRT3 = np.sqrt(3.0)
 
@@ -220,13 +220,13 @@ def test_criterion_6_membership_soundness(mixed_pool):
             iv = report.t_leq
             if iv.width > 0.0:
                 for t in iv.interior_samples(20):
-                    m = 2.0 - d.perturbed_array(entry.i, entry.j, float(t))
+                    m = 2.0 - perturbed_array(d, entry.i, entry.j, float(t))
                     assert sym_eig(m).values[-1] >= -1e-8 * n
                 for t in (iv.hi + 1e-3, iv.lo - 1e-3):
-                    m = 2.0 - d.perturbed_array(entry.i, entry.j, float(t))
+                    m = 2.0 - perturbed_array(d, entry.i, entry.j, float(t))
                     assert sym_eig(m).values[-1] < -1e-10
             for t in report.teq_members():
-                w_t = sym_eig(d.perturbed_array(entry.i, entry.j, float(t))).pinv() @ np.ones(n)
+                w_t = sym_eig(perturbed_array(d, entry.i, entry.j, float(t))).pinv() @ np.ones(n)
                 assert abs(2.0 * float(w_t.sum()) - 1.0) <= 1e-8
 
 

@@ -29,7 +29,7 @@ from edmp.linalg import sym_eig
 from edmp.model import centroid_gram, is_edm_array
 from edmp.verify import check_bordered, default_templates
 
-from conftest import gen_nonspherical
+from conftest import gen_nonspherical, perturbed_array
 
 
 def rho12(t):
@@ -107,7 +107,7 @@ class TestIsEdmAndRadius:
         assert_allclose(border_radius_sq(scaled), 1.0 / (2.0 * w.sum()), atol=1e-10)
 
     def test_radius_of_perturbed_triangle(self, triangle):
-        pert = DistanceMatrix(triangle.perturbed_array(0, 2, -3.0))
+        pert = DistanceMatrix(perturbed_array(triangle, 0, 2, -3.0))
         assert_allclose(border_radius_sq(pert), 0.25, atol=1e-10)
 
     def test_radius_requires_edm(self, triangle):
@@ -191,7 +191,7 @@ class TestWInner:
         report = classify(profile(triangle), EntryIndex(1, 3))
         for t in (-2.0, -1.0, -0.3):
             closed = cm_w_inner(report, t)
-            pert = DistanceMatrix(triangle.perturbed_array(0, 2, t))
+            pert = DistanceMatrix(perturbed_array(triangle, 0, 2, t))
             direct = float(border_profile(pert).w.sum())
             assert_allclose(closed, direct, atol=1e-9)
 

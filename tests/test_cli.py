@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,10 +403,15 @@ class TestGen:
 
 
 def test_console_module_entry_point(triangle_file):
+    # The child imports the same edmp as this process, installed or not.
+    src = str(Path(edmp.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "edmp.cli", "analyze", triangle_file],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["profile"]["unit_spherical"] is True

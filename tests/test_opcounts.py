@@ -3,10 +3,11 @@ matrix of a profile is factored once.
 
 Calls are counted by wrapping numpy's eigh, eigvalsh and svd, the yielding
 classifier as seen from the perturbation module, `profile` and
-`radius_squared` under every module name that calls them, `EigDecomp.cond`
-and `model.centroid_gram`.  An eigh or eigvalsh call on a stack factors
-every matrix of it, so the matrices factored are counted next to the calls,
-with the largest order factored.
+`radius_squared` under every module name that calls them, `EigDecomp.cond`,
+`model.centroid_gram` and `sphericity` under every module that holds it.
+An eigh or eigvalsh call on a stack factors every matrix of it, so the
+matrices factored are counted next to the calls, with the largest order
+factored.
 Only a change that lowers a count may tighten its bound.
 """
 
@@ -86,7 +87,7 @@ CLASSIFY_SVD_CALLS = {CaseTag.NOT_YIELDING: 1, CaseTag.TLEQ_TRIVIAL: 2}
 def counts(monkeypatch):
     seen = {"eigh": 0, "eigvalsh": 0, "matrices": 0, "svd": 0, "yielding_report": 0,
             "profile": 0, "cond": 0, "centroid_gram": 0, "radius_squared": 0,
-            "max_order": 0}
+            "sphericity": 0, "max_order": 0}
 
     def counting(module, name, key, *also):
         original = getattr(module, name)
@@ -113,6 +114,9 @@ def counts(monkeypatch):
         counting(module, "radius_squared", "radius_squared")
     counting(EigDecomp, "cond", "cond")
     counting(edmp.model, "centroid_gram", "centroid_gram")
+    for module in (edmp.model, edmp.oracle, edmp.verify, edmp.cli):
+        if hasattr(module, "sphericity"):
+            counting(module, "sphericity", "sphericity")
     return seen
 
 
@@ -248,6 +252,24 @@ def test_sweep_factors_each_sample_in_stacks(counts):
     assert sum(cells[1] == "true" for cells in rows) == SWEEP_EDM_ROWS
     assert counts["matrices"] == SWEEP_MATRICES
     assert counts["eigh"] <= SWEEP_EIGH_BOUND
+    # The profile's sphericity; each stack of samples is judged in array form.
+    assert counts["sphericity"] == 1
+
+
+def test_entry_judges_sphericity_once_at_n128(counts, tmp_path):
+    # The cross-check's samples and T= members are judged a stack at a time,
+    # with no sphericity call per t: the one call is the profile's.
+    spec = InstanceSpec(128, 64, Structure.ZERO_GALE_PAIR, EntryIndex(1, 2), seed=0)
+    d = gen_unit_spherical(spec)
+    assert classify(profile(d), spec.entry).case_tag is CaseTag.PAIR_UNIT
+    path = tmp_path / "d.csv"
+    path.write_text(matrix_to_csv(d))
+    counts["sphericity"] = 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["entry", str(path), "--k", "1", "--l", "2"])
+    assert code == 0
+    assert json.loads(out.getvalue())["entry"]["cross_check"]["samples"] == 21
+    assert counts["sphericity"] == 1
 
 
 def test_bordered_checks_read_the_border_profile(counts):

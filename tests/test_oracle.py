@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from edmp import (
+    CaseTag,
     EntryIndex,
     Infeasible,
     InfeasibleSpec,
@@ -31,7 +32,7 @@ from edmp.model import UNIT_RADIUS_TOL, is_edm_array, sphericity
 from edmp.oracle import SDP_CAP, SDP_GAP, PerturbedLine, edm_from_points, gen_unit_profile
 from edmp.verify import check_profile, default_templates
 
-from conftest import gen_nonspherical
+from conftest import gen_nonspherical, perturbed_array
 
 
 class TestSpecValidation:
@@ -162,7 +163,7 @@ class TestPerturbedW:
     def test_solves_perturbed_system(self, triangle):
         entry = EntryIndex(1, 2)
         [(sphere, dec)] = PerturbedLine(profile(triangle), entry).spheres([1.0])
-        pert = triangle.perturbed_array(0, 1, 1.0)
+        pert = perturbed_array(triangle, 0, 1, 1.0)
         whole = sym_eig(pert)
         assert dec.vectors is None
         assert_array_equal(dec.values, whole.values)
@@ -284,6 +285,26 @@ class TestPerturbedLine:
         assert sum(rec.is_edm for rec in records) > 50
         assert full - one <= 2**20
 
+    def test_spheres_forms_no_full_order_matrix_per_t(self):
+        # At n=256, r=16 the line works at order 17: the stack of M(t) is
+        # 49 kB for 21 samples, while one raw D + tE^kl is n^2 doubles.
+        spec = InstanceSpec(256, 16, Structure.ZERO_GALE_PAIR, EntryIndex(1, 2), seed=0)
+        prof = gen_unit_profile(spec)
+        report = classify(prof, spec.entry)
+        assert report.case_tag is CaseTag.PAIR_UNIT
+        line = PerturbedLine(prof, spec.entry)
+        assert line.q is not None and line.q.shape[1] == 17
+        ts = report.t_leq.interior_samples(21)
+        line.spheres(ts[:1])
+        tracemalloc.start()
+        try:
+            spheres = line.spheres(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(sphere.radius_sq is not None for sphere, _ in spheres)
+        assert peak < 8 * prof.n**2
+
 
 class FullOrderLine:
     """The stacked kernel at full order n: each D + tE^kl formed entry by
@@ -294,7 +315,7 @@ class FullOrderLine:
         self.prof, self.entry = prof, entry
 
     def stack(self, ts):
-        return self.prof.d.perturbed_array(self.entry.i, self.entry.j, np.asarray(ts, float))
+        return perturbed_array(self.prof.d, self.entry.i, self.entry.j, np.asarray(ts, float))
 
     def is_edm(self, ts):
         return is_edm_array(self.stack(ts))
@@ -420,7 +441,7 @@ class TestCompressedLine:
 def scalar_min_radius_sq(d, entry, t):
     """Least lam with 2 lam E - D - tE^kl >= 0, bisected one t at a time with
     one sym_eig per step: the reference the lockstep stack must reproduce."""
-    pert = d.perturbed_array(entry.i, entry.j, t)
+    pert = perturbed_array(d, entry.i, entry.j, t)
     ones = np.ones((d.n, d.n))
     feas_abs = 1e-13 * max(1.0, float(np.abs(pert).max()))
 

@@ -23,6 +23,8 @@ from edmp.oracle import PerturbedLine, edm_from_points
 from edmp.verify import default_templates
 from edmp.yielding import ParallelKind, parallel_relation
 
+from conftest import perturbed_array
+
 
 def rho12(t):
     """Hand-derived radius function of the triangle's short side."""
@@ -178,7 +180,7 @@ class TestTeq:
         members = rep.teq_members()
         assert len(members) == 7 and (members[0], members[-1]) == tuple(rep.t_leq)
         for t in members:
-            w_t = sym_eig(antipodal.perturbed_array(2, 3, float(t))).pinv() @ np.ones(4)
+            w_t = sym_eig(perturbed_array(antipodal, 2, 3, float(t))).pinv() @ np.ones(4)
             assert abs(2.0 * w_t.sum() - 1.0) <= 1e-9
 
     def test_pair_member_is_unit_nonmembers_are_not(self, triangle):
@@ -186,10 +188,10 @@ class TestTeq:
         out = report(prof, 1, 2)
         assert out.teq_members() == out.t_eq
         for t in out.t_eq:
-            w_t = sym_eig(triangle.perturbed_array(0, 1, float(t))).pinv() @ np.ones(3)
+            w_t = sym_eig(perturbed_array(triangle, 0, 1, float(t))).pinv() @ np.ones(3)
             assert abs(2.0 * w_t.sum() - 1.0) <= 1e-10
         for t in (0.75, 1.5, 2.25):
-            w_t = sym_eig(triangle.perturbed_array(0, 1, t)).pinv() @ np.ones(3)
+            w_t = sym_eig(perturbed_array(triangle, 0, 1, t)).pinv() @ np.ones(3)
             assert abs(2.0 * w_t.sum() - 1.0) > 1e-6
 
 

@@ -28,6 +28,8 @@ from edmp.cli import main
 from edmp.matio import matrix_to_csv
 from edmp.verify import default_templates
 
+from conftest import perturbed_array
+
 PAIR_TEMPLATES = [t.spec for t in default_templates(8) if t.expected is CaseTag.PAIR_UNIT]
 TEMPLATE_CASES = [
     pytest.param(replace(spec, seed=seed), 1e-8,
@@ -44,7 +46,7 @@ def shifted(spec):
     report = classify(profile(d), spec.entry)
     assert report.case_tag is CaseTag.PAIR_UNIT
     entry = spec.entry
-    return report, DistanceMatrix(d.perturbed_array(entry.i, entry.j, report.theta_c))
+    return report, DistanceMatrix(perturbed_array(d, entry.i, entry.j, report.theta_c))
 
 
 @pytest.mark.parametrize("spec,rel", TEMPLATE_CASES + [pytest.param(SEED22, 1e-5, id="seed22")])

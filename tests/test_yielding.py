@@ -20,6 +20,8 @@ from edmp import (
 from edmp.model import is_edm_array
 from edmp.yielding import PARALLEL_TOL, Interval, ParallelKind
 
+from conftest import perturbed_array
+
 SQRT3 = np.sqrt(3.0)
 
 
@@ -169,7 +171,7 @@ class TestYieldingReport:
         assert tuple(rep.interval) == (0.0, 0.0)
         # Independent confirmation: every sampled nonzero step leaves the cone.
         for t in (-0.5, -0.05, 0.05, 0.5):
-            assert not is_edm_array(d.perturbed_array(0, 1, t))
+            assert not is_edm_array(perturbed_array(d, 0, 1, t))
 
     def test_endpoints_are_sharp(self):
         for seed in (1, 5, 9):
@@ -180,10 +182,10 @@ class TestYieldingReport:
             rep = yielding_report(prof, EntryIndex(1, 3))
             lo, hi = rep.interval
             delta = 1e-4 * (hi - lo + 1.0)
-            assert is_edm_array(d.perturbed_array(0, 2, lo))
-            assert is_edm_array(d.perturbed_array(0, 2, hi))
-            assert not is_edm_array(d.perturbed_array(0, 2, lo - delta))
-            assert not is_edm_array(d.perturbed_array(0, 2, hi + delta))
+            assert is_edm_array(perturbed_array(d, 0, 2, lo))
+            assert is_edm_array(perturbed_array(d, 0, 2, hi))
+            assert not is_edm_array(perturbed_array(d, 0, 2, lo - delta))
+            assert not is_edm_array(perturbed_array(d, 0, 2, hi + delta))
 
     def test_scale_covariance(self, antipodal, antipodal_profile):
         # Replacing D by s^2 D scales every interval endpoint by s^2.
