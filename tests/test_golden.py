@@ -42,6 +42,8 @@ def golden_commands() -> list[tuple[str, list[str]]]:
     pair = ["pairunit-8.csv", "--k", "1", "--l", "2"]
     cases.append(("entry-pairunit-8-12", ["entry", *pair]))
     cases.append(("sweep-pairunit-8-12", ["sweep", *pair, "--num", "101"]))
+    # The benchmark's sweep-n8 grid size, on the same instance.
+    cases.append(("sweep-pairunit-8-12-2001", ["sweep", *pair, "--num", "2001"]))
     for structure, args in GEN:
         cases.append((f"gen-{structure}",
                       ["gen", "--seed", "7", *args, "--structure", structure]))
