@@ -56,7 +56,6 @@ from .cayley import bordered, cm_w_inner
 from .oracle import (
     InstanceSpec,
     Structure,
-    SweepRecord,
     gen_unit_spherical,
     membership_scan,
     PerturbedLine,

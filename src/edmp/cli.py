@@ -11,6 +11,7 @@ The environment variable EDMP_TOL overrides the relative rank cutoff.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -24,7 +25,6 @@ from .errors import (
     NotAnEdm,
     NotUnitSpherical,
     ParseError,
-    PoleAt,
 )
 from .linalg import DEFAULT_TOL, PSD_SLACK, RECON_REL, TolerancePolicy
 from .matio import fmt_float, load_matrix, matrix_to_csv, matrix_to_json, report_json
@@ -37,12 +37,7 @@ from .oracle import (
     membership_scan,
 )
 from .perturbation import CaseTag, PerturbationReport, classify, radius_squared
-from .verify import (
-    closed_radii,
-    run_verification,
-    worst_border_vs_closed,
-    worst_closed_vs_direct,
-)
+from .verify import run_verification, worst_border_vs_closed, worst_closed_vs_direct
 from .yielding import PARALLEL_TOL, EntryIndex
 
 EXIT_OK = 0
@@ -153,16 +148,15 @@ def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
 
 def _cross_check_block(prof: EdmProfile, report: PerturbationReport) -> dict:
     tleq = report.t_leq
-    closed = closed_radii(report, [0.0] if tleq.width == 0.0 else tleq.interior_samples(21))
+    ts = np.zeros(1) if tleq.width == 0.0 else tleq.interior_samples(21)
+    closed = radius_squared(report, ts)
     # One stack of w(t): the samples, then the T= members.
-    spheres = PerturbedLine(prof, report.entry).spheres(
-        [*(t for t, _ in closed), *report.teq_members()])
+    spheres = PerturbedLine(prof, report.entry).spheres([*ts, *report.teq_members()])
     return {
-        "samples": len(closed),
-        "max_rel_closed_vs_oracle": worst_closed_vs_direct(closed, spheres[:len(closed)]),
-        "max_rel_border_vs_closed": worst_border_vs_closed(report, closed),
-        "max_unit_residual_on_t_eq": max(
-            [0.0] + [sphere.unit_residual for sphere, _ in spheres[len(closed):]]),
+        "samples": len(ts),
+        "max_rel_closed_vs_oracle": worst_closed_vs_direct(closed, spheres.radius_sq[:len(ts)]),
+        "max_rel_border_vs_closed": worst_border_vs_closed(report, ts, closed),
+        "max_unit_residual_on_t_eq": max([0.0, *spheres.unit_residual[len(ts):].tolist()]),
     }
 
 
@@ -230,31 +224,20 @@ def cmd_sweep(args, tol: TolerancePolicy) -> int:
         ts = np.linspace(lo - args.margin, hi + args.margin, args.num)
     except MemoryError as exc:
         raise ParseError(f"--num {args.num} is too large: {exc}") from exc
-    records = membership_scan(prof, entry, ts)
+    scan = membership_scan(prof, entry, ts)
+    closed = np.full(ts.shape, np.nan)  # no closed form; NaN also at each pole
+    if report.coefficients is not None:
+        closed = radius_squared(report, scan.t, extrapolate=True)
 
-    def fmt_bool(x: bool) -> str:
-        return "true" if x else "false"
+    def cells(column) -> list[str]:
+        if column.dtype == bool:
+            return np.where(column, "true", "false").tolist()
+        return ["" if math.isnan(x) else fmt_float(x) for x in column.tolist()]
 
-    out = ["t,is_edm,is_spherical,radius_sq_closed_form,radius_sq_oracle,in_t_leq,in_t_eq"]
-    for rec in records:
-        closed = ""
-        if report.coefficients is not None:
-            try:
-                closed = fmt_float(radius_squared(report, rec.t, extrapolate=True))
-            except PoleAt:
-                pass
-        oracle = "" if rec.radius_sq is None else fmt_float(rec.radius_sq)
-        out.append(
-            ",".join([
-                fmt_float(rec.t),
-                fmt_bool(rec.is_edm),
-                fmt_bool(rec.is_spherical),
-                closed,
-                oracle,
-                fmt_bool(rec.in_t_leq),
-                fmt_bool(rec.in_t_eq),
-            ])
-        )
+    columns = (scan.t, scan.is_edm, ~np.isnan(scan.radius_sq), closed, scan.radius_sq,
+               scan.in_t_leq, scan.in_t_eq)
+    out = ["t,is_edm,is_spherical,radius_sq_closed_form,radius_sq_oracle,in_t_leq,in_t_eq",
+           *map(",".join, zip(*map(cells, columns)))]
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK
 

@@ -41,14 +41,16 @@ RECON_REL = 1e-8
 @dataclass(frozen=True)
 class TolerancePolicy:
     """The rank cut: the relative eigenvalue cutoff for rank and
-    pseudoinversion, anchored to the largest magnitude."""
+    pseudoinversion, anchored to the largest magnitude.  Below machine
+    epsilon it keeps round-off as rank; at one it cuts every eigenvalue."""
 
     rank_rel: float = 1e-10
 
     def __post_init__(self):
-        if not (math.isfinite(self.rank_rel) and self.rank_rel > 0.0):
+        eps = float(np.finfo(float).eps)
+        if not eps <= self.rank_rel < 1.0:  # also false for NaN
             raise ValueError(
-                f"tolerance rank_rel={self.rank_rel!r} must be finite and strictly positive"
+                f"tolerance rank_rel={self.rank_rel!r} must lie in [{eps!r}, 1)"
             )
 
 

@@ -15,6 +15,7 @@ of the package, and require_unit is its one guard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +36,7 @@ __all__ = [
     "DistanceMatrix",
     "EdmProfile",
     "Sphericity",
+    "SphereColumns",
     "sphericity",
     "sphericities",
     "is_edm_array",
@@ -61,24 +63,42 @@ class Sphericity(NamedTuple):
     unit: bool
 
 
-def sphericities(etw, ede, n: int) -> list[Sphericity]:
-    """The one sphericity rule: a record per e.w of matrices a of order n, where
-    a w = e and e.a.e is ede (one scalar, or one per e.w).
+class SphereColumns(NamedTuple):
+    """Sphericity as columns, one row per matrix of a stack; radius_sq is NaN
+    where a matrix fails the SPHERICITY_TOL test."""
+
+    e_dot_w: np.ndarray
+    radius_sq: np.ndarray
+    unit_residual: np.ndarray
+    unit: np.ndarray
+    # (s, m): the eigenvalues, descending, each row's w was solved from, if given.
+    eigenvalues: np.ndarray | None = None
+
+    def rows(self, index) -> SphereColumns:
+        """The same columns at `index` (a slice or mask) only."""
+        return SphereColumns(*(None if col is None else col[index] for col in self))
+
+
+def sphericities(etw, ede, n: int, eigenvalues=None) -> SphereColumns:
+    """The one sphericity rule, per e.w of matrices a of order n, where a w = e
+    and e.a.e is ede (one scalar, or one per e.w).
 
     It judges a profile and each stack of perturbed matrices alike.
     """
     etw = np.asarray(etw, dtype=float).reshape(-1)
     spherical = etw * (ede / n**2) > SPHERICITY_TOL
+    radius_sq = np.divide(1.0, 2.0 * etw, out=np.full_like(etw, np.nan), where=spherical)
     residual = np.abs(2.0 * etw - 1.0)
-    unit = spherical & (residual <= UNIT_RADIUS_TOL * n)
-    return [Sphericity(x, 1.0 / (2.0 * x) if ok else None, res, u) for x, ok, res, u in
-            zip(etw.tolist(), spherical.tolist(), residual.tolist(), unit.tolist())]
+    return SphereColumns(etw, radius_sq, residual,
+                         spherical & (residual <= UNIT_RADIUS_TOL * n), eigenvalues)
 
 
 def sphericity(a: np.ndarray, w: np.ndarray) -> Sphericity:
     """Sphericity, squared radius and unit verdict of a from its w (a w = e)."""
     e = np.ones(a.shape[0])
-    return sphericities(float(e @ w), float(e @ a @ e), a.shape[0])[0]
+    etw, radius_sq, residual, unit = (
+        col.item() for col in sphericities(float(e @ w), float(e @ a @ e), a.shape[0])[:4])
+    return Sphericity(etw, None if math.isnan(radius_sq) else radius_sq, residual, unit)
 
 
 @dataclass(frozen=True)

@@ -18,23 +18,24 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
-from .linalg import DEFAULT_TOL, PSD_SLACK, EigDecomp, TolerancePolicy, sym_eig
-from .model import (DistanceMatrix, EdmProfile, Sphericity, centroid_gram,
+from .linalg import DEFAULT_TOL, PSD_SLACK, TolerancePolicy, sym_eig
+from .model import (DistanceMatrix, EdmProfile, SphereColumns, centroid_gram,
                     nonnegative_entries, profile, sphericities)
 from .yielding import EntryIndex, parallel_relation, singleton_gap
 
 __all__ = [
     "Structure",
     "InstanceSpec",
-    "SweepRecord",
     "gen_unit_spherical",
     "gen_unit_profile",
     "PerturbedLine",
     "membership_scan",
+    "Scan",
 ]
 
 MAX_ATTEMPTS = 128
@@ -117,19 +118,15 @@ class InstanceSpec:
                 raise InfeasibleSpec("the zero-w construction needs n >= 4")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Raw oracle verdicts for one sampled perturbation."""
+class Scan(NamedTuple):
+    """Raw oracle verdicts as columns, one row per sampled t."""
 
-    t: float
-    is_edm: bool
-    radius_sq: float | None
-    in_t_leq: bool
-    in_t_eq: bool
-
-    @property
-    def is_spherical(self) -> bool:
-        return self.radius_sq is not None
+    t: np.ndarray
+    is_edm: np.ndarray
+    # Squared radius where D + tE^kl is a spherical EDM, else NaN.
+    radius_sq: np.ndarray
+    in_t_leq: np.ndarray
+    in_t_eq: np.ndarray
 
 
 def edm_from_points(points: np.ndarray) -> DistanceMatrix:
@@ -346,8 +343,8 @@ def gen_unit_profile(spec: InstanceSpec, tol: TolerancePolicy = DEFAULT_TOL) -> 
 class PerturbedLine:
     """D + tE^kl of a profiled D in an orthonormal basis Q of S = range(D) + span{e, e_k, e_l}:
     each matrix a raw test factors vanishes on S-perp, so M(t) = Q^T D(t) Q and u = Q^T e keep
-    its nonzero eigenvalues (Q = I, q None, where rank(D) + 3 >= n).  Each question answers per
-    t, factoring stacks of at most STACK_ENTRIES entries in one call."""
+    its nonzero eigenvalues (Q = I, q None, where rank(D) + 3 >= n).  Each question answers in
+    columns, one row per t, factoring stacks of at most STACK_ENTRIES entries in one call."""
 
     def __init__(self, prof: EdmProfile, entry: EntryIndex):
         entry.check_order(prof.n)
@@ -371,14 +368,18 @@ class PerturbedLine:
             self._ekl = np.outer(qk, ql) + np.outer(ql, qk)
         self._two_uu = 2.0 * self._u[:, None] * self._u
 
-    def _each(self, ts, test, *aligned) -> list:
-        """test(stack of M(t), *chunks) per stack; each `aligned` is a scalar or one per t."""
+    def _each(self, ts, test, *aligned):
+        """test(stack of M(t), *chunks) per stack, its array (or tuple of arrays) joined
+        over the stacks; each `aligned` is a scalar or one per t.  No t is one empty stack."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         aligned = [np.full(ts.shape, x, dtype=float) for x in aligned]
         step = max(1, STACK_ENTRIES // len(self.m0) ** 2)
-        return [v for at in range(0, ts.size, step) for v in
-                test(self.m0 + ts[at:at + step, None, None] * self._ekl,
-                     *(x[at:at + step] for x in aligned))]
+        parts = [test(self.m0 + ts[at:at + step, None, None] * self._ekl,
+                      *(x[at:at + step] for x in aligned))
+                 for at in range(0, max(ts.size, 1), step)]
+        if isinstance(parts[0], tuple):
+            return type(parts[0])(*map(np.concatenate, zip(*parts)))
+        return np.concatenate(parts)
 
     def _entry_range(self, ts):
         """Least entry and max(1, max|entry|) of each raw D + tE^kl (D is hollow, >= 0)."""
@@ -388,15 +389,14 @@ class PerturbedLine:
     def is_edm(self, ts) -> np.ndarray:
         """is_edm_array of each D + tE^kl, with the centroid Gram of M(t)."""
         gram = self._each(ts, lambda m: sym_eig(centroid_gram(m, self._u), vectors=False).is_psd())
-        return nonnegative_entries(*self._entry_range(ts)) & np.array(gram, dtype=bool)
+        return nonnegative_entries(*self._entry_range(ts)) & gram
 
     def in_t_leq(self, ts, slack=PSD_SLACK) -> np.ndarray:
         """The radius-one test 2E - D - tE^kl >= 0 from eigenvalues only, at a
         slack for all t or one per t.  verify's probes 1e-6 off each end of
         T<= pass 1e-12, since interior noise is ~1e-15 and the defect ~1e-6."""
-        return np.array(self._each(
-            ts, lambda m, s: sym_eig(self._two_uu - m, vectors=False).is_psd(s), slack),
-            dtype=bool)
+        return self._each(
+            ts, lambda m, s: sym_eig(self._two_uu - m, vectors=False).is_psd(s), slack)
 
     def min_radius_sq(self, ts, near=None) -> np.ndarray:
         """Least lam with 2 lam E - D - tE^kl >= 0 for each t, by bisection.
@@ -441,11 +441,11 @@ class PerturbedLine:
                 lo, hi = np.where(active & ~ok, mid, lo), np.where(active & ok, mid, hi)
             return np.where(done, lo, hi)
         near = () if near is None else (near,)
-        return np.array(self._each(ts, bisect, ts, *near), dtype=float)
+        return self._each(ts, bisect, ts, *near)
 
-    def spheres(self, ts) -> list[tuple[Sphericity, EigDecomp]]:
-        """Sphericity of each raw D + tE^kl under the rank cut, and the eigenvalues
-        of M(t) it came from (vectors None): kappa.  A stack is judged at once from
+    def spheres(self, ts) -> SphereColumns:
+        """Sphericity of each raw D + tE^kl under the rank cut, with the eigenvalues
+        of M(t) it came from: kappa.  A stack is judged at once from
         e.w(t) = u.pinv(M(t)) u, as w(t) = pinv(D + tE^kl) e = Q pinv(M(t)) u, and
         e.(D + tE^kl).e = e.D.e + 2t, with no n x n array per t."""
         ede = float(self.prof.d.d.sum())
@@ -454,22 +454,16 @@ class PerturbedLine:
             dec = sym_eig(m)
             w = dec.pinv(self.prof.tol) @ self._u
             etw = (w[:, None, :] @ self._u[:, None])[:, 0, 0]
-            return zip(sphericities(etw, ede + 2.0 * t, self.prof.n),
-                       (EigDecomp(values, None) for values in dec.values))
+            return sphericities(etw, ede + 2.0 * t, self.prof.n, dec.values)
         return self._each(ts, stack_spheres, ts)
 
 
-def membership_scan(prof: EdmProfile, entry: EntryIndex, ts) -> list[SweepRecord]:
+def membership_scan(prof: EdmProfile, entry: EntryIndex, ts) -> Scan:
     """Raw eigenvalue verdicts per sampled t; sphericity and T<= only where D + tE^kl is an EDM."""
     line = PerturbedLine(prof, entry)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     edm = line.is_edm(ts)
-    found = zip(line.spheres(ts[edm]), line.in_t_leq(ts[edm]).tolist())
-    records = []
-    for t, edm_ok in zip(ts.tolist(), edm.tolist()):
-        if edm_ok:
-            (sphere, _), leq = next(found)
-            records.append(SweepRecord(t, True, sphere.radius_sq, leq, leq and sphere.unit))
-        else:
-            records.append(SweepRecord(t, False, None, False, False))
-    return records
+    sphere = line.spheres(ts[edm])
+    radius_sq, leq, unit = np.full(ts.shape, np.nan), np.zeros_like(edm), np.zeros_like(edm)
+    radius_sq[edm], leq[edm], unit[edm] = sphere.radius_sq, line.in_t_leq(ts[edm]), sphere.unit
+    return Scan(ts, edm, radius_sq, leq, leq & unit)

@@ -244,43 +244,48 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
     return report(tag, tleq, coeffs, warnings)
 
 
-def _eval_f_over_g(
-    coeffs: RadiusCoefficients, lo: float, hi: float, t: float
-) -> float:
-    """f(t)/g(t) with g in factored form; L'Hospital at shared roots."""
-    g_fact = coeffs.beta2 * (t - lo) * (t - hi)
-    f_val = coeffs.f(t)
-    g_scale = abs(coeffs.beta2) * (1.0 + abs(t) + abs(lo)) * (1.0 + abs(t) + abs(hi))
-    if abs(g_fact) <= 1e-12 * g_scale:
+def _eval_f_over_g(coeffs: RadiusCoefficients, lo: float, hi: float, t):
+    """f(t)/g(t) per t, with g in factored form and L'Hospital at shared roots,
+    and the mask of poles, where the value is NaN."""
+    with np.errstate(all="ignore"):
+        g_fact = coeffs.beta2 * (t - lo) * (t - hi)
+        f_val = coeffs.f(t)
+        g_scale = abs(coeffs.beta2) * (1.0 + abs(t) + abs(lo)) * (1.0 + abs(t) + abs(hi))
+        shared = abs(g_fact) <= 1e-12 * g_scale
         f_scale = 1.0 + abs(coeffs.alpha1 * t) + abs(coeffs.alpha2 * t * t)
-        if abs(f_val) <= 1e-8 * f_scale:
-            den = coeffs.beta1 + 2.0 * coeffs.beta2 * t
-            if abs(den) <= 1e-300:
-                raise PoleAt(t)
-            return (coeffs.alpha1 + 2.0 * coeffs.alpha2 * t) / den
-        raise PoleAt(t)
-    return f_val / g_fact
+        den = coeffs.beta1 + 2.0 * coeffs.beta2 * t
+        pole = shared & (~(abs(f_val) <= 1e-8 * f_scale) | (abs(den) <= 1e-300))
+        value = np.where(shared, (coeffs.alpha1 + 2.0 * coeffs.alpha2 * t) / den, f_val / g_fact)
+    return np.where(pole, np.nan, value), pole
 
 
-def radius_squared(
-    report: PerturbationReport, t: float, extrapolate: bool = False
-) -> float:
-    """Squared radius of D + t E^kl for t in the radius-at-most-one set.
+def radius_squared(report: PerturbationReport, t, extrapolate: bool = False):
+    """Squared radius of D + t E^kl for t in the radius-at-most-one set, a float
+    for a float t and an array for an array of t.
 
     Returns exactly 1 in the cases where the radius provably never moves.
     With extrapolate=True the rational closed form is evaluated outside
     the admissible set too (meaningful only while the perturbed matrix
-    stays a spherical EDM; callers label such values accordingly).
+    stays a spherical EDM; callers label such values accordingly), and an
+    array holds NaN at each pole; otherwise the first t outside the set
+    raises OutsideTleq, and the first pole PoleAt.
     """
-    tleq = report.t_leq
+    tleq, coeffs = report.t_leq, report.coefficients
     slack = 1e-9 * (1.0 + abs(tleq.lo) + abs(tleq.hi))
-    inside = tleq.contains(t, slack)
-    if not inside and (report.coefficients is None or not extrapolate):
-        entry = report.entry
-        raise OutsideTleq(
-            f"t={t} is outside the radius-one set of entry ({entry.k},{entry.l})"
-        )
-    if report.coefficients is None:
-        return 1.0
-    yrep = report.yielding_report
-    return _eval_f_over_g(report.coefficients, yrep.theta_lower, yrep.theta_upper, t)
+    ts = np.asarray(t, dtype=float)
+    outside = ~tleq.contains(ts, slack) & (coeffs is None or not extrapolate)
+    if coeffs is None:
+        value, pole = np.ones(ts.shape), False
+    else:
+        yrep = report.yielding_report
+        value, pole = _eval_f_over_g(coeffs, yrep.theta_lower, yrep.theta_upper, ts)
+    raised = np.flatnonzero(outside | (pole & (ts.ndim == 0 or not extrapolate)))
+    if raised.size:
+        at = t if ts.ndim == 0 else float(ts.flat[raised[0]])
+        if outside.flat[raised[0]]:
+            entry = report.entry
+            raise OutsideTleq(
+                f"t={at} is outside the radius-one set of entry ({entry.k},{entry.l})"
+            )
+        raise PoleAt(at)
+    return float(value) if ts.ndim == 0 else value

@@ -29,8 +29,9 @@ import numpy as np
 
 from .cayley import bordered, cm_w_inner
 from .errors import EdmpError, PoleAt
-from .linalg import DEFAULT_TOL, PSD_SLACK, RECON_REL, TolerancePolicy, sym_eig, symmetrize
-from .model import DistanceMatrix, EdmProfile, profile
+from .linalg import (DEFAULT_TOL, PSD_SLACK, RECON_REL, EigDecomp, TolerancePolicy, sym_eig,
+                     symmetrize)
+from .model import DistanceMatrix, EdmProfile, SphereColumns, profile
 from .oracle import InstanceSpec, PerturbedLine, Structure, gen_unit_profile
 from .perturbation import CaseTag, PerturbationReport, classify, radius_squared
 from .yielding import EntryIndex
@@ -157,36 +158,26 @@ def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1.0))
 
 
-def closed_radii(report: PerturbationReport, ts) -> list[tuple[float, float]]:
-    """(t, radius_squared(report, t)) for each t, so the comparisons below
-    share one evaluation of the closed form per sample."""
-    return [(t, radius_squared(report, t)) for t in map(float, ts)]
+def worst_closed_vs_direct(closed, direct) -> float:
+    """Largest |closed - direct| / max(1, |direct|) of the rational radii against
+    the direct oracle 1 / (2 e.w(t)) at the same t, the radius_sq column of
+    PerturbedLine.spheres; a NaN error is passed over.
 
-
-def worst_closed_vs_direct(closed, spheres) -> float:
-    """Largest |closed - direct| / max(1, |direct|) over the (t, closed)
-    pairs of the rational radius against the direct oracle 1 / (2 e.w(t)),
-    read from the PerturbedLine.spheres rows of the same t.
-
-    A perturbed matrix with no sphere counts as 1, the limit of the error
+    A perturbed matrix with no sphere (NaN) counts as 1, the limit of the error
     as the direct radius grows without bound.
     """
-    worst = 0.0
-    for (_, rho_sq), (sphere, _) in zip(closed, spheres):
-        direct = sphere.radius_sq
-        rel = 1.0 if direct is None else abs(rho_sq - direct) / max(1.0, abs(direct))
-        worst = max(worst, rel)
-    return worst
+    rel = np.abs(closed - direct) / np.maximum(1.0, np.abs(direct))
+    return float(np.nanmax(np.where(np.isnan(direct), 1.0, rel), initial=0.0))
 
 
-def worst_border_vs_closed(report: PerturbationReport, closed) -> float | None:
-    """Largest |border - closed| / max(1, |closed|) over the (t, closed) pairs
+def worst_border_vs_closed(report: PerturbationReport, ts, closed) -> float | None:
+    """Largest |border - closed| / max(1, |closed|) over the t and closed radii
     of the bordered radius 1 - e~.w~(t)/2 against the rational one; None when
     the report has no coefficients or every t hits a pole."""
     if report.coefficients is None:
         return None
     diffs = []
-    for t, rho_sq in closed:
+    for t, rho_sq in zip(map(float, ts), np.asarray(closed).tolist()):
         try:
             border = 1.0 - 0.5 * cm_w_inner(report, t)
         except PoleAt:
@@ -310,15 +301,15 @@ def check_bordered(prof: EdmProfile, border: EdmProfile) -> list[CheckResult]:
     return out
 
 
-def check_teq_members(spheres, tol: TolerancePolicy) -> CheckResult:
+def check_teq_members(spheres: SphereColumns, tol: TolerancePolicy) -> CheckResult:
     """|2 e.w(t) - 1| <= 1e-8 + n*kappa*eps at every reported T= member,
-    given its PerturbedLine.spheres row: w(t) and kappa = cond(D + t E^kl)
+    given its PerturbedLine.spheres rows: w(t) and kappa = cond(D + t E^kl)
     come from one oracle factorization, whose order gives n."""
     rows = []
-    for sphere, dec in spheres:
-        kappa = dec.cond(tol)
-        rows.append((sphere.unit_residual, kappa,
-                     TEQ_RESIDUAL_TOL + dec.values.size * kappa * np.finfo(float).eps))
+    for residual, values in zip(spheres.unit_residual.tolist(), spheres.eigenvalues):
+        kappa = EigDecomp(values, None).cond(tol)
+        rows.append((residual, kappa,
+                     TEQ_RESIDUAL_TOL + values.size * kappa * np.finfo(float).eps))
     residual, kappa, bound = max(rows, key=lambda row: row[0] / row[2])
     ok = bool(residual <= bound)
     return CheckResult("teq-members", ok, "" if ok else (
@@ -377,20 +368,19 @@ def check_entry(prof: EdmProfile, entry: EntryIndex, expected: CaseTag | None,
                           if min(abs(t - m) for m in members) > 0.05 * tleq.width]
     spheres = line.spheres([*members, *nonmembers, *direct])
     cut = len(members) + len(nonmembers)
-    out.append(check_teq_members(spheres[:len(members)], tol))
+    out.append(check_teq_members(spheres.rows(slice(len(members))), tol))
     if nonmembers:
-        best = min(sphere.unit_residual for sphere, _ in spheres[len(members):cut])
+        best = float(spheres.unit_residual[len(members):cut].min())
         _check(out, "teq-nonmembers", best > 1e-6,
                f"non-member unit residual only {best:.3e}")
 
     if tleq.width > 0.0:
-        worst_rel = worst_closed_vs_direct(closed_radii(report, direct), spheres[cut:])
+        worst_rel = worst_closed_vs_direct(radius_squared(report, direct), spheres.radius_sq[cut:])
         _check(out, "radius-direct-agreement", worst_rel <= 1e-8,
                f"closed form vs direct radius rel err {worst_rel:.3e}")
         ts = tleq.interior_samples(3)
-        closed = [rho_sq for _, rho_sq in closed_radii(report, ts)]
-        sdp_worst = max(abs(lam - rho_sq) for lam, rho_sq
-                        in zip(line.min_radius_sq(ts, near=closed), closed))
+        closed = radius_squared(report, ts)
+        sdp_worst = float(np.abs(line.min_radius_sq(ts, near=closed) - closed).max())
         _check(out, "radius-sdp-agreement", sdp_worst <= 1e-7,
                f"bisection vs closed form abs err {sdp_worst:.3e}")
 
@@ -437,8 +427,8 @@ def _check_rational_case(prof: EdmProfile, report: PerturbationReport,
 
     tleq = report.t_leq
     # Every sample at a pole leaves nothing to compare, which passes.
-    closed = closed_radii(report, tleq.interior_samples(20))
-    worst = worst_border_vs_closed(report, closed) or 0.0
+    ts = tleq.interior_samples(20)
+    worst = worst_border_vs_closed(report, ts, radius_squared(report, ts)) or 0.0
     _check(out, "border-closed-form", worst <= 1e-10,
            f"bordered vs rational radius rel err {worst:.3e}")
     # The closed form of e~.w~(t) against a raw bordered pseudoinverse: the border of
@@ -447,12 +437,11 @@ def _check_rational_case(prof: EdmProfile, report: PerturbationReport,
         line = PerturbedLine(border, EntryIndex(entry.k + 1, entry.l + 1))
         worst_direct = 0.0
         ts = tleq.interior_samples(3)
-        for t, (sphere, _) in zip(ts, line.spheres(ts)):
+        for t, direct in zip(ts.tolist(), line.spheres(ts).e_dot_w.tolist()):
             try:
-                closed = cm_w_inner(report, float(t))
+                closed = cm_w_inner(report, t)
             except PoleAt:
                 continue
-            direct = sphere.e_dot_w
             worst_direct = max(worst_direct, abs(closed - direct) / max(1.0, abs(direct)))
         _check(out, "border-direct", worst_direct <= 1e-8,
                f"closed e~.w~ vs direct rel err {worst_direct:.3e}")

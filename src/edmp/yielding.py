@@ -90,8 +90,9 @@ class Interval(NamedTuple):
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, t: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= t <= self.hi + slack
+    def contains(self, t, slack: float = 0.0):
+        """Whether t, or each t of an array, lies within slack of the interval."""
+        return (self.lo - slack <= t) & (t <= self.hi + slack)
 
     def interior_samples(self, count: int) -> np.ndarray:
         """count points strictly inside the interval, evenly placed."""

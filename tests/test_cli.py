@@ -152,9 +152,9 @@ class TestAnalyze:
         assert prof["embedding_dim"] == 2
         assert prof["radius"] == pytest.approx(0.5 * np.sqrt(scale), rel=1e-12)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_env_tolerance_exits_2(self, capsys, triangle_file, monkeypatch,
-                                              value):
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e-17", "1.0"])
+    def test_nonsensical_env_tolerance_exits_2(self, capsys, triangle_file, monkeypatch,
+                                               value):
         monkeypatch.setenv("EDMP_TOL", value)
         code, out, err = run_cli(capsys, "analyze", triangle_file)
         assert code == 2 and out == ""

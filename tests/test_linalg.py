@@ -234,7 +234,7 @@ class TestHelpers:
     def test_tolerance_policy_validation(self):
         with pytest.raises(ValueError):
             TolerancePolicy(rank_rel=0.0)
-        for bad in (float("nan"), float("inf")):
+        for bad in (float("nan"), float("inf"), 1e-17, 1.0):
             with pytest.raises(ValueError, match=repr(bad)):
                 TolerancePolicy(rank_rel=bad)
         assert DEFAULT_TOL.rank_rel == 1e-10

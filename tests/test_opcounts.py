@@ -3,7 +3,8 @@ matrix of a profile is factored once.
 
 Calls are counted by wrapping numpy's eigh, eigvalsh and svd, the yielding
 classifier as seen from the perturbation module, `profile` and
-`radius_squared` under every module name that calls them, `EigDecomp.cond`,
+`radius_squared` under every module name that calls them (with the samples
+each radius_squared call is given), `EigDecomp.cond` and construction,
 `model.centroid_gram` and `sphericity` under every module that holds it.
 An eigh or eigvalsh call on a stack factors every matrix of it, so the
 matrices factored are counted next to the calls, with the largest order
@@ -87,7 +88,7 @@ CLASSIFY_SVD_CALLS = {CaseTag.NOT_YIELDING: 1, CaseTag.TLEQ_TRIVIAL: 2}
 def counts(monkeypatch):
     seen = {"eigh": 0, "eigvalsh": 0, "matrices": 0, "svd": 0, "yielding_report": 0,
             "profile": 0, "cond": 0, "centroid_gram": 0, "radius_squared": 0,
-            "sphericity": 0, "max_order": 0}
+            "sphericity": 0, "max_order": 0, "radius_samples": 0, "eig_decomp": 0}
 
     def counting(module, name, key, *also):
         original = getattr(module, name)
@@ -98,6 +99,8 @@ def counts(monkeypatch):
             if key == "eigh":
                 seen["matrices"] += math.prod(np.shape(args[0])[:-2])
                 seen["max_order"] = max(seen["max_order"], np.shape(args[0])[-1])
+            if key == "radius_squared":
+                seen["radius_samples"] += np.size(args[1])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -113,6 +116,7 @@ def counts(monkeypatch):
     for module in (edmp.cli, edmp.verify):
         counting(module, "radius_squared", "radius_squared")
     counting(EigDecomp, "cond", "cond")
+    counting(EigDecomp, "__init__", "eig_decomp")
     counting(edmp.model, "centroid_gram", "centroid_gram")
     for module in (edmp.model, edmp.oracle, edmp.verify, edmp.cli):
         if hasattr(module, "sphericity"):
@@ -254,6 +258,12 @@ def test_sweep_factors_each_sample_in_stacks(counts):
     assert counts["eigh"] <= SWEEP_EIGH_BOUND
     # The profile's sphericity; each stack of samples is judged in array form.
     assert counts["sphericity"] == 1
+    # One closed-form call for the whole grid.
+    assert counts["radius_squared"] == 1
+    assert counts["radius_samples"] == 2001
+    # One eigendecomposition record per LAPACK call, and the profile's
+    # spectrum of D: none per row.
+    assert counts["eig_decomp"] <= counts["eigh"] + 1
 
 
 def test_entry_judges_sphericity_once_at_n128(counts, tmp_path):
@@ -290,10 +300,11 @@ def test_bordered_checks_read_the_border_profile(counts):
 
 def test_entry_evaluates_each_closed_radius_once(counts):
     # The closed-vs-oracle and bordered-vs-closed comparisons share one
-    # closed-form radius per cross-check sample.
+    # closed-form radius per cross-check sample, all from one call.
     path = Path(__file__).parent / "golden" / "pairunit-8.csv"
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(["entry", str(path), "--k", "1", "--l", "2"])
     assert code == 0
     assert json.loads(out.getvalue())["entry"]["cross_check"]["samples"] == 21
-    assert counts["radius_squared"] == 21
+    assert counts["radius_squared"] == 1
+    assert counts["radius_samples"] == 21

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -26,9 +27,9 @@ from edmp import (
 )
 import edmp.cli
 from edmp.cli import main
-from edmp.linalg import PSD_SLACK, sym_eig
+from edmp.linalg import PSD_SLACK, EigDecomp, sym_eig
 from edmp.matio import load_matrix, matrix_to_csv
-from edmp.model import UNIT_RADIUS_TOL, is_edm_array, sphericity
+from edmp.model import UNIT_RADIUS_TOL, Sphericity, is_edm_array, sphericity
 from edmp.oracle import SDP_CAP, SDP_GAP, PerturbedLine, edm_from_points, gen_unit_profile
 from edmp.verify import check_profile, default_templates
 
@@ -159,29 +160,35 @@ class TestNonspherical:
             gen_nonspherical(4, 3, seed=0)
 
 
+def rows_of(columns):
+    """The Sphericity of each row of PerturbedLine.spheres' columns, as
+    model.sphericity reports one matrix: None where the radius is NaN."""
+    return [Sphericity(etw, None if math.isnan(rsq) else rsq, res, unit)
+            for etw, rsq, res, unit in zip(*(col.tolist() for col in columns[:4]))]
+
+
 class TestPerturbedW:
     def test_solves_perturbed_system(self, triangle):
         entry = EntryIndex(1, 2)
-        [(sphere, dec)] = PerturbedLine(profile(triangle), entry).spheres([1.0])
+        spheres = PerturbedLine(profile(triangle), entry).spheres([1.0])
         pert = perturbed_array(triangle, 0, 1, 1.0)
         whole = sym_eig(pert)
-        assert dec.vectors is None
-        assert_array_equal(dec.values, whole.values)
-        assert sphere == sphericity(pert, whole.pinv() @ np.ones(3))
+        assert_array_equal(spheres.eigenvalues, [whole.values])
+        assert rows_of(spheres) == [sphericity(pert, whole.pinv() @ np.ones(3))]
         # rho^2 = 1 / (2 e.w) is the hand value 3/4 at t = 1.
-        assert_allclose(sphere.radius_sq, 0.75, atol=1e-12)
+        assert_allclose(spheres.radius_sq, [0.75], atol=1e-12)
 
     def test_condition_grows_near_theta_c(self, triangle):
         # D + t E^13 loses rank at theta_c = -3 for the long side.
         entry = EntryIndex(1, 3)
-        far, near = (dec.cond() for _, dec in
-                     PerturbedLine(profile(triangle), entry).spheres([-1.0, -3.0 + 1e-6]))
+        spheres = PerturbedLine(profile(triangle), entry).spheres([-1.0, -3.0 + 1e-6])
+        far, near = (EigDecomp(values, None).cond() for values in spheres.eigenvalues)
         assert near > 1e4 * far
 
     def test_nonspherical_perturbation_has_no_radius(self, triangle):
         # t = 1 on the long side makes the sides (1, 1, 2) collinear: an EDM
         # with no circumscribing sphere, so there is no radius to report.
-        sphere, _ = PerturbedLine(profile(triangle), EntryIndex(1, 3)).spheres([1.0])[0]
+        [sphere] = rows_of(PerturbedLine(profile(triangle), EntryIndex(1, 3)).spheres([1.0]))
         assert sphere.radius_sq is None
         assert not sphere.unit
         assert abs(sphere.e_dot_w) < 1e-12
@@ -190,24 +197,31 @@ class TestPerturbedW:
 class TestMembershipScan:
     def test_triangle_long_side_landmarks(self, triangle):
         entry = EntryIndex(1, 3)
-        recs = membership_scan(profile(triangle), entry, [0.0, 0.5, 1.0])
-        at0, at_half, at1 = recs
-        assert at0.in_t_eq and at0.in_t_leq and at0.is_edm
+        scan = membership_scan(profile(triangle), entry, [0.0, 0.5, 1.0])
+        assert scan.t.tolist() == [0.0, 0.5, 1.0]
+        assert scan.in_t_eq[0] and scan.in_t_leq[0] and scan.is_edm[0]
         # t = 0.5: spherical EDM of radius 2 > 1.
-        assert at_half.is_edm and at_half.is_spherical
-        assert_allclose(at_half.radius_sq, 2.0, atol=1e-9)
-        assert not at_half.in_t_leq
+        assert scan.is_edm[1]
+        assert_allclose(scan.radius_sq[1], 2.0, atol=1e-9)
+        assert not scan.in_t_leq[1]
         # t = 1 (the yield endpoint): an EDM with no circumscribing sphere.
-        assert at1.is_edm and not at1.is_spherical
-        assert at1.radius_sq is None
+        assert scan.is_edm[2] and np.isnan(scan.radius_sq[2])
 
     def test_record_chain_invariant(self, antipodal):
         ts = np.linspace(-3.0, 3.0, 25)
-        for rec in membership_scan(profile(antipodal), EntryIndex(3, 4), ts):
-            if rec.in_t_eq:
-                assert rec.in_t_leq
-            if rec.in_t_leq:
-                assert rec.is_edm
+        scan = membership_scan(profile(antipodal), EntryIndex(3, 4), ts)
+        assert not (scan.in_t_eq & ~scan.in_t_leq).any()
+        assert not (scan.in_t_leq & ~scan.is_edm).any()
+
+    def test_empty_input_gives_empty_columns(self, triangle):
+        prof, entry = profile(triangle), EntryIndex(1, 2)
+        scan = membership_scan(prof, entry, [])
+        assert [col.shape for col in scan] == [(0,)] * 5
+        assert scan.is_edm.dtype == scan.in_t_leq.dtype == scan.in_t_eq.dtype == bool
+        spheres = PerturbedLine(prof, entry).spheres([])
+        assert [col.shape for col in spheres[:4]] == [(0,)] * 4
+        assert spheres.eigenvalues.shape == (0, 3)
+        assert radius_squared(classify(prof, entry), np.array([])).shape == (0,)
 
     def test_sweep_unit_column_reads_the_entry_residual(self):
         # Every sweep row is in T= exactly when it is in T<= and the unit
@@ -223,12 +237,11 @@ class TestMembershipScan:
         # The grid misses the two T= points, so they are scanned as well.
         prof = profile(d)
         members = classify(prof, entry).teq_members()
-        scanned = [(rec.t, rec.in_t_leq, rec.in_t_eq)
-                   for rec in membership_scan(prof, entry, members)]
-        assert [in_t_eq for _, _, in_t_eq in scanned] == [True, True]
+        scan = membership_scan(prof, entry, members)
+        scanned = list(zip(scan.t.tolist(), scan.in_t_leq.tolist(), scan.in_t_eq.tolist()))
+        assert scan.in_t_eq.tolist() == [True, True]
         spheres = PerturbedLine(prof, entry).spheres([t for t, _, _ in rows + scanned])
-        for (_, in_t_leq, in_t_eq), (sphere, _) in zip(rows + scanned, spheres):
-            residual = sphere.unit_residual
+        for (_, in_t_leq, in_t_eq), residual in zip(rows + scanned, spheres.unit_residual):
             assert in_t_eq == (in_t_leq and residual <= UNIT_RADIUS_TOL * d.n)
 
 
@@ -262,8 +275,8 @@ class TestPerturbedLine:
             if report.theta_c is not None:
                 ts.append(report.theta_c)
             line = PerturbedLine(prof, entry)
-            stacked = zip(line.is_edm(ts), line.in_t_leq(ts), line.spheres(ts))
-            for t, (edm, leq, (sphere, _)) in zip(ts, stacked):
+            stacked = zip(line.is_edm(ts), line.in_t_leq(ts), rows_of(line.spheres(ts)))
+            for t, (edm, leq, sphere) in zip(ts, stacked):
                 assert (edm, leq, sphere) == single_matrix_verdicts(prof.d, entry, t, prof.tol)
 
     def test_scan_peak_memory_is_one_stack(self):
@@ -278,11 +291,11 @@ class TestPerturbedLine:
             membership_scan(prof, entry, [0.0])
             one = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            records = membership_scan(prof, entry, ts)
+            scan = membership_scan(prof, entry, ts)
             full = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(rec.is_edm for rec in records) > 50
+        assert scan.is_edm.sum() > 50
         assert full - one <= 2**20
 
     def test_spheres_forms_no_full_order_matrix_per_t(self):
@@ -302,7 +315,7 @@ class TestPerturbedLine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(sphere.radius_sq is not None for sphere, _ in spheres)
+        assert not np.isnan(spheres.radius_sq).any()
         assert peak < 8 * prof.n**2
 
 
@@ -396,7 +409,7 @@ class TestCompressedLine:
         for slack in (PSD_SLACK, 1e-12):
             assert line.in_t_leq(ts, slack).tolist() == full.in_t_leq(ts, slack).tolist()
         at_edm = [t for t, ok in zip(ts, edm) if ok]
-        for (sphere, _), ref in zip(line.spheres(at_edm), full.spheres(at_edm)):
+        for sphere, ref in zip(rows_of(line.spheres(at_edm)), full.spheres(at_edm)):
             assert (sphere.radius_sq is None) == (ref.radius_sq is None)
             assert sphere.unit == ref.unit
 
@@ -406,9 +419,10 @@ class TestCompressedLine:
         prof, entry, line = self._line(structure, n, r, seed)
         tleq = classify(prof, entry).t_leq
         ts = tleq.interior_samples(10) if tleq.width > 0.0 else [tleq.lo]
-        for (sphere, dec), ref in zip(line.spheres(ts), FullOrderLine(prof, entry).spheres(ts)):
+        spheres = line.spheres(ts)
+        for sphere, ref in zip(rows_of(spheres), FullOrderLine(prof, entry).spheres(ts)):
             assert abs(sphere.radius_sq - ref.radius_sq) <= 1e-11 * abs(ref.radius_sq)
-            assert dec.values.size == line.q.shape[1]
+        assert spheres.eigenvalues.shape == (len(ts), line.q.shape[1])
 
     @pytest.mark.parametrize("structure,n,r", [*COMPRESSED, *((name, 32, 16) for name in SPECIAL)],
                              ids=lambda x: getattr(x, "value", x))
@@ -429,9 +443,9 @@ class TestCompressedLine:
         spec = InstanceSpec(128, 64, Structure.ZERO_GALE_PAIR, EntryIndex(1, 2), 0)
         path = tmp_path / "d.csv"
         path.write_text(matrix_to_csv(gen_unit_spherical(spec)))
-        real = edmp.cli.closed_radii
-        monkeypatch.setattr(edmp.cli, "closed_radii", lambda *args: [
-            (t, (1.0 + 1e-6) * rho_sq) for t, rho_sq in real(*args)])
+        real = edmp.cli.radius_squared
+        monkeypatch.setattr(edmp.cli, "radius_squared",
+                            lambda *args: (1.0 + 1e-6) * real(*args))
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["entry", str(path), "--k", "1", "--l", "2"]) == 0
         check = json.loads(out.getvalue())["entry"]["cross_check"]

@@ -129,8 +129,8 @@ class TestRadiusSquared:
         # rational form still tracks the true (larger) radius.
         val = radius_squared(report(triangle_profile, 1, 3), 0.5, extrapolate=True)
         assert_allclose(val, 2.0, atol=1e-12)
-        [(direct, _)] = PerturbedLine(triangle_profile, EntryIndex(1, 3)).spheres([0.5])
-        assert_allclose(val, direct.radius_sq, atol=1e-10)
+        [direct] = PerturbedLine(triangle_profile, EntryIndex(1, 3)).spheres([0.5]).radius_sq
+        assert_allclose(val, direct, atol=1e-10)
 
     def test_singleton_endpoint_limit(self, triangle_profile):
         # At theta_c = theta_lower the rational form has a removable
@@ -147,9 +147,9 @@ class TestRadiusSquared:
         entry = EntryIndex(1, 2)
         rep = classify(profile(d), entry)
         ts = rep.t_leq.interior_samples(7)
-        for t, (direct, _) in zip(ts, PerturbedLine(profile(d), entry).spheres(ts)):
+        for t, direct in zip(ts, PerturbedLine(profile(d), entry).spheres(ts).radius_sq):
             closed = radius_squared(rep, float(t))
-            assert_allclose(closed, direct.radius_sq, rtol=1e-8)
+            assert_allclose(closed, direct, rtol=1e-8)
 
 
 class TestTeq:
@@ -255,9 +255,9 @@ class TestClassify:
         assert tuple(rep.t_leq) == tuple(yiv)
         assert yiv.lo < 0.0 < yiv.hi
         ts = rep.t_leq.interior_samples(5)
-        for t, (direct, _) in zip(ts, PerturbedLine(prof, entry).spheres(ts)):
+        for t, direct in zip(ts, PerturbedLine(prof, entry).spheres(ts).radius_sq):
             assert radius_squared(rep, float(t)) == 1.0
-            assert abs(direct.radius_sq - 1.0) <= 1e-9
+            assert abs(direct - 1.0) <= 1e-9
 
     def test_near_parallel_trivial_set_warns(self):
         # Stacked rows that miss parallelism by ~2e-4 leave the trivial

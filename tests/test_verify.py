@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import edmp.verify
@@ -17,7 +18,7 @@ from edmp import (
 )
 from edmp.cli import main
 from edmp.errors import Infeasible, NumericalFailure
-from edmp.linalg import DEFAULT_TOL
+from edmp.linalg import DEFAULT_TOL, EigDecomp
 from edmp.oracle import PerturbedLine, gen_unit_profile
 from edmp.cayley import bordered
 from edmp.verify import (
@@ -232,9 +233,8 @@ class TestRadiusComparisons:
     def test_missing_sphere_counts_as_full_disagreement(self, triangle_profile):
         # D + E^13 of the triangle is collinear, so the direct oracle finds
         # no sphere; the error is 1, its limit as the direct radius grows.
-        closed = [(1.0, 0.25)]
-        spheres = PerturbedLine(triangle_profile, EntryIndex(1, 3)).spheres([1.0])
-        assert worst_closed_vs_direct(closed, spheres) == 1.0
+        direct = PerturbedLine(triangle_profile, EntryIndex(1, 3)).spheres([1.0]).radius_sq
+        assert worst_closed_vs_direct(np.array([0.25]), direct) == 1.0
 
 
 class TestSdpAgreement:
@@ -248,14 +248,14 @@ class TestSdpAgreement:
         report = classify(prof, entry)
         ts = report.t_leq.interior_samples(3)
         lam = PerturbedLine(prof, entry).min_radius_sq(ts)
-        real = edmp.verify.closed_radii
-        monkeypatch.setattr(edmp.verify, "closed_radii", lambda *args: [
-            (t, scale * rho_sq) for t, rho_sq in real(*args)])
+        real = edmp.verify.radius_squared
+        monkeypatch.setattr(edmp.verify, "radius_squared",
+                            lambda *args: scale * real(*args))
         results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT, bordered_profile(prof))
         sdp = next(res for res in results if res.name == "radius-sdp-agreement")
         assert not sdp.ok
         worst = max(abs(lam_t - scale * rho_sq)
-                    for lam_t, (_, rho_sq) in zip(lam, real(report, ts)))
+                    for lam_t, rho_sq in zip(lam, real(report, ts)))
         assert worst > 1e-7
         assert sdp.detail == f"bisection vs closed form abs err {worst:.3e}"
 
@@ -281,9 +281,9 @@ class TestTeqMembersBound:
     @pytest.mark.parametrize("seed,n,r,entry", ILL_CONDITIONED)
     def test_ill_conditioned_member_passes(self, seed, n, r, entry):
         d, report = self._instance(seed, n, r, entry)
-        [(sphere, dec)] = PerturbedLine(profile(d), entry).spheres([report.theta_c])
-        assert dec.cond() > 1e8
-        assert sphere.unit_residual > 1e-8
+        sphere = PerturbedLine(profile(d), entry).spheres([report.theta_c])
+        assert EigDecomp(sphere.eigenvalues[0], None).cond() > 1e8
+        assert sphere.unit_residual[0] > 1e-8
         members = report.teq_members()
         assert report.theta_c in members
         assert check_teq_members(PerturbedLine(profile(d), entry).spheres(members), DEFAULT_TOL).ok
@@ -305,8 +305,8 @@ class TestTeqMembersBound:
         d, report = self._instance(0, 4, 3, entry)
         moved = report.theta_c * (1.0 + 1e-4)
         line = PerturbedLine(profile(d), entry)
-        [(_, dec)] = line.spheres([report.theta_c])
-        assert dec.cond() < 100.0
+        [values] = line.spheres([report.theta_c]).eigenvalues
+        assert EigDecomp(values, None).cond() < 100.0
         result = check_teq_members(line.spheres([0.0, moved]), DEFAULT_TOL)
         assert not result.ok
         assert "unit residual 3.1" in result.detail
