@@ -229,10 +229,10 @@ def cmd_sweep(args, tol: TolerancePolicy) -> int:
     if report.coefficients is not None:
         closed = radius_squared(report, scan.t, extrapolate=True)
 
-    def cells(column) -> list[str]:
+    def cells(column):  # lazily, so only the joined rows are held at once
         if column.dtype == bool:
-            return np.where(column, "true", "false").tolist()
-        return ["" if math.isnan(x) else fmt_float(x) for x in column.tolist()]
+            return ("true" if x else "false" for x in column.tolist())
+        return ("" if math.isnan(x) else fmt_float(x) for x in column.tolist())
 
     columns = (scan.t, scan.is_edm, ~np.isnan(scan.radius_sq), closed, scan.radius_sq,
                scan.in_t_leq, scan.in_t_eq)
