@@ -86,9 +86,9 @@ def sphericities(etw, ede, n: int, eigenvalues=None) -> SphereColumns:
     It judges a profile and each stack of perturbed matrices alike.
     """
     etw = np.asarray(etw, dtype=float).reshape(-1)
-    spherical = etw * (ede / n**2) > SPHERICITY_TOL
-    radius_sq = np.divide(1.0, 2.0 * etw, out=np.full_like(etw, np.nan), where=spherical)
-    residual = np.abs(2.0 * etw - 1.0)
+    spherical, two_etw = etw * (ede / n**2) > SPHERICITY_TOL, 2.0 * etw
+    radius_sq = np.where(spherical, 1.0, np.nan) / two_etw  # NaN / 0 raises no warning
+    residual = np.abs(two_etw - 1.0)
     return SphereColumns(etw, radius_sq, residual,
                          spherical & (residual <= UNIT_RADIUS_TOL * n), eigenvalues)
 
@@ -96,9 +96,10 @@ def sphericities(etw, ede, n: int, eigenvalues=None) -> SphereColumns:
 def sphericity(a: np.ndarray, w: np.ndarray) -> Sphericity:
     """Sphericity, squared radius and unit verdict of a from its w (a w = e)."""
     e = np.ones(a.shape[0])
-    etw, radius_sq, residual, unit = (
-        col.item() for col in sphericities(float(e @ w), float(e @ a @ e), a.shape[0])[:4])
-    return Sphericity(etw, None if math.isnan(radius_sq) else radius_sq, residual, unit)
+    one = sphericities(float(e @ w), float(e @ a @ e), a.shape[0])
+    radius_sq = one.radius_sq.item()
+    return Sphericity(one.e_dot_w.item(), None if math.isnan(radius_sq) else radius_sq,
+                      one.unit_residual.item(), one.unit.item())
 
 
 @dataclass(frozen=True)

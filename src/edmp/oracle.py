@@ -377,6 +377,8 @@ class PerturbedLine:
         parts = [test(self.m0 + ts[at:at + step, None, None] * self._ekl,
                       *(x[at:at + step] for x in aligned))
                  for at in range(0, max(ts.size, 1), step)]
+        if len(parts) == 1:
+            return parts[0]
         if isinstance(parts[0], tuple):
             return type(parts[0])(*map(np.concatenate, zip(*parts)))
         return np.concatenate(parts)

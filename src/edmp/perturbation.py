@@ -251,11 +251,14 @@ def _eval_f_over_g(coeffs: RadiusCoefficients, lo: float, hi: float, t):
         g_fact = coeffs.beta2 * (t - lo) * (t - hi)
         f_val = coeffs.f(t)
         g_scale = abs(coeffs.beta2) * (1.0 + abs(t) + abs(lo)) * (1.0 + abs(t) + abs(hi))
-        shared = abs(g_fact) <= 1e-12 * g_scale
+        root = abs(g_fact) <= 1e-12 * g_scale
+        value = f_val / g_fact
+        if not root.any():  # most calls: no t at a root of g
+            return value, root
         f_scale = 1.0 + abs(coeffs.alpha1 * t) + abs(coeffs.alpha2 * t * t)
         den = coeffs.beta1 + 2.0 * coeffs.beta2 * t
-        pole = shared & (~(abs(f_val) <= 1e-8 * f_scale) | (abs(den) <= 1e-300))
-        value = np.where(shared, (coeffs.alpha1 + 2.0 * coeffs.alpha2 * t) / den, f_val / g_fact)
+        pole = root & (~(abs(f_val) <= 1e-8 * f_scale) | (abs(den) <= 1e-300))
+        value = np.where(root, (coeffs.alpha1 + 2.0 * coeffs.alpha2 * t) / den, value)
     return np.where(pole, np.nan, value), pole
 
 

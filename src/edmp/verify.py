@@ -167,7 +167,7 @@ def worst_closed_vs_direct(closed, direct) -> float:
     as the direct radius grows without bound.
     """
     rel = np.abs(closed - direct) / np.maximum(1.0, np.abs(direct))
-    return float(np.nanmax(np.where(np.isnan(direct), 1.0, rel), initial=0.0))
+    return float(np.fmax.reduce(np.where(np.isnan(direct), 1.0, rel), initial=0.0))
 
 
 def worst_border_vs_closed(report: PerturbationReport, ts, closed) -> float | None:
@@ -177,7 +177,7 @@ def worst_border_vs_closed(report: PerturbationReport, ts, closed) -> float | No
     if report.coefficients is None:
         return None
     diffs = []
-    for t, rho_sq in zip(map(float, ts), np.asarray(closed).tolist()):
+    for t, rho_sq in zip(np.asarray(ts).tolist(), closed.tolist()):
         try:
             border = 1.0 - 0.5 * cm_w_inner(report, t)
         except PoleAt:

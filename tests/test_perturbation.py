@@ -13,6 +13,7 @@ from edmp import (
     InstanceSpec,
     NotUnitSpherical,
     OutsideTleq,
+    PoleAt,
     classify,
     gen_unit_spherical,
     profile,
@@ -131,6 +132,25 @@ class TestRadiusSquared:
         assert_allclose(val, 2.0, atol=1e-12)
         [direct] = PerturbedLine(triangle_profile, EntryIndex(1, 3)).spheres([0.5]).radius_sq
         assert_allclose(val, direct, atol=1e-10)
+
+    def test_array_matches_scalar_and_marks_poles(self, triangle_profile):
+        # On the long side theta_c = theta_lower = -3 is a removable root of
+        # g and theta_upper = 1 a pole; T<= is [-3, 0].
+        rep = report(triangle_profile, 1, 3)
+        pole = rep.yielding_report.theta_upper
+        ts = np.array([rep.yielding_report.theta_lower, -1.0, 0.5, pole])
+        values = radius_squared(rep, ts, extrapolate=True)
+        assert values[:3].tolist() == [radius_squared(rep, t, extrapolate=True)
+                                       for t in ts[:3].tolist()]
+        assert np.isnan(values[3])
+        with pytest.raises(PoleAt):
+            radius_squared(rep, pole, extrapolate=True)
+        # Without extrapolate the first t in order that fails raises: 0.5 is
+        # outside T<=, and the pole lies inside the yielding interval.
+        with pytest.raises(OutsideTleq, match="t=0.5 is outside"):
+            radius_squared(rep, ts)
+        with pytest.raises(PoleAt):
+            radius_squared(replace(rep, t_leq=rep.yielding_report.interval), ts[[0, 1, 3]])
 
     def test_singleton_endpoint_limit(self, triangle_profile):
         # At theta_c = theta_lower the rational form has a removable
