@@ -250,7 +250,8 @@ def _eval_f_over_g(coeffs: RadiusCoefficients, lo: float, hi: float, t):
     with np.errstate(all="ignore"):
         g_fact = coeffs.beta2 * (t - lo) * (t - hi)
         f_val = coeffs.f(t)
-        g_scale = abs(coeffs.beta2) * (1.0 + abs(t) + abs(lo)) * (1.0 + abs(t) + abs(hi))
+        one_t = 1.0 + abs(t)
+        g_scale = abs(coeffs.beta2) * (one_t + abs(lo)) * (one_t + abs(hi))
         root = abs(g_fact) <= 1e-12 * g_scale
         value = f_val / g_fact
         if not root.any():  # most calls: no t at a root of g
@@ -282,10 +283,11 @@ def radius_squared(report: PerturbationReport, t, extrapolate: bool = False):
     else:
         yrep = report.yielding_report
         value, pole = _eval_f_over_g(coeffs, yrep.theta_lower, yrep.theta_upper, ts)
-    raised = np.flatnonzero(outside | (pole & (ts.ndim == 0 or not extrapolate)))
-    if raised.size:
-        at = t if ts.ndim == 0 else float(ts.flat[raised[0]])
-        if outside.flat[raised[0]]:
+    raised = outside | (pole & (ts.ndim == 0 or not extrapolate))
+    if raised.any():
+        first = np.argmax(raised)
+        at = t if ts.ndim == 0 else float(ts.flat[first])
+        if np.ravel(outside)[first]:
             entry = report.entry
             raise OutsideTleq(
                 f"t={at} is outside the radius-one set of entry ({entry.k},{entry.l})"

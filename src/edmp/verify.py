@@ -375,11 +375,13 @@ def check_entry(prof: EdmProfile, entry: EntryIndex, expected: CaseTag | None,
                f"non-member unit residual only {best:.3e}")
 
     if tleq.width > 0.0:
-        worst_rel = worst_closed_vs_direct(radius_squared(report, direct), spheres.radius_sq[cut:])
+        # One closed-form call: the direct samples, then the 3 the bisection checks.
+        ts = tleq.interior_samples(3)
+        closed = radius_squared(report, np.concatenate([direct, ts]))
+        worst_rel = worst_closed_vs_direct(closed[:-3], spheres.radius_sq[cut:])
         _check(out, "radius-direct-agreement", worst_rel <= 1e-8,
                f"closed form vs direct radius rel err {worst_rel:.3e}")
-        ts = tleq.interior_samples(3)
-        closed = radius_squared(report, ts)
+        closed = closed[-3:]
         sdp_worst = float(np.abs(line.min_radius_sq(ts, near=closed) - closed).max())
         _check(out, "radius-sdp-agreement", sdp_worst <= 1e-7,
                f"bisection vs closed form abs err {sdp_worst:.3e}")
