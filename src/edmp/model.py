@@ -74,10 +74,6 @@ class SphereColumns(NamedTuple):
     # (s, m): the eigenvalues, descending, each row's w was solved from, if given.
     eigenvalues: np.ndarray | None = None
 
-    def rows(self, index) -> SphereColumns:
-        """The same columns at `index` (a slice or mask) only."""
-        return SphereColumns(*(None if col is None else col[index] for col in self))
-
 
 def sphericities(etw, ede, n: int, eigenvalues=None) -> SphereColumns:
     """The one sphericity rule, per e.w of matrices a of order n, where a w = e

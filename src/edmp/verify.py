@@ -368,7 +368,7 @@ def check_entry(prof: EdmProfile, entry: EntryIndex, expected: CaseTag | None,
                           if min(abs(t - m) for m in members) > 0.05 * tleq.width]
     spheres = line.spheres([*members, *nonmembers, *direct])
     cut = len(members) + len(nonmembers)
-    out.append(check_teq_members(spheres.rows(slice(len(members))), tol))
+    out.append(check_teq_members(SphereColumns(*(col[:len(members)] for col in spheres)), tol))
     if nonmembers:
         best = float(spheres.unit_residual[len(members):cut].min())
         _check(out, "teq-nonmembers", best > 1e-6,
