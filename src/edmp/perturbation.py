@@ -254,7 +254,7 @@ def _eval_f_over_g(coeffs: RadiusCoefficients, lo: float, hi: float, t):
         g_scale = abs(coeffs.beta2) * (one_t + abs(lo)) * (one_t + abs(hi))
         root = abs(g_fact) <= 1e-12 * g_scale
         value = f_val / g_fact
-        if not root.any():  # most calls: no t at a root of g
+        if not root.any():  # most calls: no t at a root of g, so no pole
             return value, root
         f_scale = 1.0 + abs(coeffs.alpha1 * t) + abs(coeffs.alpha2 * t * t)
         den = coeffs.beta1 + 2.0 * coeffs.beta2 * t
