@@ -24,12 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PoleAt, PreconditionViolated
+from .linalg import Cut
 from .model import DistanceMatrix
 from .perturbation import CaseTag, PerturbationReport
 
 __all__ = ["bordered", "cm_w_inner"]
 
-POLE_TOL = 1e-9
+POLE = Cut("pole", 1e-9)
 
 
 def bordered(d: DistanceMatrix) -> np.ndarray:
@@ -41,8 +42,9 @@ def bordered(d: DistanceMatrix) -> np.ndarray:
     return out
 
 
-def cm_w_inner(report: PerturbationReport, t: float) -> float:
-    """Closed form of e~.w~(t) for the bordered matrix of D + t E^kl.
+def cm_w_inner(report: PerturbationReport, t):
+    """Closed form of e~.w~(t) for the bordered matrix of D + t E^kl, a float for
+    a float t (PoleAt at a pole) and for an array of t an array, NaN at each pole.
 
     Requires the same premise as the rational radius formula, that is a
     report with radius coefficients.  The generic branch has poles at
@@ -57,15 +59,17 @@ def cm_w_inner(report: PerturbationReport, t: float) -> float:
     lo = report.yielding_report.theta_lower
     hi = report.yielding_report.theta_upper
     tc = report.theta_c
-    pole_scale = 1.0 + abs(lo) + abs(hi)
-
-    prefactor = 8.0 * coeffs.w_l**2 * coeffs.c * t / (tc * coeffs.beta2)
-    if report.case_tag is CaseTag.SINGLETON_UNIT:
-        # theta_c equals theta_lower (c > 0) or theta_upper (c < 0).
-        other = hi if coeffs.c > 0 else lo
-        if abs(t - other) <= POLE_TOL * pole_scale:
-            raise PoleAt(t)
-        return prefactor / (t - other)
-    if min(abs(t - lo), abs(t - hi)) <= POLE_TOL * pole_scale:
+    ts = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):  # a pole's value is replaced
+        prefactor = 8.0 * coeffs.w_l**2 * coeffs.c * ts / (tc * coeffs.beta2)
+        if report.case_tag is CaseTag.SINGLETON_UNIT:
+            # theta_c equals theta_lower (c > 0) or theta_upper (c < 0).
+            other = hi if coeffs.c > 0 else lo
+            gap, value = abs(ts - other), prefactor / (ts - other)
+        else:
+            gap = np.minimum(abs(ts - lo), abs(ts - hi))
+            value = prefactor * (ts - tc) / ((ts - lo) * (ts - hi))
+    pole = POLE.decide(gap, 1.0 + abs(lo) + abs(hi)).below
+    if ts.ndim == 0 and pole:
         raise PoleAt(t)
-    return prefactor * (t - tc) / ((t - lo) * (t - hi))
+    return float(value) if ts.ndim == 0 else np.where(pole, np.nan, value)

@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .oracle import (
 )
 from .perturbation import CaseTag, PerturbationReport, classify, radius_squared
 from .verify import run_verification, worst_border_vs_closed, worst_closed_vs_direct
-from .yielding import PARALLEL_TOL, EntryIndex
+from .yielding import PARALLEL, EntryIndex
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -79,7 +80,7 @@ def _tolerances_block(tol: TolerancePolicy) -> dict:
         "rank_rel": tol.rank_rel,
         "psd_abs_scale": PSD_SLACK,
         "recon_rel": RECON_REL,
-        "parallel": PARALLEL_TOL,
+        "parallel": PARALLEL.threshold,
     }
 
 
@@ -100,10 +101,6 @@ def _profile_block(prof: EdmProfile) -> dict:
     }
 
 
-def _interval_block(interval) -> dict:
-    return {"lo": interval.lo, "hi": interval.hi}
-
-
 def _teq_block(report: PerturbationReport) -> dict:
     kinds = {CaseTag.CONTINUUM_UNIT: "continuum", CaseTag.PAIR_UNIT: "pair"}
     return {"kind": kinds.get(report.case_tag, "singleton"), "values": list(report.t_eq)}
@@ -119,7 +116,7 @@ def _theta_value(value):
 def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
     yrep = report.yielding_report
     relation = yrep.gale_relation
-    block = {
+    return {
         "k": report.entry.k,
         "l": report.entry.l,
         "yielding": yrep.yielding,
@@ -127,23 +124,12 @@ def _entry_block(prof: EdmProfile, report: PerturbationReport) -> dict:
         "theta_lower": _theta_value(yrep.theta_lower),
         "theta_upper": _theta_value(yrep.theta_upper),
         "theta_c": yrep.theta_c,
-        "yielding_interval": _interval_block(yrep.interval),
-        "t_leq": _interval_block(report.t_leq),
+        "yielding_interval": yrep.interval._asdict(),
+        "t_leq": report.t_leq._asdict(),
         "t_eq": _teq_block(report),
         "case": report.case_tag.value,
-        "coefficients": None,
+        "coefficients": None if report.coefficients is None else asdict(report.coefficients),
     }
-    if report.coefficients is not None:
-        coeffs = report.coefficients
-        block["coefficients"] = {
-            "alpha1": coeffs.alpha1,
-            "alpha2": coeffs.alpha2,
-            "beta1": coeffs.beta1,
-            "beta2": coeffs.beta2,
-            "c": coeffs.c,
-            "w_l": coeffs.w_l,
-        }
-    return block
 
 
 def _cross_check_block(prof: EdmProfile, report: PerturbationReport) -> dict:
@@ -201,11 +187,10 @@ def cmd_entry(args, tol: TolerancePolicy) -> int:
             "error": "DegenerateDenominator",
             "detail": str(exc),
         }
-        sys.stdout.write(report_json(doc))
-        return EXIT_OK
-    doc["diagnostics"]["warnings"].extend(report.warnings)
-    doc["entry"] = _entry_block(prof, report)
-    doc["entry"]["cross_check"] = _cross_check_block(prof, report)
+    else:
+        doc["diagnostics"]["warnings"].extend(report.warnings)
+        doc["entry"] = _entry_block(prof, report)
+        doc["entry"]["cross_check"] = _cross_check_block(prof, report)
     sys.stdout.write(report_json(doc))
     return EXIT_OK
 
@@ -218,8 +203,9 @@ def cmd_sweep(args, tol: TolerancePolicy) -> int:
     prof, entry = _load_entry_profile(args, tol)
     report = classify(prof, entry)
     lo, hi = report.yielding_report.interval
-    if not np.isfinite((hi + args.margin) - (lo - args.margin)):
-        raise ParseError(f"--margin {args.margin!r} makes the swept range overflow")
+    # Beyond 1e150, the bound DistanceMatrix puts on any entry, g's scale overflows.
+    if not max(abs(lo - args.margin), abs(hi + args.margin)) <= 1e150:
+        raise ParseError(f"--margin {args.margin!r} takes the swept range beyond |t| = 1e150")
     try:
         ts = np.linspace(lo - args.margin, hi + args.margin, args.num)
     except MemoryError as exc:

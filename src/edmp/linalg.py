@@ -6,7 +6,7 @@ spectral inverse are each written once, as methods of one
 eigendecomposition, so a caller that holds a factorization reuses it.
 The rank cut is the one settable tolerance (TolerancePolicy); the
 semidefiniteness slack PSD_SLACK and the reconstruction tolerance
-RECON_REL are constants.
+RECON_REL are constants; every other threshold is a constant Cut.
 All inputs are symmetrized explicitly before factorization; there is no
 unsymmetric code path.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,8 @@ __all__ = [
     "DEFAULT_TOL",
     "PSD_SLACK",
     "RECON_REL",
+    "Cut",
+    "Decision",
     "EigDecomp",
     "symmetrize",
     "sym_eig",
@@ -36,6 +39,34 @@ __all__ = [
 PSD_SLACK = 1e-9
 # Relative tolerance for reconstruction-style identities.
 RECON_REL = 1e-8
+
+
+class Decision(NamedTuple):
+    """A Cut's verdict on a float, or elementwise on an array: threshold is the
+    cut's times the scale (below and above are False at NaN), and near marks a
+    margin, measured / scale, within the cut's band (threshold, band]."""
+
+    name: str
+    measured: float | np.ndarray
+    threshold: float | np.ndarray
+    margin: float | np.ndarray
+    near: bool | np.ndarray
+
+    below = property(lambda self: self.measured <= self.threshold)
+    above = property(lambda self: self.measured > self.threshold)
+
+
+class Cut(NamedTuple):
+    """A named threshold on measured / scale, with an optional warning band."""
+
+    name: str
+    threshold: float
+    band: float | None = None
+
+    def decide(self, measured, scale=1.0) -> Decision:
+        margin = measured / scale
+        near = self.band is not None and (self.threshold < margin) & (margin <= self.band)
+        return Decision(self.name, measured, self.threshold * scale, margin, near)
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,6 @@ def parse_matrix_text(text: str) -> DistanceMatrix:
         if stripped[0] == "{":
             return _parse_json(stripped)
         return _parse_csv(text)
-    except ParseError:
-        raise
     except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ParseError(f"invalid matrix content: {exc}") from exc
 

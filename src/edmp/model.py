@@ -25,6 +25,7 @@ from .errors import NotAnEdm, NotUnitSpherical
 from .linalg import (
     DEFAULT_TOL,
     RECON_REL,
+    Cut,
     EigDecomp,
     TolerancePolicy,
     fix_column_signs,
@@ -43,29 +44,29 @@ __all__ = [
     "profile",
 ]
 
-# Dimensionless sphericity threshold on (e.w) * (e.D.e / n^2); the product
-# is ~1 for spherical inputs and ~1e-16 for nonspherical ones.
-SPHERICITY_TOL = 1e-8
+# Spherical above 1e-8 of the dimensionless (e.w) * (e.D.e / n^2), which is
+# ~1 for spherical inputs and ~1e-16 for nonspherical ones.
+SPHERICITY = Cut("sphericity", 1e-8)
 
-# |2 e.w - 1| <= UNIT_RADIUS_TOL * n decides unit sphericity.
-UNIT_RADIUS_TOL = 1e-8
+# |2 e.w - 1| at most 1e-8 n decides unit sphericity.
+UNIT_RADIUS = Cut("unit-radius", 1e-8)
 
 
 class Sphericity(NamedTuple):
     """What w with a w = e says about the circumsphere of a."""
 
     e_dot_w: float
-    # 1 / (2 e.w), or None when a fails the SPHERICITY_TOL test.
+    # 1 / (2 e.w), or None when a fails the SPHERICITY cut.
     radius_sq: float | None
     # |2 e.w - 1|, zero at radius one.
     unit_residual: float
-    # Spherical with unit_residual <= UNIT_RADIUS_TOL * n.
+    # Spherical with unit_residual within the UNIT_RADIUS cut.
     unit: bool
 
 
 class SphereColumns(NamedTuple):
     """Sphericity as columns, one row per matrix of a stack; radius_sq is NaN
-    where a matrix fails the SPHERICITY_TOL test."""
+    where a matrix fails the SPHERICITY cut."""
 
     e_dot_w: np.ndarray
     radius_sq: np.ndarray
@@ -82,11 +83,11 @@ def sphericities(etw, ede, n: int, eigenvalues=None) -> SphereColumns:
     It judges a profile and each stack of perturbed matrices alike.
     """
     etw = np.asarray(etw, dtype=float).reshape(-1)
-    spherical, two_etw = etw * (ede / n**2) > SPHERICITY_TOL, 2.0 * etw
+    spherical, two_etw = SPHERICITY.decide(etw * (ede / n**2)).above, 2.0 * etw
     radius_sq = np.where(spherical, 1.0, np.nan) / two_etw  # NaN / 0 raises no warning
     residual = np.abs(two_etw - 1.0)
     return SphereColumns(etw, radius_sq, residual,
-                         spherical & (residual <= UNIT_RADIUS_TOL * n), eigenvalues)
+                         spherical & UNIT_RADIUS.decide(residual, n).below, eigenvalues)
 
 
 def sphericity(a: np.ndarray, w: np.ndarray) -> Sphericity:

@@ -41,7 +41,7 @@ __all__ = [
 MAX_ATTEMPTS = 128
 
 # Margins that keep generated instances robustly away from every
-# classification threshold (see PARALLEL_TOL and the singleton band).
+# classification threshold (see the ZERO, PARALLEL and SINGLETON cuts).
 GENERIC_MARGIN = 1e-4
 ZERO_MARGIN = 1e-10
 # Gale entries this small make the PSD defect just beyond the yield
@@ -140,13 +140,6 @@ def edm_from_points(points: np.ndarray) -> DistanceMatrix:
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     v = rng.normal(size=(count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _points_generic(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
-    # Also serves the parallel-gale structure: with n = r+2 the Gale matrix
-    # is a single column, generically with all entries nonzero, so z^k and
-    # z^l are automatically parallel scalars.
-    return _unit_rows(rng, n, r)
 
 
 def _points_zero_gale(
@@ -323,7 +316,9 @@ def gen_unit_profile(spec: InstanceSpec, tol: TolerancePolicy = DEFAULT_TOL) -> 
     rng = np.random.default_rng(np.uint64(spec.seed))
     for _ in range(MAX_ATTEMPTS):
         if spec.structure in (Structure.GENERIC, Structure.PARALLEL_GALE_PAIR):
-            points = _points_generic(rng, spec.n, spec.r)
+            # With n = r+2 (parallel-gale) the Gale matrix is a single column, generically
+            # with all entries nonzero, so z^k and z^l are automatically parallel scalars.
+            points = _unit_rows(rng, spec.n, spec.r)
         elif spec.structure is Structure.ZERO_GALE_PAIR:
             points = _points_zero_gale(rng, spec.n, spec.r, spec.entry)
         elif spec.structure is Structure.MIRROR_PAIR:

@@ -26,9 +26,9 @@ classify makes this case split once per entry and returns it as a
 PerturbationReport, whose case tag and T<= fix T=; it raises
 NotUnitSpherical (model.require_unit, the one unit guard) for a profile
 that is not unit spherical.  radius_squared evaluates the radius from
-that report without classifying again.  Both
-parallelism tests use the profile's row scales, and the near-parallel
-warnings read the ratio each test measured.
+that report without classifying again.  Every threshold is a linalg.Cut;
+the report keeps the Decisions classify made, and its warnings are those
+that came out near their cut.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, NumericalFailure, OutsideTleq, PoleAt
-from .linalg import RECON_REL
+from .linalg import RECON_REL, Cut, Decision
 from .model import EdmProfile, require_unit
 from .yielding import (
-    PARALLEL_TOL,
+    ZERO,
     EntryIndex,
     Interval,
     ParallelKind,
-    ParallelRelation,
     YieldingReport,
     row_interval,
     singleton_gap,
@@ -61,15 +60,16 @@ __all__ = [
     "classify",
 ]
 
-# Relative band within which |s^k|^2 = c^2 |s^l|^2 counts as exact, collapsing
-# the two-point unit set to {0}; ten thousand times the band triggers a
-# proximity warning since the two cases meet continuously.
-SINGLETON_BAND = 1e-8
-PROXIMITY_BAND = 1e-4
-# Singular ratios below this leave the semidefiniteness defect of the
-# "wrong" branch near the eigenvalue noise floor (it scales with the
-# ratio squared), so a not-parallel verdict is flagged up to here.
-NEAR_PARALLEL_BAND = 1e-2
+# Relative gap within which |s^k|^2 = c^2 |s^l|^2 counts as exact, collapsing
+# the two-point unit set to {0}; up to ten thousand times that it warns,
+# since the two cases meet continuously.
+SINGLETON = Cut("singleton", 1e-8, band=1e-4)
+# |g(t)| within 1e-12 of its terms' size is a root of g; there |f(t)| within
+# 1e-8 of its terms' size shares it, unless g's slope is below 1e-300.
+G_ROOT = Cut("g-root", 1e-12)
+F_ZERO = Cut("f-zero", 1e-8)
+FLAT = Cut("flat", 1e-300)
+TLEQ_SLACK = Cut("t-leq-slack", 1e-9)
 
 
 class CaseTag(enum.Enum):
@@ -111,7 +111,12 @@ class PerturbationReport:
     case_tag: CaseTag
     t_leq: Interval
     coefficients: RadiusCoefficients | None
-    warnings: tuple[str, ...] = ()
+    decisions: tuple[Decision, ...] = ()
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The text of each decision that came out near its cut."""
+        return tuple(_warning(d, self.case_tag) for d in self.decisions if d.near)
 
     @property
     def theta_c(self) -> float | None:
@@ -175,14 +180,16 @@ def _build_coefficients(
     )
 
 
-def _near_parallel(relation: ParallelRelation, rows: str, verdict: str) -> tuple[str, ...]:
-    """Warning for a not-parallel verdict whose measured ratio is near the cut."""
-    if PARALLEL_TOL < relation.ratio <= NEAR_PARALLEL_BAND:
-        return (
-            f"near-parallel {rows} (singular ratio {relation.ratio:.3e}): "
-            f"{verdict} is tolerance-sensitive",
-        )
-    return ()
+def _warning(decision: Decision, tag: CaseTag) -> str:
+    """The text of a near decision: a singleton gap, or the parallelism ratio
+    of the rows that decided `tag` (the Gale rows unless they yield)."""
+    if decision.name == SINGLETON.name:
+        return ("singleton-pair proximity: |s^k|^2 and c^2 |s^l|^2 agree to "
+                f"{decision.margin:.3e}; the classification band is {SINGLETON.threshold:.0e}")
+    rows, verdict = (("Gale rows", "the unyielding verdict") if tag is CaseTag.NOT_YIELDING
+                     else ("stacked rows", "the trivial radius-one set"))
+    return (f"near-parallel {rows} (singular ratio {decision.margin:.3e}): "
+            f"{verdict} is tolerance-sensitive")
 
 
 def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
@@ -193,37 +200,27 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
     """
     require_unit(prof)
     yrep = yielding_report(prof, entry)
+    decisions = list(yrep.gale_relation.decisions)
 
-    def report(tag, tleq, coefficients=None, warnings=()):
-        return PerturbationReport(entry, yrep, tag, tleq, coefficients, tuple(warnings))
+    def report(tag, tleq, coefficients=None):
+        return PerturbationReport(entry, yrep, tag, tleq, coefficients, tuple(decisions))
 
     if not yrep.yielding:
-        warnings = _near_parallel(yrep.gale_relation, "Gale rows", "the unyielding verdict")
-        return report(CaseTag.NOT_YIELDING, yrep.interval, warnings=warnings)
+        return report(CaseTag.NOT_YIELDING, yrep.interval)
 
-    trel, tleq = row_interval(prof, entry, prof.Z_tilde, prof.zt_scale)
+    trel, tleq = row_interval(prof, entry, prof.Z_tilde, prof.zt_scale,
+                              (yrep.theta_lower, yrep.theta_upper))
+    decisions += trel.decisions
     if trel.kind is ParallelKind.NOT_PARALLEL:
-        warnings = _near_parallel(trel, "stacked rows", "the trivial radius-one set")
-        return report(CaseTag.TLEQ_TRIVIAL, tleq, warnings=warnings)
+        return report(CaseTag.TLEQ_TRIVIAL, tleq)
 
-    if trel.kind is ParallelKind.BOTH_ZERO:
-        # w_k = w_l = 0 (and z^k = z^l = 0): the radius stays 1 on the whole
-        # yielding interval.
-        return report(CaseTag.CONTINUUM_UNIT, tleq)
-
-    c = trel.c
-    w = prof.w
-    w_zero = PARALLEL_TOL * prof.w_scale
-    wk_zero = abs(w[entry.i]) <= w_zero
-    wl_zero = abs(w[entry.j]) <= w_zero
-
-    if wk_zero and wl_zero:
-        # Nonzero parallel Gale rows but both w entries vanish: radius 1
-        # throughout.
-        return report(CaseTag.CONTINUUM_UNIT, tleq)
-
-    if yrep.gale_relation.kind is ParallelKind.SCALAR:
-        # w_k != 0 with nonzero parallel Gale rows: radius 1 throughout.
+    w_zero = [ZERO.decide(abs(prof.w[k]), prof.w_scale) for k in (entry.i, entry.j)]
+    decisions += w_zero
+    # The radius stays 1 on all of T<= when the [w Z] rows both vanish, when
+    # w_k = w_l = 0 beside nonzero parallel Gale rows, and when w_k != 0
+    # beside nonzero parallel Gale rows.
+    if (trel.kind is ParallelKind.BOTH_ZERO or (w_zero[0].below and w_zero[1].below)
+            or yrep.gale_relation.kind is ParallelKind.SCALAR):
         return report(CaseTag.CONTINUUM_UNIT, tleq)
 
     if yrep.theta_lower is None or yrep.theta_upper is None:
@@ -232,16 +229,10 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
         raise DegenerateDenominator(
             f"g has no usable roots for entry ({entry.k},{entry.l})"
         )
-    coeffs = _build_coefficients(prof, entry, c)
-    gap = singleton_gap(prof, entry, c)
-    warnings = []
-    if SINGLETON_BAND < gap <= PROXIMITY_BAND:
-        warnings.append(
-            "singleton-pair proximity: |s^k|^2 and c^2 |s^l|^2 agree to "
-            f"{gap:.3e}; the classification band is {SINGLETON_BAND:.0e}"
-        )
-    tag = CaseTag.SINGLETON_UNIT if gap <= SINGLETON_BAND else CaseTag.PAIR_UNIT
-    return report(tag, tleq, coeffs, warnings)
+    coeffs = _build_coefficients(prof, entry, trel.c)
+    singleton = SINGLETON.decide(singleton_gap(prof, entry, trel.c))
+    decisions.append(singleton)
+    return report(CaseTag.SINGLETON_UNIT if singleton.below else CaseTag.PAIR_UNIT, tleq, coeffs)
 
 
 def _eval_f_over_g(coeffs: RadiusCoefficients, lo: float, hi: float, t):
@@ -252,13 +243,13 @@ def _eval_f_over_g(coeffs: RadiusCoefficients, lo: float, hi: float, t):
         f_val = coeffs.f(t)
         one_t = 1.0 + abs(t)
         g_scale = abs(coeffs.beta2) * (one_t + abs(lo)) * (one_t + abs(hi))
-        root = abs(g_fact) <= 1e-12 * g_scale
+        root = G_ROOT.decide(abs(g_fact), g_scale).below
         value = f_val / g_fact
         if not root.any():  # most calls: no t at a root of g, so no pole
             return value, root
         f_scale = 1.0 + abs(coeffs.alpha1 * t) + abs(coeffs.alpha2 * t * t)
         den = coeffs.beta1 + 2.0 * coeffs.beta2 * t
-        pole = root & (~(abs(f_val) <= 1e-8 * f_scale) | (abs(den) <= 1e-300))
+        pole = root & (~F_ZERO.decide(abs(f_val), f_scale).below | FLAT.decide(abs(den)).below)
         value = np.where(root, (coeffs.alpha1 + 2.0 * coeffs.alpha2 * t) / den, value)
     return np.where(pole, np.nan, value), pole
 
@@ -275,9 +266,11 @@ def radius_squared(report: PerturbationReport, t, extrapolate: bool = False):
     raises OutsideTleq, and the first pole PoleAt.
     """
     tleq, coeffs = report.t_leq, report.coefficients
-    slack = 1e-9 * (1.0 + abs(tleq.lo) + abs(tleq.hi))
     ts = np.asarray(t, dtype=float)
-    outside = ~tleq.contains(ts, slack) & (coeffs is None or not extrapolate)
+    # How far each t lies beyond T<=; a NaN t is not within the slack.
+    beyond = np.maximum(tleq.lo - ts, ts - tleq.hi)
+    within = TLEQ_SLACK.decide(beyond, 1.0 + abs(tleq.lo) + abs(tleq.hi)).below
+    outside = ~within & (coeffs is None or not extrapolate)
     if coeffs is None:
         value, pole = np.ones(ts.shape), False
     else:

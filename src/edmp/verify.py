@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cayley import bordered, cm_w_inner
-from .errors import EdmpError, PoleAt
+from .errors import EdmpError
 from .linalg import (DEFAULT_TOL, PSD_SLACK, RECON_REL, EigDecomp, TolerancePolicy, sym_eig,
                      symmetrize)
 from .model import DistanceMatrix, EdmProfile, SphereColumns, profile
@@ -75,10 +75,6 @@ class VerifySummary:
     enforce_coverage: bool = True
 
     @property
-    def checks_failed(self) -> int:
-        return len(self.failures)
-
-    @property
     def missing_cases(self) -> list[str]:
         if not self.enforce_coverage:
             return []
@@ -95,7 +91,7 @@ class VerifySummary:
     def render(self) -> str:
         lines = [
             f"verified {self.instances} instances: "
-            f"{self.checks_passed} checks passed, {self.checks_failed} failed"
+            f"{self.checks_passed} checks passed, {len(self.failures)} failed"
         ]
         coverage = " ".join(
             f"{tag.value}={self.case_counts.get(tag.value, 0)}" for tag in CaseTag
@@ -158,32 +154,30 @@ def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1.0))
 
 
+def _worst_rel(got, want) -> float:
+    """Largest |got - want| / max(1, |want|), passing over NaN; 0 for none."""
+    return float(np.fmax.reduce(np.abs(got - want) / np.maximum(1.0, np.abs(want)),
+                                initial=0.0))
+
+
 def worst_closed_vs_direct(closed, direct) -> float:
-    """Largest |closed - direct| / max(1, |direct|) of the rational radii against
-    the direct oracle 1 / (2 e.w(t)) at the same t, the radius_sq column of
-    PerturbedLine.spheres; a NaN error is passed over.
+    """_worst_rel of the rational radii against the direct oracle 1 / (2 e.w(t))
+    at the same t, the radius_sq column of PerturbedLine.spheres.
 
     A perturbed matrix with no sphere (NaN) counts as 1, the limit of the error
     as the direct radius grows without bound.
     """
-    rel = np.abs(closed - direct) / np.maximum(1.0, np.abs(direct))
-    return float(np.fmax.reduce(np.where(np.isnan(direct), 1.0, rel), initial=0.0))
+    return max(_worst_rel(closed, direct), float(np.isnan(direct).any()))
 
 
 def worst_border_vs_closed(report: PerturbationReport, ts, closed) -> float | None:
-    """Largest |border - closed| / max(1, |closed|) over the t and closed radii
-    of the bordered radius 1 - e~.w~(t)/2 against the rational one; None when
+    """_worst_rel over the t and closed radii of the bordered radius
+    1 - e~.w~(t)/2 against the rational one, passing over poles; None when
     the report has no coefficients or every t hits a pole."""
     if report.coefficients is None:
         return None
-    diffs = []
-    for t, rho_sq in zip(np.asarray(ts).tolist(), closed.tolist()):
-        try:
-            border = 1.0 - 0.5 * cm_w_inner(report, t)
-        except PoleAt:
-            continue
-        diffs.append(abs(border - rho_sq) / max(1.0, abs(rho_sq)))
-    return max(diffs, default=None)
+    border = 1.0 - 0.5 * cm_w_inner(report, np.asarray(ts, dtype=float))
+    return None if np.isnan(border).all() else _worst_rel(border, closed)
 
 
 def _check(results: list[CheckResult], name: str, ok: bool, detail: str = "") -> None:
@@ -437,14 +431,8 @@ def _check_rational_case(prof: EdmProfile, report: PerturbationReport,
     # D + t E^kl is D~ + t E^{k+1,l+1}.  Skipped where bordered-profile failed.
     if border is not None:
         line = PerturbedLine(border, EntryIndex(entry.k + 1, entry.l + 1))
-        worst_direct = 0.0
         ts = tleq.interior_samples(3)
-        for t, direct in zip(ts.tolist(), line.spheres(ts).e_dot_w.tolist()):
-            try:
-                closed = cm_w_inner(report, t)
-            except PoleAt:
-                continue
-            worst_direct = max(worst_direct, abs(closed - direct) / max(1.0, abs(direct)))
+        worst_direct = _worst_rel(cm_w_inner(report, ts), line.spheres(ts).e_dot_w)
         _check(out, "border-direct", worst_direct <= 1e-8,
                f"closed e~.w~ vs direct rel err {worst_direct:.3e}")
     if report.case_tag is CaseTag.SINGLETON_UNIT:

@@ -23,10 +23,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateDenominator
+from .linalg import Cut, Decision
 from .model import EdmProfile
 
 __all__ = [
-    "PARALLEL_TOL",
+    "PARALLEL",
+    "ZERO",
     "EntryIndex",
     "Interval",
     "ParallelKind",
@@ -40,11 +42,14 @@ __all__ = [
     "yielding_report",
 ]
 
-# Singular-value ratio below which a 2-column stack counts as parallel.
-PARALLEL_TOL = 1e-8
-
-# Relative size below which a closed-form denominator counts as vanished.
-DEGENERATE_TOL = 1e-12
+# A row (or w entry) at most 1e-8 of its stack's largest row norm counts as zero.
+ZERO = Cut("zero", 1e-8)
+# Parallel at a singular-value ratio s2/s1 up to 1e-8; up to 1e-2 the wrong branch's
+# PSD defect (the ratio squared) is near eigenvalue noise, so not-parallel warns.
+PARALLEL = Cut("parallel", 1e-8, band=1e-2)
+# A closed-form denominator at most 1e-12 of its terms' size counts as vanished.
+DEGENERATE = Cut("degenerate", 1e-12)
+TINY = 1e-300  # floor of a scale that may vanish
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,6 @@ class Interval(NamedTuple):
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, t, slack: float = 0.0):
-        """Whether t, or each t of an array, lies within slack of the interval."""
-        return (self.lo - slack <= t) & (t <= self.hi + slack)
-
     def interior_samples(self, count: int) -> np.ndarray:
         """count points strictly inside the interval, evenly placed."""
         offsets = (np.arange(count) + 0.5) / count
@@ -108,12 +109,13 @@ class ParallelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ParallelRelation:
-    """Outcome of the parallelism test: the singular ratio s2/s1 of [u v] it
-    measured (0 when both are zero) and, when SCALAR, c with u = c v."""
+    """Outcome of the parallelism test: its decisions, the singular ratio s2/s1
+    of [u v] it measured (0 when both are zero) and, when SCALAR, c with u = c v."""
 
     kind: ParallelKind
     ratio: float = 0.0
     c: float | None = None
+    decisions: tuple[Decision, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -155,18 +157,19 @@ def parallel_relation(u, v, scale: float) -> ParallelRelation:
         raise ValueError("vectors must have equal length")
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
-    zero = PARALLEL_TOL * scale
-    if nu <= zero and nv <= zero:
-        return ParallelRelation(ParallelKind.BOTH_ZERO)
+    zero_u, zero_v = ZERO.decide(nu, scale), ZERO.decide(nv, scale)
+    if zero_u.below and zero_v.below:
+        return ParallelRelation(ParallelKind.BOTH_ZERO, decisions=(zero_u, zero_v))
     sing = np.linalg.svd(np.column_stack([u, v]), compute_uv=False)
-    second = sing[1] if len(sing) > 1 else 0.0  # length-1 vectors: rank <= 1
-    ratio = float(second / sing[0])
-    if nu <= zero or nv <= zero or second > PARALLEL_TOL * sing[0]:
-        return ParallelRelation(ParallelKind.NOT_PARALLEL, ratio)
+    par = PARALLEL.decide(sing[1] if len(sing) > 1 else 0.0, sing[0])  # length 1: rank <= 1
+    made = (zero_u, zero_v, par)
+    if zero_u.below or zero_v.below or par.above:
+        return ParallelRelation(ParallelKind.NOT_PARALLEL, float(par.margin), decisions=made)
     c = float(u @ v) / float(v @ v)
-    if abs(c) * nv <= zero:
-        return ParallelRelation(ParallelKind.NOT_PARALLEL, ratio)
-    return ParallelRelation(ParallelKind.SCALAR, ratio, c)
+    zero_c = ZERO.decide(abs(c) * nv, scale)
+    kind = ParallelKind.NOT_PARALLEL if zero_c.below else ParallelKind.SCALAR
+    return ParallelRelation(kind, float(par.margin), None if zero_c.below else c,
+                            (*made, zero_c))
 
 
 def _bdag_entries(prof: EdmProfile, entry: EntryIndex) -> tuple[float, float, float]:
@@ -175,17 +178,18 @@ def _bdag_entries(prof: EdmProfile, entry: EntryIndex) -> tuple[float, float, fl
     return float(bd[entry.i, entry.i]), float(bd[entry.j, entry.j]), float(bd[entry.i, entry.j])
 
 
+def _vanished(entry: EntryIndex, what: str) -> DegenerateDenominator:
+    return DegenerateDenominator(f"{what} vanished for entry ({entry.k},{entry.l})")
+
+
 def theta_bounds(prof: EdmProfile, entry: EntryIndex) -> tuple[float, float]:
     """Closed-form endpoints 2/(B+_kl -+ sqrt(B+_kk B+_ll))."""
     kk, ll, kl = _bdag_entries(prof, entry)
     root = float(np.sqrt(max(kk, 0.0) * max(ll, 0.0)))
-    scale = max(root + abs(kl), 1e-300)
     lo_den = kl - root
     hi_den = kl + root
-    if min(abs(lo_den), abs(hi_den)) <= DEGENERATE_TOL * scale:
-        raise DegenerateDenominator(
-            f"interval endpoint denominator vanished for entry ({entry.k},{entry.l})"
-        )
+    if DEGENERATE.decide(min(abs(lo_den), abs(hi_den)), max(root + abs(kl), TINY)).below:
+        raise _vanished(entry, "interval endpoint denominator")
     return 2.0 / lo_den, 2.0 / hi_den
 
 
@@ -195,11 +199,8 @@ def theta_c(prof: EdmProfile, entry: EntryIndex, c: float) -> float:
         raise ValueError("parallelism scalar c must be nonzero")
     kk, ll, kl = _bdag_entries(prof, entry)
     den = kk + c * c * ll - 2.0 * c * kl
-    scale = max(kk + c * c * ll + 2.0 * abs(c * kl), 1e-300)
-    if den <= DEGENERATE_TOL * scale:
-        raise DegenerateDenominator(
-            f"|s^k - c s^l|^2 vanished for entry ({entry.k},{entry.l})"
-        )
+    if DEGENERATE.decide(den, max(kk + c * c * ll + 2.0 * abs(c * kl), TINY)).below:
+        raise _vanished(entry, "|s^k - c s^l|^2")
     return -4.0 * c / den
 
 
@@ -207,24 +208,25 @@ def singleton_gap(prof: EdmProfile, entry: EntryIndex, c: float) -> float:
     """Relative gap of |s^k|^2 = B+_kk from c^2 |s^l|^2; T= is {0} where it vanishes."""
     kk, ll, _ = _bdag_entries(prof, entry)
     cll = c * c * ll
-    return abs(kk - cll) / max(kk, cll, 1e-300)
+    return abs(kk - cll) / max(kk, cll, TINY)
 
 
-def row_interval(
-    prof: EdmProfile, entry: EntryIndex, rows: np.ndarray | None, scale: float | None
-) -> tuple[ParallelRelation, Interval]:
-    """Relation of rows k and l of `rows` (zero-tested against `scale`) and
-    its interval: [theta_lower, theta_upper] when both are zero (so when
-    rows is None, the Gale stack at r = n-1), the half-interval ending at
-    theta_c when u = c v, else [0, 0].  A degenerate denominator propagates.
-    """
+def row_interval(prof: EdmProfile, entry: EntryIndex, rows: np.ndarray | None,
+                 scale: float | None, bounds: tuple[float | None, float | None]
+                 ) -> tuple[ParallelRelation, Interval]:
+    """Relation of rows k and l of `rows` (zero-tested against `scale`) and its
+    interval: `bounds`, the entry's (theta_lower, theta_upper), when both are zero
+    (rows None is the Gale stack at r = n-1), the half-interval ending at theta_c
+    when u = c v, else [0, 0]; a vanished denominator (a None bound) raises."""
     entry.check_order(prof.n)
     if rows is None:
         relation = ParallelRelation(ParallelKind.BOTH_ZERO)
     else:
         relation = parallel_relation(rows[entry.i], rows[entry.j], scale=scale)
     if relation.kind is ParallelKind.BOTH_ZERO:
-        return relation, Interval(*theta_bounds(prof, entry))
+        if None in bounds:
+            raise _vanished(entry, "interval endpoint denominator")
+        return relation, Interval(*bounds)
     if relation.kind is ParallelKind.SCALAR:
         tc = theta_c(prof, entry, relation.c)
         return relation, Interval(tc, 0.0) if relation.c > 0 else Interval(0.0, tc)
@@ -232,10 +234,10 @@ def row_interval(
 
 
 def yielding_report(prof: EdmProfile, entry: EntryIndex) -> YieldingReport:
-    """Decide yielding status of d_kl and compute its interval."""
-    relation, interval = row_interval(prof, entry, prof.Z, prof.z_scale)
+    """Decide yielding status of d_kl and compute its interval and bounds."""
     try:
         lo, hi = theta_bounds(prof, entry)
     except DegenerateDenominator:
         lo = hi = None
+    relation, interval = row_interval(prof, entry, prof.Z, prof.z_scale, (lo, hi))
     return YieldingReport(entry, relation, lo, hi, interval)

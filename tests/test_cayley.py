@@ -179,9 +179,16 @@ class TestWInner:
 
     def test_triangle_short_side_matches_radius(self, triangle_profile):
         report = classify(triangle_profile, EntryIndex(1, 2))
-        for t in (0.0, 0.5, 1.0, 2.0, 3.0):
+        ts = (0.0, 0.5, 1.0, 2.0, 3.0)
+        for t in ts:
             val = 1.0 - 0.5 * cm_w_inner(report, t)
             assert_allclose(val, rho12(t), atol=1e-12)
+        # An array of t answers bit for bit each float t, with NaN at a pole
+        # (theta_lower = 3 - 2 sqrt(3) and theta_upper = 3 + 2 sqrt(3) here).
+        poles = [report.yielding_report.theta_lower, report.yielding_report.theta_upper]
+        out = cm_w_inner(report, np.array([*ts, *poles]))
+        assert out[:5].tolist() == [cm_w_inner(report, t) for t in ts]
+        assert np.isnan(out[5:]).all()
 
     def test_zero_at_theta_c_in_pair_case(self, triangle_profile):
         report = classify(triangle_profile, EntryIndex(1, 2))

@@ -289,9 +289,10 @@ class TestSweep:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: --num ")
 
-    @pytest.mark.parametrize("margin", ["nan", "inf", "1e308"])
+    @pytest.mark.parametrize("margin", ["nan", "inf", "1e308", "1e200", "8e307"])
     def test_nonfinite_sweep_range_exits_2(self, capsys, triangle_file, margin):
-        # Each once reached LAPACK with a non-finite t and exited 7.
+        # Each once reached LAPACK with a non-finite t and exited 7, or (1e200,
+        # 8e307) printed closed radii from an overflowed scale beyond |t| = 1e150.
         code, out, err = run_cli(capsys, "sweep", triangle_file,
                                  "--k", "1", "--l", "2", "--margin", margin)
         assert (code, out) == (2, "")

@@ -4,8 +4,9 @@ Every module-level import of an `edmp` module is used in that module or
 listed in its `__all__`, every name in `__all__` is defined, every name
 in `__all__` is used by another module, by the benchmark or is
 documented in the README, every module-level function, class and
-constant is read by package code or by the benchmark, and only `linalg`
-calls LAPACK's symmetric eigensolvers.
+constant is read by package code or by the benchmark, only `linalg`
+calls LAPACK's symmetric eigensolvers, and no function body of `yielding`,
+`perturbation` or `cayley` holds a bare threshold below 1e-3.
 """
 
 import ast
@@ -150,3 +151,16 @@ def test_only_linalg_names_the_eigensolvers(path):
     # where the operation counts and the benchmark's tracer see it.
     named = _named(path) & {"eigh", "eigvalsh"}
     assert not named, f"{path.name} names {sorted(named)}; use linalg.sym_eig"
+
+
+@pytest.mark.parametrize("name", ["yielding.py", "perturbation.py", "cayley.py"])
+def test_no_bare_threshold_in_function_bodies(name):
+    # Every threshold of the classification is a named linalg.Cut at module
+    # level; a small float literal inside a function is one that is not.
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    bare = sorted({(node.lineno, node.value)
+                   for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.Constant) and type(node.value) is float
+                   and 0.0 < abs(node.value) < 1e-3})
+    assert not bare, f"{name} has bare thresholds (line, value): {bare}"

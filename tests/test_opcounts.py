@@ -2,9 +2,9 @@
 matrix of a profile is factored once.
 
 Calls are counted by wrapping numpy's eigh, eigvalsh and svd, the yielding
-classifier as seen from the perturbation module, `profile` and
-`radius_squared` under every module name that calls them (with the samples
-each radius_squared call is given), `EigDecomp.cond` and construction,
+classifier as seen from the perturbation module, `yielding.theta_bounds`,
+`profile` and `radius_squared` under every module name that calls them (with
+the samples each radius_squared call is given), `EigDecomp.cond` and construction,
 `model.centroid_gram` and `sphericity` under every module that holds it.
 An eigh or eigvalsh call on a stack factors every matrix of it, so the
 matrices factored are counted next to the calls, with the largest order
@@ -26,6 +26,7 @@ import edmp.model
 import edmp.oracle
 import edmp.perturbation
 import edmp.verify
+import edmp.yielding
 from edmp import (
     CaseTag,
     DistanceMatrix,
@@ -88,7 +89,8 @@ CLASSIFY_SVD_CALLS = {CaseTag.NOT_YIELDING: 1, CaseTag.TLEQ_TRIVIAL: 2}
 def counts(monkeypatch):
     seen = {"eigh": 0, "eigvalsh": 0, "matrices": 0, "svd": 0, "yielding_report": 0,
             "profile": 0, "cond": 0, "centroid_gram": 0, "radius_squared": 0,
-            "sphericity": 0, "max_order": 0, "radius_samples": 0, "eig_decomp": 0}
+            "sphericity": 0, "max_order": 0, "radius_samples": 0, "eig_decomp": 0,
+            "theta_bounds": 0}
 
     def counting(module, name, key, *also):
         original = getattr(module, name)
@@ -111,6 +113,7 @@ def counts(monkeypatch):
     counting(np.linalg, "eigvalsh", "eigh", "eigvalsh")
     counting(np.linalg, "svd", "svd")
     counting(edmp.perturbation, "yielding_report", "yielding_report")
+    counting(edmp.yielding, "theta_bounds", "theta_bounds")
     for module in (edmp.model, edmp.oracle, edmp.verify):
         counting(module, "profile", "profile")
     for module in (edmp.cli, edmp.verify):
@@ -230,6 +233,16 @@ def test_classify_measures_each_parallelism_once(counts):
         assert counts["svd"] == CLASSIFY_SVD_CALLS[template.expected]
         tags.add(report.case_tag)
     assert tags == set(CLASSIFY_SVD_CALLS)
+
+
+def test_classify_decides_theta_bounds_once(counts):
+    # yielding_report decides the endpoint denominators once, and the row
+    # intervals of the Gale and [w Z] stacks both reuse them.
+    for template in default_templates(8):
+        prof = profile(gen_unit_spherical(template.spec))
+        counts["theta_bounds"] = 0
+        classify(prof, template.spec.entry)
+        assert counts["theta_bounds"] == 1, template
 
 
 def test_sweep_classifies_once(counts, tmp_path):

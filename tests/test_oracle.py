@@ -29,7 +29,7 @@ import edmp.cli
 from edmp.cli import main
 from edmp.linalg import PSD_SLACK, EigDecomp, sym_eig
 from edmp.matio import load_matrix, matrix_to_csv
-from edmp.model import UNIT_RADIUS_TOL, Sphericity, is_edm_array, sphericity
+from edmp.model import UNIT_RADIUS, Sphericity, is_edm_array, sphericity
 from edmp.oracle import SDP_CAP, SDP_GAP, PerturbedLine, edm_from_points, gen_unit_profile
 from edmp.verify import check_profile, default_templates
 
@@ -242,7 +242,7 @@ class TestMembershipScan:
         assert scan.in_t_eq.tolist() == [True, True]
         spheres = PerturbedLine(prof, entry).spheres([t for t, _, _ in rows + scanned])
         for (_, in_t_leq, in_t_eq), residual in zip(rows + scanned, spheres.unit_residual):
-            assert in_t_eq == (in_t_leq and residual <= UNIT_RADIUS_TOL * d.n)
+            assert in_t_eq == (in_t_leq and residual <= UNIT_RADIUS.threshold * d.n)
 
 
 def single_matrix_verdicts(d, entry, t, tol):

@@ -251,7 +251,7 @@ class TestClassify:
                         assert rep.t_eq == tuple(rep.t_leq)
                     else:
                         assert 0.0 in rep.t_eq
-                        assert all(rep.t_leq.contains(t) for t in rep.t_eq)
+                        assert all(rep.t_leq.lo <= t <= rep.t_leq.hi for t in rep.t_eq)
 
     def test_compound_zero_rows_full_interval(self):
         # Both w and the Gale rows vanish at the pair while r <= n-2: the
