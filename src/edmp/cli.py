@@ -85,7 +85,6 @@ def _tolerances_block(tol: TolerancePolicy) -> dict:
 
 
 def _profile_block(prof: EdmProfile) -> dict:
-    center = prof.center  # solved when read, so read once
     return {
         "n": prof.n,
         "embedding_dim": prof.r,
@@ -97,7 +96,7 @@ def _profile_block(prof: EdmProfile) -> dict:
         "w": list(prof.w),
         "e_dot_w": prof.sphere.e_dot_w,
         "gale_columns": 0 if prof.Z is None else prof.Z.shape[1],
-        "center": None if center is None else list(center),
+        "center": None if prof.center is None else list(prof.center),
     }
 
 

@@ -2,11 +2,11 @@
 
 A hollow symmetric nonnegative matrix D is an EDM exactly when the
 centroid Gram matrix B = -JDJ/2 is positive semidefinite.  From one
-eigendecomposition of B the profile derives the EDM verdict, the
-embedding dimension, a deterministic configuration, B+ and the Gale
-basis (B's null eigenvectors with e projected out); one of D gives D+,
-w with Dw = e, D's spectrum, whence kappa(D) and rank(D), and the
-eigenvectors above the rank cut, a basis of range(D).  It also
+eigendecomposition of B the profile derives the EDM verdict and the
+embedding dimension, and on first read a deterministic configuration,
+B+ and the Gale basis (B's null eigenvectors with e projected out); one
+of D gives D+, w with Dw = e, D's spectrum, whence kappa(D) and rank(D),
+and the eigenvectors above the rank cut, a basis of range(D).  It also
 holds the sphericity data (center, regularity, and the radius and unit
 verdict, which are views of the one Sphericity record).  Spherical EDMs
 of radius one are the domain of the perturbation machinery in the rest
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -152,29 +153,24 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class EdmProfile:
-    """Cached derived data of one EDM.  Immutable after construction."""
+    """Derived data of one EDM, immutable: the fields are built at construction,
+    and each cached property from them on first read, then kept."""
 
     d: DistanceMatrix
     tol: TolerancePolicy
     r: int
     B: np.ndarray
-    B_dag: np.ndarray
+    # B's factorization, values and vectors: the on-demand parts read it.
+    b_dec: EigDecomp
     D_dag: np.ndarray
     # Eigenvalues alone of the factorization that gives D+: kappa(D), rank(D).
     d_spectrum: EigDecomp
     # Its eigenvectors above the rank cut: an orthonormal basis of range(D).
     d_range: np.ndarray
-    P: np.ndarray
     w: np.ndarray
-    Z: np.ndarray | None
-    Z_tilde: np.ndarray
     sphere: Sphericity
-    regular: bool
-    # Zero-test scales, floored at 1e-300: max |w|, the max row norm of Z
-    # (None when Z is None) and the max row norm of [w Z].
+    # Zero-test scale of w, floored at 1e-300: max |w|.
     w_scale: float
-    z_scale: float | None
-    zt_scale: float
 
     @property
     def n(self) -> int:
@@ -192,10 +188,53 @@ class EdmProfile:
     def radius(self) -> float | None:
         return float(np.sqrt(self.sphere.radius_sq)) if self.spherical else None
 
-    @property
+    @cached_property
+    def B_dag(self) -> np.ndarray:
+        return _readonly(self.b_dec.pinv(self.tol))
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """Configuration: B's leading r eigenvectors scaled by sqrt(eigenvalue),
+        signs fixed so the first significant entry of each column is positive."""
+        vals_r = np.clip(self.b_dec.values[: self.r], 0.0, None)
+        return _readonly(fix_column_signs(self.b_dec.vectors[:, : self.r] * np.sqrt(vals_r)))
+
+    @cached_property
+    def regular(self) -> bool:
+        de = self.d.d @ np.ones(self.n)
+        return self.spherical and bool(np.linalg.norm(de - de.mean())
+                                       <= RECON_REL * max(np.linalg.norm(de), 1.0))
+
+    @cached_property
+    def Z(self) -> np.ndarray | None:
+        """Gale basis, None unless r <= n-2: B's trailing n-r eigenvectors span
+        null(B), which holds e; e/sqrt(n) is projected out, the rest orthonormalized."""
+        n, r = self.n, self.r
+        if r > n - 2:
+            return None
+        u = np.ones(n) / np.sqrt(n)
+        v = self.b_dec.vectors[:, r:]
+        q, _, _ = np.linalg.svd(v - np.outer(u, u @ v), full_matrices=False)
+        return _readonly(fix_column_signs(q[:, : n - r - 1]))
+
+    @cached_property
+    def Z_tilde(self) -> np.ndarray:
+        """[w Z], or w alone as one column when Z is None."""
+        return _readonly(self.w[:, None] if self.Z is None else np.column_stack([self.w, self.Z]))
+
+    # Zero-test scales, floored at 1e-300: the max row norms of Z and of [w Z].
+    @cached_property
+    def z_scale(self) -> float | None:
+        return None if self.Z is None else _max_row_norm(self.Z)
+
+    @cached_property
+    def zt_scale(self) -> float:
+        return _max_row_norm(self.Z_tilde)
+
+    @cached_property
     def center(self) -> np.ndarray | None:
-        """Circumcenter in P's coordinates, solved when read: the least squares
-        c with P c = (diag B - mean(diag B)) / 2; None unless spherical."""
+        """Circumcenter in P's coordinates: the least squares c with
+        P c = (diag B - mean(diag B)) / 2; None unless spherical."""
         if not self.spherical:
             return None
         rhs = 0.5 * (np.diag(self.B) - np.full(self.n, np.diag(self.B).mean()))
@@ -239,76 +278,38 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile:
-    """Full derived profile of an EDM; raises NotAnEdm otherwise.
+    """Derived profile of an EDM; raises NotAnEdm otherwise.
 
-    B is factored once: the EDM verdict, r, P, B+ and the Gale basis all
-    come from that decomposition.  D+, D's spectrum and d_range come from
-    a second one.  The row scales that every zero and parallelism test is
-    judged against are computed once here.
+    B is factored once, for the EDM verdict and r; the profile keeps that
+    factorization, whence P, B+ and the Gale basis on first read.  D+, w,
+    D's spectrum and d_range come from a second one.
     """
     a = d.d
-    n = d.n
-    e = np.ones(n)
 
     b = centroid_gram(a)
     dec = sym_eig(b)
     if not is_edm_array(a, gram=dec):
         raise NotAnEdm("input matrix is not a Euclidean distance matrix")
-    r = dec.rank(tol)
-
-    # Deterministic configuration: columns ordered by descending eigenvalue,
-    # signs fixed so the first significant entry of each column is positive.
-    vals_r = np.clip(dec.values[:r], 0.0, None)
-    p = fix_column_signs(dec.vectors[:, :r] * np.sqrt(vals_r))
+    for part in (dec.values, dec.vectors):  # kept by the profile, read-only
+        part.flags.writeable = False
 
     d_dec = sym_eig(a)
     kept = d_dec._kept(tol)
     d_dag = d_dec._inverse(kept)
-    d_spectrum = EigDecomp(_readonly(d_dec.values), None)
-    d_range = _readonly(d_dec.vectors[:, kept])
-    del d_dec  # else its n x n eigenvectors stay alive through the Gale SVD
-    w = d_dag @ e
-    b_dag = dec.pinv(tol)
-
-    sphere = sphericity(a, w)
-    spherical = sphere.radius_sq is not None
-
-    de = a @ e
-    regular = spherical and bool(
-        np.linalg.norm(de - de.mean() * e) <= RECON_REL * max(np.linalg.norm(de), 1.0)
-    )
-
-    # Gale basis: B's trailing n-r eigenvectors span null(B), which holds e;
-    # project out e/sqrt(n) and orthonormalize what is left.
-    z = None
-    if r <= n - 2:
-        u = e / np.sqrt(n)
-        v = dec.vectors[:, r:]
-        q, _, _ = np.linalg.svd(v - np.outer(u, u @ v), full_matrices=False)
-        z = fix_column_signs(q[:, : n - r - 1])
-        z_tilde = np.column_stack([w, z])
-        z = _readonly(z)
-    else:
-        z_tilde = w[:, None].copy()
+    w = d_dag @ np.ones(d.n)
 
     return EdmProfile(
         d=d,
         tol=tol,
-        r=r,
+        r=dec.rank(tol),
         B=_readonly(b),
-        B_dag=_readonly(b_dag),
+        b_dec=dec,
         D_dag=_readonly(d_dag),
-        d_spectrum=d_spectrum,
-        d_range=d_range,
-        P=_readonly(p),
+        d_spectrum=EigDecomp(_readonly(d_dec.values), None),
+        d_range=_readonly(d_dec.vectors[:, kept]),
         w=_readonly(w),
-        Z=z,
-        Z_tilde=_readonly(z_tilde),
-        sphere=sphere,
-        regular=regular,
+        sphere=sphericity(a, w),
         w_scale=max(float(np.abs(w).max()), 1e-300),
-        z_scale=None if z is None else _max_row_norm(z),
-        zt_scale=_max_row_norm(z_tilde),
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for EDM recognition, profiles and the pseudoinverse identities."""
 
+from dataclasses import fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from edmp import (
     DistanceMatrix,
+    EdmProfile,
     EntryIndex,
     InstanceSpec,
     NotAnEdm,
@@ -122,6 +125,19 @@ class TestProfile:
         # The Gale basis spans null(D) for a spherical EDM.
         assert np.linalg.norm(square.d @ p.Z) <= 1e-10
         assert p.Z.shape == (4, 1)
+        # Read-only: every array a profile exposes, at construction or on
+        # first read, and each read after the first returns the same object.
+        on_read = {name for name, attr in vars(EdmProfile).items()
+                   if isinstance(attr, cached_property)}
+        assert on_read == {"B_dag", "P", "regular", "Z", "Z_tilde", "z_scale", "zt_scale",
+                           "center"}
+        for name in [f.name for f in fields(p)] + sorted(on_read):
+            value = getattr(p, name)
+            assert getattr(p, name) is value, name
+            for part in vars(value).values() if is_dataclass(value) else [value]:
+                if isinstance(part, np.ndarray):
+                    assert not part.flags.writeable, name
+        assert p.b_dec.vectors is not None and p.center is not None
 
     def test_five_unit_points_in_r4(self):
         # Unit-norm points affinely spanning R^4 are circumscribed by the

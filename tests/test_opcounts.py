@@ -61,6 +61,11 @@ from edmp.verify import check_bordered, check_entry, default_templates, run_veri
 VERIFY_21_EIGH_BOUND = 343
 VERIFY_21_MATRIX_BOUND = 1269
 VERIFY_21_PROFILE_CALLS = 67
+# svd calls of the same run: a profile builds its Gale basis, one SVD, only
+# when it is read.  The relabeled and bordered profiles never read it, nor
+# does a generator attempt rejected before its structure test reads it; the
+# rest are the line bases Q and the two-column parallelism tests.
+VERIFY_21_SVD_CALLS = 43
 
 # `sweep --num 2001` on pairunit-8.csv: 1,417 of the 2,001 samples are EDMs.
 # The profile factors B and D; then one centroid Gram per sample, and D(t)
@@ -135,6 +140,20 @@ def test_profile_factors_b_and_d_once(counts):
     assert counts["eigh"] == 2
 
 
+def test_profile_builds_the_gale_basis_on_first_read(counts):
+    d = gen_unit_spherical(InstanceSpec(n=8, r=5, seed=0))
+    counts["eigh"] = counts["svd"] = 0
+    prof = profile(d)
+    assert (counts["eigh"], counts["svd"]) == (2, 0)
+    assert prof.Z is not None
+    assert counts["svd"] == 1
+    # B+, P and regularity come from the kept factorization of B, and every
+    # later read of the Gale basis or its row scales from the one SVD.
+    for name in ("Z", "Z_tilde", "z_scale", "zt_scale", "B_dag", "P", "regular"):
+        getattr(prof, name)
+    assert (counts["eigh"], counts["svd"]) == (2, 1)
+
+
 def test_verify_classifies_each_entry_once(counts):
     summary = run_verification(21, seed=0)
     assert summary.passed
@@ -142,6 +161,7 @@ def test_verify_classifies_each_entry_once(counts):
     assert counts["eigh"] <= VERIFY_21_EIGH_BOUND
     assert counts["matrices"] <= VERIFY_21_MATRIX_BOUND
     assert counts["profile"] == VERIFY_21_PROFILE_CALLS
+    assert counts["svd"] == VERIFY_21_SVD_CALLS
 
 
 def test_min_radius_sq_bisects_a_stack_in_lockstep(counts):
@@ -227,6 +247,7 @@ def test_classify_measures_each_parallelism_once(counts):
         if template.expected not in CLASSIFY_SVD_CALLS:
             continue
         prof = profile(gen_unit_spherical(template.spec))
+        prof.Z_tilde  # the Gale basis's own SVD, made on first read
         counts["svd"] = 0
         report = classify(prof, template.spec.entry)
         assert report.case_tag is template.expected
