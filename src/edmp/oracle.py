@@ -7,9 +7,9 @@ membership claims through raw eigenvalue tests and recover the minimal
 feasible radius by bisection, independently of every closed form.
 PerturbedLine factors D + tE^kl for many t at once, for every raw test of the
 line, compressed to the span of range(D), e, e_k and e_l; its bisection oracle
-bisects a stack of t in lockstep on eigenvalues alone, inside a bracket the raw
-test proves around a given estimate where it can, and verify asks each of its
-questions of an entry in one stack (the ends of T<= at a tighter slack).
+bisects a stack of t in lockstep on eigenvalues alone, radius_bracket proves
+the optimum within SDP_BRACKET of an estimate in one stack, and verify asks
+each question of an entry in one stack (the ends of T<= at a tighter slack).
 gen_unit_profile also returns the profile an instance was accepted on,
 so a caller that checks the instance need not profile it again.
 """
@@ -49,8 +49,8 @@ ZERO_MARGIN = 1e-10
 GALE_ENTRY_MARGIN = 0.05
 
 # PerturbedLine.min_radius_sq bisects lam down to a bracket of SDP_GAP and
-# gives up above SDP_CAP; a bracket around an estimate has verify's radius
-# tolerance, SDP_BRACKET, as half-width.
+# gives up above SDP_CAP; radius_bracket proves a bracket of half-width
+# SDP_BRACKET around an estimate, which is verify's radius tolerance.
 SDP_GAP = 1e-9
 SDP_CAP = 1e4
 SDP_BRACKET = 1e-7
@@ -395,50 +395,47 @@ class PerturbedLine:
         return self._each(
             ts, lambda m, s: sym_eig(self._two_uu - m, vectors=False).is_psd(s), slack)
 
-    def min_radius_sq(self, ts, near=None) -> np.ndarray:
+    def _raw_test(self, a, t, lam):
+        """2 lam E - D - tE^kl >= 0 for each M(t) of the stack a, up to 1e-13 max(1, max|entry|)
+        + 1e-14 n |lam|, in one eigenvalue-only call; lam is (s,), or (2, s) for two ends per t."""
+        least = sym_eig(lam[..., None, None] * self._two_uu - a, vectors=False).values[..., -1]
+        return least >= -(1e-13 * self._entry_range(t)[1] + 1e-14 * self.prof.n * np.abs(lam))
+
+    def radius_bracket(self, ts, near) -> np.ndarray:
+        """Whether the raw test proves the least feasible lam of each t within SDP_BRACKET
+        of its estimate `near`: it fails at near - SDP_BRACKET and holds at near + SDP_BRACKET,
+        both ends in one stack.  A non-finite estimate is not proved."""
+        def prove(a, t, near):
+            ends = np.where(np.isfinite(near), near, 0.0) + [[-SDP_BRACKET], [SDP_BRACKET]]
+            ok = self._raw_test(a, t, ends)
+            return np.isfinite(near) & ~ok[0] & ok[1]
+        return self._each(ts, prove, ts, near)
+
+    def min_radius_sq(self, ts) -> np.ndarray:
         """Least lam with 2 lam E - D - tE^kl >= 0 for each t, by bisection.
 
         The least eigenvalue of 2 lam E - A is concave and nondecreasing in
         lam, so the feasible set is a ray and bisection on it is exact; the
         optimum is the squared radius of D + tE^kl whenever that matrix is a
-        spherical EDM.  Every t of a stack is bisected at once, each frozen
-        once done.  Where the raw test fails at near - SDP_BRACKET and holds
-        at near + SDP_BRACKET, for an estimate `near` per t, that proved
-        bracket is halved to SDP_GAP; every other t starts from [0, 1],
-        whose infeasible upper end is doubled.  For a nonspherical target
-        the PSD defect decays like 1/lam while eigenvalue noise grows like
-        lam, so SDP_CAP must stay moderate for Infeasible to be detectable.
+        spherical EDM.  Every t of a stack starts from [0, 1], whose infeasible
+        upper end is doubled, and all are halved to SDP_GAP at once, each frozen
+        once done.  For a nonspherical target the PSD defect decays like 1/lam
+        while eigenvalue noise grows like lam, so SDP_CAP must stay moderate for
+        Infeasible to be detectable.
         """
-        def bisect(a, t, near=None):
-            feas_abs = 1e-13 * self._entry_range(t)[1]
-
-            def feasible(lam):
-                # lam is (s,) for a stack of s or, for both ends of every bracket, (2, s).
-                least = sym_eig(lam[..., None, None] * self._two_uu - a,
-                                vectors=False).values[..., -1]
-                return least >= -(feas_abs + 1e-14 * self.prof.n * np.abs(lam))
-
-            lo, hi, done = np.zeros(len(a)), np.ones(len(a)), np.zeros(len(a), dtype=bool)
-            proved = done
-            if near is not None:
-                # A non-finite estimate would not factor; bracket 0 instead.
-                ends = np.where(np.isfinite(near), near, 0.0) + [[-SDP_BRACKET], [SDP_BRACKET]]
-                ok = feasible(ends)
-                proved = ~ok[0] & ok[1]
-                lo, hi = np.where(proved, ends, [lo, hi])
-            if not proved.all():
-                while not (ok := feasible(hi) | proved).all():
-                    lo, hi = np.where(ok, lo, hi), np.where(ok, hi, 2.0 * hi)
-                    if (hi > SDP_CAP).any():
-                        raise Infeasible("no feasible radius bound below the cap")
-                done = ~proved & feasible(lo)
+        def bisect(a, t):
+            lo, hi = np.zeros(len(a)), np.ones(len(a))
+            while not (ok := self._raw_test(a, t, hi)).all():
+                lo, hi = np.where(ok, lo, hi), np.where(ok, hi, 2.0 * hi)
+                if (hi > SDP_CAP).any():
+                    raise Infeasible("no feasible radius bound below the cap")
+            done = self._raw_test(a, t, lo)
             while (active := ~done & (hi - lo > SDP_GAP)).any():
                 mid = 0.5 * (hi + lo)
-                ok = feasible(mid)
+                ok = self._raw_test(a, t, mid)
                 lo, hi = np.where(active & ~ok, mid, lo), np.where(active & ok, mid, hi)
             return np.where(done, lo, hi)
-        near = () if near is None else (near,)
-        return self._each(ts, bisect, ts, *near)
+        return self._each(ts, bisect, ts)
 
     def spheres(self, ts) -> SphereColumns:
         """Sphericity of each raw D + tE^kl under the rank cut, with the eigenvalues

@@ -49,17 +49,18 @@ from edmp.verify import check_bordered, check_entry, default_templates, run_veri
 # run_verification(21, seed=0), measured with every matrix of an instance
 # factored once, each entry's T<= tests and w(t) reads asked in one stack
 # each, both ends of T<= checked by four probes in that stack instead of a
-# bisection, and the three samples of radius-sdp-agreement bisected in
-# lockstep inside brackets the raw test proves around the closed radii: 9
-# calls per entry with T<= of positive width instead of 32 from [0, 1].  The
+# bisection, and the three samples of radius-sdp-agreement asked in one
+# stack whether the raw test proves each optimum within SDP_BRACKET of its
+# closed radius: one call per entry with T<= of positive width, where a
+# bisection inside those brackets took 9 and one from [0, 1] 32.  The
 # stacked yield probes also factor the probes with a negative entry, which
 # a per-matrix test would reject unfactored.  The rank checks of D and of
 # the bordered matrix cut the spectra their profiles keep, which saves two
 # factorizations per instance.  The 67 profiles are the generator's 25
 # attempts, which give each instance's profile, plus one relabeled and one
 # bordered profile per instance.
-VERIFY_21_EIGH_BOUND = 343
-VERIFY_21_MATRIX_BOUND = 1269
+VERIFY_21_EIGH_BOUND = 231
+VERIFY_21_MATRIX_BOUND = 933
 VERIFY_21_PROFILE_CALLS = 67
 # svd calls of the same run: a profile builds its Gale basis, one SVD, only
 # when it is read.  The relabeled and bordered profiles never read it, nor
@@ -79,10 +80,8 @@ SWEEP_EIGH_BOUND = math.ceil(2001 / 256) * 3
 # halvings bring [0, 1] down to SDP_GAP = 1e-9.
 MIN_RADIUS_SQ_CALLS = 32
 
-# eigvalsh calls of one bracketed min_radius_sq whose every bracket holds:
-# one stack of both ends of each bracket, then 8 halvings bring its width
-# 2 SDP_BRACKET = 2e-7 down to SDP_GAP.
-BRACKETED_MIN_RADIUS_SQ_CALLS = 9
+# eigvalsh calls of one radius_bracket: one stack of both ends of each bracket.
+RADIUS_BRACKET_CALLS = 1
 
 # svd calls of one classify: the Gale test decides NotYielding, the [w Z]
 # test then decides TleqTrivial, and each warning reads the ratio its test
@@ -178,7 +177,7 @@ def test_min_radius_sq_bisects_a_stack_in_lockstep(counts):
     assert counts["matrices"] == 3 * MIN_RADIUS_SQ_CALLS
 
 
-def test_bracketed_min_radius_sq_halves_proved_brackets(counts):
+def test_radius_bracket_is_one_eigenvalue_call(counts):
     spec = InstanceSpec(n=8, r=7, seed=0)
     prof = profile(gen_unit_spherical(spec))
     entry = EntryIndex(1, 2)
@@ -186,10 +185,11 @@ def test_bracketed_min_radius_sq_halves_proved_brackets(counts):
     ts = report.t_leq.interior_samples(3)
     near = [radius_squared(report, float(t)) for t in ts]
     line = edmp.oracle.PerturbedLine(prof, entry)
-    counts["eigh"] = counts["eigvalsh"] = 0
-    line.min_radius_sq(ts, near=near)
-    assert counts["eigvalsh"] <= BRACKETED_MIN_RADIUS_SQ_CALLS
+    counts["eigh"] = counts["eigvalsh"] = counts["matrices"] = 0
+    assert line.radius_bracket(ts, near).all()
+    assert counts["eigvalsh"] == RADIUS_BRACKET_CALLS
     assert counts["eigh"] - counts["eigvalsh"] == 0
+    assert counts["matrices"] == 2 * 3 * RADIUS_BRACKET_CALLS
 
 
 def test_perturbed_line_factors_at_the_order_of_the_range(counts):
@@ -203,17 +203,18 @@ def test_perturbed_line_factors_at_the_order_of_the_range(counts):
     assert counts["eigh"] == 0
     ts = report.t_leq.interior_samples(3)
     near = [radius_squared(report, float(t)) for t in ts]
-    for ask in (line.is_edm, line.in_t_leq, line.spheres):
+    for ask in (line.is_edm, line.in_t_leq, line.spheres, line.min_radius_sq):
         ask(ts)
-    line.min_radius_sq(ts, near=near)
+    line.radius_bracket(ts, near)
     assert counts["eigh"] > 0
     assert counts["max_order"] <= spec.r + 3
 
 
 def test_verify_asks_each_entry_question_in_one_stack(counts, monkeypatch):
-    # The T<= tests and the w(t) reads of each entry are one method call and
-    # one LAPACK call each on the entry's own line; the border's line in the
-    # rational checks is another matrix.
+    # The T<= tests, the w(t) reads and the radius brackets of each entry are
+    # one method call and one LAPACK call each on the entry's own line, and no
+    # bracket is left for a bisection; the border's line in the rational checks
+    # is another matrix.
     asked = []
 
     def recording(name):
@@ -227,8 +228,8 @@ def test_verify_asks_each_entry_question_in_one_stack(counts, monkeypatch):
 
         monkeypatch.setattr(edmp.oracle.PerturbedLine, name, wrapper)
 
-    recording("in_t_leq")
-    recording("spheres")
+    for name in ("in_t_leq", "spheres", "radius_bracket", "min_radius_sq"):
+        recording(name)
     for template in default_templates(8):
         prof = gen_unit_profile(template.spec)
         asked.clear()
@@ -237,7 +238,7 @@ def test_verify_asks_each_entry_question_in_one_stack(counts, monkeypatch):
         assert all(res.ok for res in results)
         own = [(name, lapack) for name, p, lapack in asked if p is prof]
         width = classify(prof, template.spec.entry).t_leq.width
-        expected = [("in_t_leq", 1)] if width > 0.0 else []
+        expected = [("in_t_leq", 1), ("radius_bracket", 1)] if width > 0.0 else []
         assert sorted(own) == sorted(expected + [("spheres", 1)])
 
 

@@ -30,7 +30,8 @@ from edmp.cli import main
 from edmp.linalg import PSD_SLACK, EigDecomp, sym_eig
 from edmp.matio import load_matrix, matrix_to_csv
 from edmp.model import UNIT_RADIUS, Sphericity, is_edm_array, sphericity
-from edmp.oracle import SDP_CAP, SDP_GAP, PerturbedLine, edm_from_points, gen_unit_profile
+from edmp.oracle import (SDP_BRACKET, SDP_CAP, SDP_GAP, PerturbedLine, edm_from_points,
+                         gen_unit_profile)
 from edmp.verify import check_profile, default_templates
 
 from conftest import gen_nonspherical, perturbed_array
@@ -524,8 +525,8 @@ class TestSdpOracle:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bracket_matches_unbracketed(self, seed):
-        # With the closed radii as estimates, every bracket holds and the
-        # answer lies within SDP_GAP of the bisection from [0, 1].
+        # With the closed radii as estimates every bracket is proved, and the
+        # bisection from [0, 1] ends inside it.
         for template in default_templates(8):
             prof = gen_unit_profile(replace(template.spec, seed=seed))
             entry = template.spec.entry
@@ -535,12 +536,13 @@ class TestSdpOracle:
             ts = report.t_leq.interior_samples(3)
             near = [radius_squared(report, float(t)) for t in ts]
             line = PerturbedLine(prof, entry)
-            assert_allclose(line.min_radius_sq(ts, near=near), line.min_radius_sq(ts),
-                            rtol=0.0, atol=SDP_GAP)
+            assert line.radius_bracket(ts, near).all()
+            assert_allclose(line.min_radius_sq(ts), near, rtol=0.0, atol=SDP_BRACKET + SDP_GAP)
 
     def test_missed_bracket_falls_back(self):
-        # An estimate 1e-3 off leaves its optimum outside the bracket, so
-        # that t is bisected from [0, 1] exactly as without an estimate.
+        # An estimate 2 SDP_BRACKET or 1e-3 off, NaN or inf is not proved, one
+        # SDP_BRACKET/2 off is; bisecting the unproved t alone, as verify does,
+        # gives each the answer it has in the whole stack.
         prof = profile(gen_unit_spherical(InstanceSpec(n=8, r=7, seed=0)))
         entry = EntryIndex(1, 2)
         report = classify(prof, entry)
@@ -548,10 +550,12 @@ class TestSdpOracle:
         near = np.array([radius_squared(report, float(t)) for t in ts])
         line = PerturbedLine(prof, entry)
         lam = line.min_radius_sq(ts)
-        for shift in ([1e-3, 0.0, -1e-3], [np.nan, 0.0, np.inf]):
-            mixed = line.min_radius_sq(ts, near=near + shift)
-            assert mixed[0] == lam[0] and mixed[2] == lam[2]
-            assert abs(mixed[1] - lam[1]) <= SDP_GAP
+        for shift in ([1e-3, 0.0, -1e-3], [np.nan, 0.0, np.inf],
+                      [2 * SDP_BRACKET, SDP_BRACKET / 2, -2 * SDP_BRACKET],
+                      [-2 * SDP_BRACKET, -SDP_BRACKET / 2, np.nan]):
+            proved = line.radius_bracket(ts, near + shift)
+            assert proved.tolist() == [False, True, False]
+            assert line.min_radius_sq(ts[~proved]).tolist() == lam[~proved].tolist()
 
     def test_mixed_stack_answers_each_t(self, triangle):
         # On [0, 3] the squared radius is at most one; outside it exceeds

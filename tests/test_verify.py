@@ -19,7 +19,7 @@ from edmp import (
 from edmp.cli import main
 from edmp.errors import Infeasible, NumericalFailure
 from edmp.linalg import DEFAULT_TOL, EigDecomp
-from edmp.oracle import PerturbedLine, gen_unit_profile
+from edmp.oracle import SDP_BRACKET, PerturbedLine, gen_unit_profile
 from edmp.cayley import bordered
 from edmp.verify import (
     check_entry,
@@ -124,7 +124,7 @@ class TestRunner:
             assert [res.name for res in results if res.name != "bordered-profile"] == kept
 
     @pytest.mark.parametrize("name,error", [
-        ("PerturbedLine.min_radius_sq", Infeasible("no feasible radius bound below the cap")),
+        ("PerturbedLine.radius_bracket", NumericalFailure("eigendecomposition failed")),
         ("classify", NumericalFailure("radius coefficient identities failed")),
     ])
     def test_entry_error_is_a_failed_check(self, monkeypatch, capsys, name, error):
@@ -133,6 +133,21 @@ class TestRunner:
         def fail(*_, **__):
             raise error
         monkeypatch.setattr(f"edmp.verify.{name}", fail)
+        assert main(["verify", "--count", "1", "--seed", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "first failing seed: 4" in out
+        assert f"entry-checks: {error}" in out
+
+    def test_unproved_bracket_error_is_a_failed_check(self, monkeypatch, capsys):
+        # Where no bracket is proved, the bisection from [0, 1] that measures
+        # the miss may raise; that too is the failed check entry-checks.
+        error = Infeasible("no feasible radius bound below the cap")
+
+        def fail(*_, **__):
+            raise error
+        monkeypatch.setattr(edmp.verify.PerturbedLine, "radius_bracket",
+                            lambda line, ts, near: np.zeros(len(ts), dtype=bool))
+        monkeypatch.setattr(edmp.verify.PerturbedLine, "min_radius_sq", fail)
         assert main(["verify", "--count", "1", "--seed", "4"]) == 1
         out = capsys.readouterr().out
         assert "first failing seed: 4" in out
@@ -238,8 +253,45 @@ class TestRadiusComparisons:
 
 
 class TestSdpAgreement:
-    """radius-sdp-agreement bisects inside brackets its closed radii place,
-    and a wrong radius still meets the bisection's true optimum."""
+    """radius-sdp-agreement passes where the raw test proves each optimum
+    within SDP_BRACKET of its closed radius, and a radius it does not prove
+    meets the true optimum of the bisection from [0, 1]."""
+
+    @staticmethod
+    def _sdp(monkeypatch, shift):
+        # gen --n 4 --r 3 --seed 0 is PairUnit at (1,2); the 3 closed radii
+        # radius-sdp-agreement receives are moved by `shift`.
+        entry = EntryIndex(1, 2)
+        prof = profile(gen_unit_spherical(InstanceSpec(4, 3, seed=0)))
+        report = classify(prof, entry)
+        ts = report.t_leq.interior_samples(3)
+        lam = PerturbedLine(prof, entry).min_radius_sq(ts)
+        real = edmp.verify.radius_squared
+
+        def moved(rep, samples):
+            out = real(rep, samples)
+            if np.ndim(samples) and np.array_equal(samples[-3:], ts):
+                out[-3:] += shift
+            return out
+        monkeypatch.setattr(edmp.verify, "radius_squared", moved)
+        results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT, bordered_profile(prof))
+        sdp = next(res for res in results if res.name == "radius-sdp-agreement")
+        return sdp, float(np.abs(lam - (real(report, ts) + shift)).max())
+
+    def test_shift_by_twice_the_bracket_fails(self, monkeypatch):
+        sdp, worst = self._sdp(monkeypatch, 2 * SDP_BRACKET)
+        assert not sdp.ok
+        assert worst > SDP_BRACKET
+        assert sdp.detail == f"bisection vs closed form abs err {worst:.3e}"
+
+    def test_shift_by_half_the_bracket_passes(self, monkeypatch):
+        sdp, _ = self._sdp(monkeypatch, SDP_BRACKET / 2)
+        assert sdp.ok
+
+    @pytest.mark.parametrize("estimate", [np.nan, np.inf])
+    def test_non_finite_radius_fails_without_raising(self, monkeypatch, estimate):
+        sdp, _ = self._sdp(monkeypatch, estimate)
+        assert not sdp.ok
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6], ids=["up", "down"])
     def test_moved_radius_fails_with_true_optimum(self, monkeypatch, scale):
