@@ -257,10 +257,13 @@ class TestSdpAgreement:
     within SDP_BRACKET of its closed radius, and a radius it does not prove
     meets the true optimum of the bisection from [0, 1]."""
 
-    @staticmethod
-    def _sdp(monkeypatch, shift):
-        # gen --n 4 --r 3 --seed 0 is PairUnit at (1,2); the 3 closed radii
-        # radius-sdp-agreement receives are moved by `shift`.
+    @pytest.mark.parametrize("shift", [2 * SDP_BRACKET, SDP_BRACKET / 2, np.nan, np.inf],
+                             ids=["twice-bracket", "half-bracket", "nan", "inf"])
+    def test_shifted_radius(self, monkeypatch, shift):
+        # gen --n 4 --r 3 --seed 0 is PairUnit at (1,2).  The 3 closed radii
+        # radius-sdp-agreement receives, moved past the bracket or to a
+        # non-finite value, fail with the fallback bisection's error as detail
+        # and without raising; moved within it, they pass.
         entry = EntryIndex(1, 2)
         prof = profile(gen_unit_spherical(InstanceSpec(4, 3, seed=0)))
         report = classify(prof, entry)
@@ -276,22 +279,10 @@ class TestSdpAgreement:
         monkeypatch.setattr(edmp.verify, "radius_squared", moved)
         results, _ = check_entry(prof, entry, CaseTag.PAIR_UNIT, bordered_profile(prof))
         sdp = next(res for res in results if res.name == "radius-sdp-agreement")
-        return sdp, float(np.abs(lam - (real(report, ts) + shift)).max())
-
-    def test_shift_by_twice_the_bracket_fails(self, monkeypatch):
-        sdp, worst = self._sdp(monkeypatch, 2 * SDP_BRACKET)
-        assert not sdp.ok
-        assert worst > SDP_BRACKET
-        assert sdp.detail == f"bisection vs closed form abs err {worst:.3e}"
-
-    def test_shift_by_half_the_bracket_passes(self, monkeypatch):
-        sdp, _ = self._sdp(monkeypatch, SDP_BRACKET / 2)
-        assert sdp.ok
-
-    @pytest.mark.parametrize("estimate", [np.nan, np.inf])
-    def test_non_finite_radius_fails_without_raising(self, monkeypatch, estimate):
-        sdp, _ = self._sdp(monkeypatch, estimate)
-        assert not sdp.ok
+        assert sdp.ok is (shift == SDP_BRACKET / 2)
+        if not sdp.ok:
+            worst = float(np.abs(lam - (real(report, ts) + shift)).max())
+            assert sdp.detail == f"bisection vs closed form abs err {worst:.3e}"
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6], ids=["up", "down"])
     def test_moved_radius_fails_with_true_optimum(self, monkeypatch, scale):
