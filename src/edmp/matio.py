@@ -2,9 +2,11 @@
 
 Two matrix formats are supported: plain CSV (n rows of n comma-separated
 reals, '#' lines ignored) and JSON ({"n": ..., "d": [[...]]}, extra keys
-tolerated).  Floats are emitted with 17 significant digits, which
-round-trips IEEE doubles exactly; reports are key-sorted JSON so that
-identical inputs produce byte-identical output.
+tolerated).  CSV cells are converted by numpy's C tokenizer (np.loadtxt), so
+'1_0' and non-ASCII digits, which float() takes, are rejected, as is a
+trailing '# ...' on a data row.  Floats are emitted with 17 significant
+digits, which round-trips IEEE doubles exactly; reports are key-sorted
+JSON so that identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -44,18 +46,13 @@ def parse_matrix_text(text: str) -> DistanceMatrix:
 
 
 def _parse_csv(text: str) -> DistanceMatrix:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([float(cell) for cell in line.split(",")])
+    rows = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     if not rows:
         raise ParseError("no data rows in CSV matrix")
     n = len(rows)
-    if any(len(row) != n for row in rows):
+    if any(row.count(",") != n - 1 for row in rows):
         raise ParseError("CSV matrix is not square")
-    return DistanceMatrix(np.array(rows, dtype=float))
+    return DistanceMatrix(np.loadtxt(rows, delimiter=",", comments=None, ndmin=2))
 
 
 def _parse_json(text: str) -> DistanceMatrix:

@@ -10,6 +10,8 @@ line, compressed to the span of range(D), e, e_k and e_l; its bisection oracle
 bisects a stack of t in lockstep on eigenvalues alone, radius_bracket proves
 the optimum within SDP_BRACKET of an estimate in one stack, and verify asks
 each question of an entry in one stack (the ends of T<= at a tighter slack).
+From order 128 on, each stack is one matrix, and map_two_threads factors
+every other one on a second core when BLAS is pinned to one thread.
 gen_unit_profile also returns the profile an instance was accepted on,
 so a caller that checks the instance need not profile it again.
 """
@@ -23,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
-from .linalg import DEFAULT_TOL, PSD_SLACK, TolerancePolicy, sym_eig
+from .linalg import DEFAULT_TOL, PSD_SLACK, TolerancePolicy, map_two_threads, sym_eig
 from .model import (DistanceMatrix, EdmProfile, SphereColumns, centroid_gram,
                     nonnegative_entries, profile, sphericities)
 from .yielding import EntryIndex, parallel_relation, singleton_gap
@@ -55,7 +57,7 @@ SDP_GAP = 1e-9
 SDP_CAP = 1e4
 SDP_BRACKET = 1e-7
 
-# Entries per PerturbedLine stack of M(t) of order m: 256 at m=8, 3 at m=67, one from m=128 on.
+# Entries per PerturbedLine stack of M(t) of order m: 256 at m=8, 3 at m=67, one from m=91 on.
 # These m x m stacks are all a question forms per t; spheres forms no n x n array.
 # At m=128, 2**16 and 2**18 raised peak RSS by 4.0 and 17.6 MB, 2**14 by 0.5.
 STACK_ENTRIES = 2**14
@@ -365,13 +367,19 @@ class PerturbedLine:
 
     def _each(self, ts, test, *aligned):
         """test(stack of M(t), *chunks) per stack, its array (or tuple of arrays) joined
-        over the stacks; each `aligned` is a scalar or one per t.  No t is one empty stack."""
+        over the stacks; each `aligned` is a scalar or one per t.  No t is one empty stack.
+        From m = 128 on (m^2 >= STACK_ENTRIES) the stacks go through map_two_threads."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         aligned = [np.full(ts.shape, x, dtype=float) for x in aligned]
-        step = max(1, STACK_ENTRIES // len(self.m0) ** 2)
-        parts = [test(self.m0 + ts[at:at + step, None, None] * self._ekl,
-                      *(x[at:at + step] for x in aligned))
-                 for at in range(0, max(ts.size, 1), step)]
+        square = len(self.m0) ** 2
+        step = max(1, STACK_ENTRIES // square)
+
+        def stack(at):
+            return test(self.m0 + ts[at:at + step, None, None] * self._ekl,
+                        *(x[at:at + step] for x in aligned))
+        starts = range(0, max(ts.size, 1), step)
+        parts = (map_two_threads(stack, starts) if square >= STACK_ENTRIES
+                 else [stack(at) for at in starts])
         if len(parts) == 1:
             return parts[0]
         if isinstance(parts[0], tuple):

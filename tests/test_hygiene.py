@@ -6,11 +6,15 @@ in `__all__` is used by another module, by the benchmark or is
 documented in the README, every module-level function, class and
 constant is read by package code or by the benchmark, only `linalg`
 calls LAPACK's symmetric eigensolvers, and no function body of `yielding`,
-`perturbation` or `cayley` holds a bare threshold below 1e-3.
+`perturbation` or `cayley` holds a bare threshold below 1e-3.  One
+subprocess checks that importing the command line loads no thread pool.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,3 +168,13 @@ def test_no_bare_threshold_in_function_bodies(name):
                    if isinstance(node, ast.Constant) and type(node.value) is float
                    and 0.0 < abs(node.value) < 1e-3})
     assert not bare, f"{name} has bare thresholds (line, value): {bare}"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # The benchmark times `import edmp.cli` in fresh interpreters (setup_s);
+    # concurrent.futures alone costs several milliseconds there.
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, edmp.cli; print('concurrent.futures' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edmp import DistanceMatrix, ParseError
+from edmp.cli import main
 from edmp.matio import (
     fmt_float,
     matrix_to_csv,
@@ -65,6 +66,26 @@ def test_non_numeric_cell_rejected():
         parse_matrix_text("0,a,1\na,0,1\n1,1,0\n")
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11", "1 # c"])
+def test_cell_syntax_float_alone_would_read_is_rejected(capsys, tmp_path, cell):
+    # float() reads '1_0' as 10 and the Arabic-Indic and fullwidth one as 1;
+    # numpy's tokenizer takes neither, and with comments=None a trailing
+    # '# c' stays part of its cell.
+    text = f"0,{cell},3\n{cell},0,1\n3,1,0\n"
+    with pytest.raises(ParseError, match="invalid matrix content"):
+        parse_matrix_text(text)
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_ragged_csv_is_not_square():
+    with pytest.raises(ParseError, match="CSV matrix is not square"):
+        parse_matrix_text("0,1,3\n1,0\n3,1,0\n")
+
+
 def test_fmt_float_round_trips_doubles():
     rng = np.random.default_rng(6)
     for x in rng.uniform(-1e6, 1e6, size=200):
@@ -80,6 +101,16 @@ def test_csv_round_trip_bit_exact():
     d = DistanceMatrix(np.add.outer(np.diag(g), np.diag(g)) - 2 * g)
     again = parse_matrix_text(matrix_to_csv(d, comments=("generated",)))
     assert np.array_equal(d.d, again.d)
+
+
+def test_csv_round_trip_bit_exact_at_n512():
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(512, 256))
+    g = pts @ pts.T
+    d = DistanceMatrix(np.add.outer(np.diag(g), np.diag(g)) - 2 * g)
+    again = parse_matrix_text(matrix_to_csv(d, comments=("n=512",)))
+    assert again.d.shape == (512, 512)
+    assert np.array_equal(d.d.view(np.int64), again.d.view(np.int64))
 
 
 def test_json_round_trip_bit_exact():
