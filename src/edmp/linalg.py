@@ -8,17 +8,12 @@ The rank cut is the one settable tolerance (TolerancePolicy); the
 semidefiniteness slack PSD_SLACK and the reconstruction tolerance
 RECON_REL are constants; every other threshold is a constant Cut.
 All inputs are symmetrized explicitly before factorization; there is no
-unsymmetric code path.  map_two_threads runs every other item of a list of
-independent factorizations on one helper thread, as LAPACK releases the GIL,
-when the process may use two CPUs and BLAS is pinned to one thread.
+unsymmetric code path.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,7 +32,6 @@ __all__ = [
     "symmetrize",
     "sym_eig",
     "fix_column_signs",
-    "map_two_threads",
 ]
 
 
@@ -164,40 +158,3 @@ def fix_column_signs(m: np.ndarray) -> np.ndarray:
     flip = m[lead, np.arange(m.shape[1])] < 0.0
     m[:, flip] = -m[:, flip]
     return m
-
-
-def _two_free_cores() -> bool:
-    """Whether the process may run on two CPUs and BLAS is pinned to one thread,
-    read as OpenBLAS does: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    return (cpus or 1) >= 2 and blas == "1"
-
-
-def map_two_threads(fn, items) -> list:
-    """[fn(x) for x in items], with items 1, 3, 5, ... on one helper thread under
-    a copy of the caller's contextvars (numpy's errstate) when two CPUs are free
-    for BLAS calls pinned to one thread each.  Results keep the input order, and
-    when items fail, the error of the first of them in input order is raised."""
-    items = list(items)
-    if len(items) < 2 or not _two_free_cores():
-        return [fn(x) for x in items]
-    results, errors = [None] * len(items), {}
-
-    def run(start):
-        for at in range(start, len(items), 2):
-            try:
-                results[at] = fn(items[at])
-            except BaseException as exc:  # raised again below, in input order
-                errors[at] = exc
-                return
-
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(run, 1))
-    helper.start()
-    try:
-        run(0)
-    finally:
-        helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results

@@ -4,14 +4,16 @@ Two matrix formats are supported: plain CSV (n rows of n comma-separated
 reals, '#' lines ignored) and JSON ({"n": ..., "d": [[...]]}, extra keys
 tolerated).  CSV cells are converted by numpy's C tokenizer (np.loadtxt), so
 '1_0' and non-ASCII digits, which float() takes, are rejected, as is a
-trailing '# ...' on a data row.  Floats are emitted with 17 significant
-digits, which round-trips IEEE doubles exactly; reports are key-sorted
-JSON so that identical inputs produce byte-identical output.
+trailing '# ...' on a data row; the error names the cell's line in the
+file.  Floats are emitted with 17 significant digits, which round-trips
+IEEE doubles exactly; reports are key-sorted JSON so that identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +48,25 @@ def parse_matrix_text(text: str) -> DistanceMatrix:
 
 
 def _parse_csv(text: str) -> DistanceMatrix:
-    rows = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    if not rows:
+    numbered = [(at, line) for at, line in enumerate(map(str.strip, text.splitlines()), 1)
+                if line and line[0] != "#"]
+    if not numbered:
         raise ParseError("no data rows in CSV matrix")
+    lines, rows = zip(*numbered)
     n = len(rows)
     if any(row.count(",") != n - 1 for row in rows):
         raise ParseError("CSV matrix is not square")
-    return DistanceMatrix(np.loadtxt(rows, delimiter=",", comments=None, ndmin=2))
+    try:
+        d = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        # loadtxt counts rows from 0 among the data rows alone; name the file's line.
+        place = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
+        if place is None:
+            raise
+        what, row, column = place.groups()
+        raise ParseError(f"invalid matrix content: {what} at line {lines[int(row)]}, "
+                         f"column {column}") from exc
+    return DistanceMatrix(d)
 
 
 def _parse_json(text: str) -> DistanceMatrix:

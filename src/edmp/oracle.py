@@ -10,8 +10,6 @@ line, compressed to the span of range(D), e, e_k and e_l; its bisection oracle
 bisects a stack of t in lockstep on eigenvalues alone, radius_bracket proves
 the optimum within SDP_BRACKET of an estimate in one stack, and verify asks
 each question of an entry in one stack (the ends of T<= at a tighter slack).
-From order 128 on, each stack is one matrix, and map_two_threads factors
-every other one on a second core when BLAS is pinned to one thread.
 gen_unit_profile also returns the profile an instance was accepted on,
 so a caller that checks the instance need not profile it again.
 """
@@ -25,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible, InfeasibleSpec, NumericalFailure
-from .linalg import DEFAULT_TOL, PSD_SLACK, TolerancePolicy, map_two_threads, sym_eig
+from .linalg import DEFAULT_TOL, PSD_SLACK, TolerancePolicy, sym_eig
 from .model import (DistanceMatrix, EdmProfile, SphereColumns, centroid_gram,
                     nonnegative_entries, profile, sphericities)
 from .yielding import EntryIndex, parallel_relation, singleton_gap
@@ -367,19 +365,13 @@ class PerturbedLine:
 
     def _each(self, ts, test, *aligned):
         """test(stack of M(t), *chunks) per stack, its array (or tuple of arrays) joined
-        over the stacks; each `aligned` is a scalar or one per t.  No t is one empty stack.
-        From m = 128 on (m^2 >= STACK_ENTRIES) the stacks go through map_two_threads."""
+        over the stacks; each `aligned` is a scalar or one per t.  No t is one empty stack."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         aligned = [np.full(ts.shape, x, dtype=float) for x in aligned]
-        square = len(self.m0) ** 2
-        step = max(1, STACK_ENTRIES // square)
-
-        def stack(at):
-            return test(self.m0 + ts[at:at + step, None, None] * self._ekl,
-                        *(x[at:at + step] for x in aligned))
-        starts = range(0, max(ts.size, 1), step)
-        parts = (map_two_threads(stack, starts) if square >= STACK_ENTRIES
-                 else [stack(at) for at in starts])
+        step = max(1, STACK_ENTRIES // len(self.m0) ** 2)
+        parts = [test(self.m0 + ts[at:at + step, None, None] * self._ekl,
+                      *(x[at:at + step] for x in aligned))
+                 for at in range(0, max(ts.size, 1), step)]
         if len(parts) == 1:
             return parts[0]
         if isinstance(parts[0], tuple):

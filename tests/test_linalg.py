@@ -1,9 +1,5 @@
 """Tests for the symmetric linear-algebra kernel."""
 
-import os
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +10,6 @@ from edmp.linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     fix_column_signs,
-    map_two_threads,
     sym_eig,
     symmetrize,
 )
@@ -243,86 +238,3 @@ class TestHelpers:
             with pytest.raises(ValueError, match=repr(bad)):
                 TolerancePolicy(rank_rel=bad)
         assert DEFAULT_TOL.rank_rel == 1e-10
-
-
-class TestMapTwoThreads:
-    @pytest.fixture
-    def two_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
-    @pytest.mark.parametrize("count", [1, 2, 3, 23])
-    def test_keeps_input_order(self, two_cores, count):
-        threads = set()
-
-        def square(x):
-            threads.add(threading.get_ident())
-            return x * x
-
-        assert map_two_threads(square, range(count)) == [x * x for x in range(count)]
-        assert len(threads) == min(count, 2)
-
-    def test_no_result_lost_under_fast_thread_switching(self, two_cores):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = map_two_threads(lambda x: [x] * 3, range(2000))
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [[x] * 3 for x in range(2000)]
-
-    def test_raises_the_first_failure_in_input_order(self, two_cores):
-        # Item 1 runs on the helper thread and item 2 on the caller's; the
-        # caller may reach its failure first, yet item 1's error is raised.
-        def fail(x):
-            if x in (1, 2):
-                raise ValueError(f"item {x}")
-            return x
-
-        with pytest.raises(ValueError, match="item 1"):
-            map_two_threads(fail, range(5))
-
-    @pytest.mark.parametrize("blas", [None, "2", "0"])
-    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
-    def test_serial_unless_two_cpus_and_blas_pinned(self, monkeypatch, blas, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        if blas is not None:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
-        before = threading.active_count()
-        assert map_two_threads(lambda x: -x, range(6)) == [0, -1, -2, -3, -4, -5]
-        assert started == [] and threading.active_count() == before
-
-    def test_one_cpu_stays_serial_with_blas_pinned(self, monkeypatch, two_cores):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        threads = set()
-        before = threading.active_count()
-        map_two_threads(lambda x: threads.add(threading.get_ident()), range(4))
-        assert threads == {threading.get_ident()} and threading.active_count() == before
-
-    @pytest.mark.parametrize("openblas, omp, threaded", [
-        ("1", None, True), (None, "1", True), ("1", "4", True), ("4", "1", False),
-    ])
-    def test_openblas_count_takes_precedence(self, monkeypatch, openblas, omp, threaded):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-            if value is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, value)
-        threads = set()
-        map_two_threads(lambda x: threads.add(threading.get_ident()), range(4))
-        assert len(threads) == (2 if threaded else 1)
-
-    def test_caller_errstate_holds_on_the_helper_thread(self, two_cores):
-        def divide(x):
-            return np.float64(1.0) / np.float64(x)
-
-        with np.errstate(divide="raise"):
-            with pytest.raises(FloatingPointError):
-                map_two_threads(divide, [1.0, 0.0])
-        with np.errstate(divide="ignore"):
-            assert map_two_threads(divide, [1.0, 0.0]) == [1.0, np.inf]

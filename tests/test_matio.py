@@ -81,6 +81,14 @@ def test_cell_syntax_float_alone_would_read_is_rejected(capsys, tmp_path, cell):
     assert out == "" and err.startswith("error: ")
 
 
+def test_bad_cell_is_placed_at_its_line_of_the_file():
+    # A comment and a blank line above the bad row: the message counts the
+    # file's lines, not the data rows, and columns from 1.
+    text = "# n=3\n0,1,3\n\n1,0,1_0\n3,1,0\n"
+    with pytest.raises(ParseError, match=r"'1_0' to float64 at line 4, column 3$"):
+        parse_matrix_text(text)
+
+
 def test_ragged_csv_is_not_square():
     with pytest.raises(ParseError, match="CSV matrix is not square"):
         parse_matrix_text("0,1,3\n1,0\n3,1,0\n")

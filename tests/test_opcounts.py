@@ -8,7 +8,7 @@ the samples each radius_squared call is given), `EigDecomp.cond` and constructio
 `model.centroid_gram` and `sphericity` under every module that holds it.
 An eigh or eigvalsh call on a stack factors every matrix of it, so the
 matrices factored are counted next to the calls, with the largest order
-factored and the threads that called LAPACK.
+factored.
 Only a change that lowers a count may tighten its bound.
 """
 
@@ -16,14 +16,12 @@ import contextlib
 import io
 import json
 import math
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import edmp.cli
-import edmp.linalg
 import edmp.model
 import edmp.oracle
 import edmp.perturbation
@@ -96,24 +94,19 @@ def counts(monkeypatch):
     seen = {"eigh": 0, "eigvalsh": 0, "matrices": 0, "svd": 0, "yielding_report": 0,
             "profile": 0, "cond": 0, "centroid_gram": 0, "radius_squared": 0,
             "sphericity": 0, "max_order": 0, "radius_samples": 0, "eig_decomp": 0,
-            "theta_bounds": 0, "threads": set()}
-
-    # linalg.map_two_threads calls the wrappers from two threads at once.
-    lock = threading.Lock()
+            "theta_bounds": 0}
 
     def counting(module, name, key, *also):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            with lock:
-                for each in (key, *also):
-                    seen[each] += 1
-                if key == "eigh":
-                    seen["matrices"] += math.prod(np.shape(args[0])[:-2])
-                    seen["max_order"] = max(seen["max_order"], np.shape(args[0])[-1])
-                    seen["threads"].add(threading.get_ident())
-                if key == "radius_squared":
-                    seen["radius_samples"] += np.size(args[1])
+            for each in (key, *also):
+                seen[each] += 1
+            if key == "eigh":
+                seen["matrices"] += math.prod(np.shape(args[0])[:-2])
+                seen["max_order"] = max(seen["max_order"], np.shape(args[0])[-1])
+            if key == "radius_squared":
+                seen["radius_samples"] += np.size(args[1])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -215,40 +208,6 @@ def test_perturbed_line_factors_at_the_order_of_the_range(counts):
     line.radius_bracket(ts, near)
     assert counts["eigh"] > 0
     assert counts["max_order"] <= spec.r + 3
-
-
-def test_entry_on_two_threads_is_byte_identical(counts, monkeypatch, tmp_path):
-    # At n=256, r=128 a zero-gale pair's line has order 129, so each stack is
-    # one matrix and map_two_threads may factor every other one on a helper
-    # thread; the report and the LAPACK calls must not depend on whether it does.
-    spec = InstanceSpec(256, 128, Structure.ZERO_GALE_PAIR, EntryIndex(1, 2), seed=0)
-    path = tmp_path / "zero-gale-256.csv"
-    path.write_text(matrix_to_csv(gen_unit_spherical(spec)))
-    runs = {}
-    for threaded in (True, False):
-        monkeypatch.setattr(edmp.linalg, "_two_free_cores", lambda: threaded)
-        counts["eigh"], counts["threads"] = 0, set()
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert main(["entry", str(path), "--k", "1", "--l", "2"]) == 0
-        runs[threaded] = out.getvalue(), counts["eigh"], len(counts["threads"])
-    assert json.loads(runs[True][0])["entry"]["case"] == CaseTag.PAIR_UNIT.value
-    assert runs[True][:2] == runs[False][:2]
-    assert (runs[True][2], runs[False][2]) == (2, 1)
-
-
-@pytest.mark.parametrize("n, threads", [(100, 1), (128, 2)])
-def test_line_takes_a_second_thread_from_order_128(counts, monkeypatch, n, threads):
-    # Stacks hold one matrix from order 91 on (STACK_ENTRIES // m^2 = 1), but
-    # only from m^2 >= STACK_ENTRIES, order 128, are they spread over two threads.
-    monkeypatch.setattr(edmp.linalg, "_two_free_cores", lambda: True)
-    points = np.random.default_rng(0).normal(size=(n, n - 4))
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
-    line = edmp.oracle.PerturbedLine(profile(edmp.oracle.edm_from_points(points)),
-                                     EntryIndex(1, 2))
-    assert len(line.m0) == n
-    counts["eigh"], counts["threads"] = 0, set()
-    line.in_t_leq([0.0, 0.1, 0.2])
-    assert (counts["eigh"], len(counts["threads"])) == (3, threads)
 
 
 def test_verify_asks_each_entry_question_in_one_stack(counts, monkeypatch):
