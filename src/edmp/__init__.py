@@ -30,9 +30,7 @@ from .linalg import (
 from .model import (
     DistanceMatrix,
     EdmProfile,
-    Sphericity,
     profile,
-    sphericity,
 )
 from .yielding import (
     EntryIndex,

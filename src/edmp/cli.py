@@ -94,7 +94,7 @@ def _profile_block(prof: EdmProfile) -> dict:
         "radius_sq": None if prof.radius is None else prof.radius**2,
         "regular": prof.regular,
         "w": list(prof.w),
-        "e_dot_w": prof.sphere.e_dot_w,
+        "e_dot_w": prof.sphere.e_dot_w[0],
         "gale_columns": 0 if prof.Z is None else prof.Z.shape[1],
         "center": None if prof.center is None else list(prof.center),
     }

@@ -109,9 +109,10 @@ class EigDecomp:
         mag = np.abs(self.values)
         return mag > tol.rank_rel * mag.max(axis=-1, keepdims=True, initial=0.0)
 
-    def rank(self, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-        """Numerical rank of one matrix (a stack's would be pooled) under the cutoff."""
-        return int(np.count_nonzero(self._kept(tol)))
+    def rank(self, tol: TolerancePolicy = DEFAULT_TOL):
+        """Numerical rank under the cutoff: an int, or one per matrix of a stack."""
+        rank = np.count_nonzero(self._kept(tol), axis=-1)
+        return rank if rank.ndim else rank.item()
 
     def pinv(self, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         """Moore-Penrose inverse: kept eigenvalues inverted, the rest zeroed."""
@@ -123,11 +124,13 @@ class EigDecomp:
         np.divide(1.0, self.values, out=inv, where=kept)
         return symmetrize((self.vectors * inv[..., None, :]) @ self.vectors.swapaxes(-1, -2))
 
-    def cond(self, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-        """Largest over smallest kept |lambda| of one matrix (pooled on a stack),
-        inf when none is kept."""
-        kept = np.abs(self.values[self._kept(tol)])
-        return float(kept.max() / kept.min()) if kept.size else math.inf
+    def cond(self, tol: TolerancePolicy = DEFAULT_TOL):
+        """Largest over smallest kept |lambda|, inf where none is kept: a float, or
+        one per matrix of a stack."""
+        mag, kept = np.abs(self.values), self._kept(tol)  # the largest is kept unless all are 0
+        low = np.where(kept, mag, math.inf).min(axis=-1)
+        cond = np.where(kept.any(axis=-1), mag.max(axis=-1) / low, math.inf)
+        return cond if cond.ndim else cond.item()
 
     def is_psd(self, scale: float = PSD_SLACK):
         """Smallest eigenvalue at least -scale * max(1, max|lambda|), per matrix."""

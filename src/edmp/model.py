@@ -8,7 +8,7 @@ B+ and the Gale basis (B's null eigenvectors with e projected out); one
 of D gives D+, w with Dw = e, D's spectrum, whence kappa(D) and rank(D),
 and the eigenvectors above the rank cut, a basis of range(D).  It also
 holds the sphericity data (center, regularity, and the radius and unit
-verdict, which are views of the one Sphericity record).  Spherical EDMs
+verdict, which read the one row of SphereColumns it keeps).  Spherical EDMs
 of radius one are the domain of the perturbation machinery in the rest
 of the package, and require_unit is its one guard.
 """
@@ -37,9 +37,7 @@ from .linalg import (
 __all__ = [
     "DistanceMatrix",
     "EdmProfile",
-    "Sphericity",
     "SphereColumns",
-    "sphericity",
     "sphericities",
     "is_edm_array",
     "profile",
@@ -51,18 +49,6 @@ SPHERICITY = Cut("sphericity", 1e-8)
 
 # |2 e.w - 1| at most 1e-8 n decides unit sphericity.
 UNIT_RADIUS = Cut("unit-radius", 1e-8)
-
-
-class Sphericity(NamedTuple):
-    """What w with a w = e says about the circumsphere of a."""
-
-    e_dot_w: float
-    # 1 / (2 e.w), or None when a fails the SPHERICITY cut.
-    radius_sq: float | None
-    # |2 e.w - 1|, zero at radius one.
-    unit_residual: float
-    # Spherical with unit_residual within the UNIT_RADIUS cut.
-    unit: bool
 
 
 class SphereColumns(NamedTuple):
@@ -89,15 +75,6 @@ def sphericities(etw, ede, n: int, eigenvalues=None) -> SphereColumns:
     residual = np.abs(two_etw - 1.0)
     return SphereColumns(etw, radius_sq, residual,
                          spherical & UNIT_RADIUS.decide(residual, n).below, eigenvalues)
-
-
-def sphericity(a: np.ndarray, w: np.ndarray) -> Sphericity:
-    """Sphericity, squared radius and unit verdict of a from its w (a w = e)."""
-    e = np.ones(a.shape[0])
-    one = sphericities(float(e @ w), float(e @ a @ e), a.shape[0])
-    radius_sq = one.radius_sq.item()
-    return Sphericity(one.e_dot_w.item(), None if math.isnan(radius_sq) else radius_sq,
-                      one.unit_residual.item(), one.unit.item())
 
 
 @dataclass(frozen=True)
@@ -168,7 +145,8 @@ class EdmProfile:
     # Its eigenvectors above the rank cut: an orthonormal basis of range(D).
     d_range: np.ndarray
     w: np.ndarray
-    sphere: Sphericity
+    # The sphericity rule's one row for D: e.w, radius_sq (NaN if not spherical), unit.
+    sphere: SphereColumns
     # Zero-test scale of w, floored at 1e-300: max |w|.
     w_scale: float
 
@@ -178,15 +156,15 @@ class EdmProfile:
 
     @property
     def spherical(self) -> bool:
-        return self.sphere.radius_sq is not None
+        return not math.isnan(self.sphere.radius_sq[0])
 
     @property
     def unit_spherical(self) -> bool:
-        return self.sphere.unit
+        return bool(self.sphere.unit[0])
 
     @property
     def radius(self) -> float | None:
-        return float(np.sqrt(self.sphere.radius_sq)) if self.spherical else None
+        return float(np.sqrt(self.sphere.radius_sq[0])) if self.spherical else None
 
     @cached_property
     def B_dag(self) -> np.ndarray:
@@ -290,13 +268,15 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
     dec = sym_eig(b)
     if not is_edm_array(a, gram=dec):
         raise NotAnEdm("input matrix is not a Euclidean distance matrix")
-    for part in (dec.values, dec.vectors):  # kept by the profile, read-only
-        part.flags.writeable = False
 
     d_dec = sym_eig(a)
     kept = d_dec._kept(tol)
     d_dag = d_dec._inverse(kept)
-    w = d_dag @ np.ones(d.n)
+    e = np.ones(d.n)
+    w = d_dag @ e
+    sphere = sphericities(float(e @ w), float(e @ a @ e), d.n)
+    for part in (dec.values, dec.vectors, *sphere[:4]):  # kept by the profile, read-only
+        part.flags.writeable = False
 
     return EdmProfile(
         d=d,
@@ -308,7 +288,7 @@ def profile(d: DistanceMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> EdmProfile
         d_spectrum=EigDecomp(_readonly(d_dec.values), None),
         d_range=_readonly(d_dec.vectors[:, kept]),
         w=_readonly(w),
-        sphere=sphericity(a, w),
+        sphere=sphere,
         w_scale=max(float(np.abs(w).max()), 1e-300),
     )
 

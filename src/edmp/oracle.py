@@ -154,18 +154,14 @@ def _points_zero_gale(
     rest = [i for i in range(n) if i not in (entry.i, entry.j)]
     if r == 2:
         # The complement collapses to a single repeated point.
-        anchor = _unit_rows(rng, 1, 2)[0]
-        for i in rest:
-            points[i] = anchor
+        points[rest] = _unit_rows(rng, 1, 2)[0]
         points[entry.i] = _unit_rows(rng, 1, 2)[0]
         points[entry.j] = _unit_rows(rng, 1, 2)[0]
         return points
     offset = rng.uniform(0.2, 0.5, size=2)
     rho = float(np.sqrt(1.0 - offset @ offset))
-    sub = _unit_rows(rng, len(rest), r - 2)
-    for row, i in enumerate(rest):
-        points[i, : r - 2] = rho * sub[row]
-        points[i, r - 2 :] = offset
+    points[rest, : r - 2] = rho * _unit_rows(rng, len(rest), r - 2)
+    points[rest, r - 2 :] = offset
     points[entry.i] = _unit_rows(rng, 1, r)[0]
     points[entry.j] = _unit_rows(rng, 1, r)[0]
     return points
@@ -180,9 +176,7 @@ def _points_mirror(
     # bitwise exact in floating point.
     points = np.zeros((n, r))
     rest = [i for i in range(n) if i not in (entry.i, entry.j)]
-    fixed = _unit_rows(rng, len(rest), r - 1)
-    for row, i in enumerate(rest):
-        points[i, : r - 1] = fixed[row]
+    points[rest, : r - 1] = _unit_rows(rng, len(rest), r - 1)
     q = rng.uniform(0.3, 0.9) * _unit_rows(rng, 1, r - 1)[0]
     s = float(np.sqrt(1.0 - q @ q))
     points[entry.i, : r - 1] = q
@@ -203,34 +197,26 @@ def _points_zero_w(
     return points
 
 
-def _pair_gap(prof: EdmProfile, i: int, j: int) -> float:
-    """Relative distance of B+_kk from c^2 B+_ll, the singleton criterion."""
-    if abs(prof.w[j]) < 1e-300:
-        return 1.0
-    return singleton_gap(prof, EntryIndex(i + 1, j + 1), float(prof.w[i] / prof.w[j]))
-
-
-def _dip_margin(prof: EdmProfile, i: int, j: int) -> float:
-    """Depth scale |c w_l^2 theta_c| of the radius dip between unit points.
+def pair_table(prof: EdmProfile, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """Singleton gap and radius-dip depth |c w_l^2 theta_c| = 4 c^2 w_l^2 / |s^k - c s^l|^2
+    of each pair (k, l) at the 0-based indices i, j (ints or arrays), with c = w_k / w_l.
 
     Between the members of a discrete unit set the squared radius deviates
-    from one by about this amount; instances where it is tiny cannot be
-    told apart from a continuum at any fixed tolerance.
+    from one by about the dip; instances where it is tiny cannot be told
+    apart from a continuum at any fixed tolerance.  Neither divisor vanishes
+    at the pairs the gate asks: each has |w_l| > GENERIC_MARGIN w_scale, and
+    e_k - c e_l lies off null(B) = span{e, Z}, as r = n-1 or Gale rows k and l
+    vanish, so |s^k - c s^l|^2 >= 1/(3n) on the unit sphere.
     """
-    if abs(prof.w[j]) < 1e-300:
-        return 0.0
-    c = float(prof.w[i] / prof.w[j])
-    bd = prof.B_dag
-    den = float(bd[i, i] + c * c * bd[j, j] - 2.0 * c * bd[i, j])
-    if den <= 1e-300:
-        return 0.0
-    return 4.0 * c * c * float(prof.w[j]) ** 2 / den
+    w, bd = prof.w, prof.B_dag
+    kk, ll, c = bd[i, i], bd[j, j], w[i] / w[j]
+    den = kk + c * c * ll - 2.0 * c * bd[i, j]
+    # C pow squares as for a Python float; np.square differs in the last bit on a few w.
+    return singleton_gap(kk, ll, c), 4.0 * c * c * np.float_power(w[j], 2) / den
 
 
 def _structure_ok(spec: InstanceSpec, prof: EdmProfile) -> bool:
-    if prof.r != spec.r or not prof.unit_spherical:
-        return False
-    if prof.radius is None or abs(prof.radius - 1.0) > 1e-10:
+    if prof.r != spec.r or not prof.unit_spherical or abs(prof.radius - 1.0) > 1e-10:
         return False
     # Conditioning gate: near-degenerate simplexes blow up w and the dual
     # Gram entries, and with them every closed-form tolerance.
@@ -247,11 +233,8 @@ def _structure_ok(spec: InstanceSpec, prof: EdmProfile) -> bool:
             # classification unambiguous at the declared tolerances.
             if np.abs(prof.w).min() <= GENERIC_MARGIN * w_scale:
                 return False
-            return all(
-                _pair_gap(prof, i, j) > 1e-5 and _dip_margin(prof, i, j) > 2e-5
-                for i in range(spec.n)
-                for j in range(i + 1, spec.n)
-            )
+            gap, dip = pair_table(prof, *np.triu_indices(spec.n, 1))
+            return bool((gap > 1e-5).all() and (dip > 2e-5).all())
         if entry is not None and prof.Z is not None and prof.Z.shape[1] >= 2:
             # The designated pair must be robustly nonparallel.  A one-column
             # Z has a single singular value and is exempt.
@@ -278,12 +261,10 @@ def _structure_ok(spec: InstanceSpec, prof: EdmProfile) -> bool:
             abs(prof.w[entry.i]) > GENERIC_MARGIN * w_scale
             and abs(prof.w[entry.j]) > GENERIC_MARGIN * w_scale
         )
-        return (
-            rows_zero
-            and w_ok
-            and _pair_gap(prof, entry.i, entry.j) > 1e-5
-            and _dip_margin(prof, entry.i, entry.j) > 2e-5
-        )
+        if not (rows_zero and w_ok):
+            return False
+        gap, dip = pair_table(prof, entry.i, entry.j)
+        return bool(gap > 1e-5 and dip > 2e-5)
     if spec.structure is Structure.MIRROR_PAIR:
         mirrored = abs(prof.w[entry.i] - prof.w[entry.j]) <= 1e-12 * w_scale
         if not (mirrored and abs(prof.w[entry.i]) > GENERIC_MARGIN * w_scale):
@@ -293,13 +274,12 @@ def _structure_ok(spec: InstanceSpec, prof: EdmProfile) -> bool:
             # provably stays at one on the whole admissible interval and the
             # cone exit beyond it stays first-order detectable.
             return bool(np.linalg.norm(prof.Z[entry.i]) > GALE_ENTRY_MARGIN * prof.z_scale)
-        return _dip_margin(prof, entry.i, entry.j) > 2e-5
-    if spec.structure is Structure.ZERO_W_PAIR:
-        return bool(
-            abs(prof.w[entry.i]) <= ZERO_MARGIN * w_scale
-            and abs(prof.w[entry.j]) <= ZERO_MARGIN * w_scale
-        )
-    return False
+        return bool(pair_table(prof, entry.i, entry.j)[1] > 2e-5)
+    # ZERO_W_PAIR, the one structure left.
+    return bool(
+        abs(prof.w[entry.i]) <= ZERO_MARGIN * w_scale
+        and abs(prof.w[entry.j]) <= ZERO_MARGIN * w_scale
+    )
 
 
 def gen_unit_spherical(

@@ -230,7 +230,8 @@ def classify(prof: EdmProfile, entry: EntryIndex) -> PerturbationReport:
             f"g has no usable roots for entry ({entry.k},{entry.l})"
         )
     coeffs = _build_coefficients(prof, entry, trel.c)
-    singleton = SINGLETON.decide(singleton_gap(prof, entry, trel.c))
+    bd = prof.B_dag
+    singleton = SINGLETON.decide(singleton_gap(bd[entry.i, entry.i], bd[entry.j, entry.j], trel.c))
     decisions.append(singleton)
     return report(CaseTag.SINGLETON_UNIT if singleton.below else CaseTag.PAIR_UNIT, tleq, coeffs)
 

@@ -299,12 +299,10 @@ def check_teq_members(spheres: SphereColumns, tol: TolerancePolicy) -> CheckResu
     """|2 e.w(t) - 1| <= 1e-8 + n*kappa*eps at every reported T= member,
     given its PerturbedLine.spheres rows: w(t) and kappa = cond(D + t E^kl)
     come from one oracle factorization, whose order gives n."""
-    rows = []
-    for residual, values in zip(spheres.unit_residual.tolist(), spheres.eigenvalues):
-        kappa = EigDecomp(values, None).cond(tol)
-        rows.append((residual, kappa,
-                     TEQ_RESIDUAL_TOL + values.size * kappa * np.finfo(float).eps))
-    residual, kappa, bound = max(rows, key=lambda row: row[0] / row[2])
+    kappa = EigDecomp(spheres.eigenvalues, None).cond(tol)
+    bound = TEQ_RESIDUAL_TOL + spheres.eigenvalues.shape[-1] * kappa * np.finfo(float).eps
+    worst = np.argmax(spheres.unit_residual / bound)
+    residual, kappa, bound = spheres.unit_residual[worst], kappa[worst], bound[worst]
     ok = bool(residual <= bound)
     return CheckResult("teq-members", ok, "" if ok else (
         f"unit residual {residual:.3e} on reported members exceeds "

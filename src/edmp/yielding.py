@@ -204,11 +204,11 @@ def theta_c(prof: EdmProfile, entry: EntryIndex, c: float) -> float:
     return -4.0 * c / den
 
 
-def singleton_gap(prof: EdmProfile, entry: EntryIndex, c: float) -> float:
-    """Relative gap of |s^k|^2 = B+_kk from c^2 |s^l|^2; T= is {0} where it vanishes."""
-    kk, ll, _ = _bdag_entries(prof, entry)
+def singleton_gap(kk, ll, c):
+    """Relative gap of |s^k|^2 = B+_kk from c^2 |s^l|^2 = c^2 B+_ll, elementwise;
+    T= is {0} where it vanishes."""
     cll = c * c * ll
-    return abs(kk - cll) / max(kk, cll, TINY)
+    return abs(kk - cll) / np.maximum(np.maximum(kk, cll), TINY)
 
 
 def row_interval(prof: EdmProfile, entry: EntryIndex, rows: np.ndarray | None,

@@ -172,6 +172,24 @@ class TestCond:
     def test_zero_matrix_is_infinite(self):
         assert sym_eig(np.zeros((3, 3))).cond() == np.inf
 
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_stack_answers_per_matrix(self, vectors):
+        # kappa 8, 1, 4e9 (1e-9 kept, 1e-12 cut at 1e-10 * 4) and none kept.
+        rng = np.random.default_rng(0)
+        q = np.linalg.qr(rng.standard_normal((4, 4, 4)))[0]
+        spectra = [[4.0, -2.0, 0.5, 0.5], [3.0, 3.0, -3.0, 3.0],
+                   [4.0, 1.0, 1e-9, 1e-12], [0.0, 0.0, 0.0, 0.0]]
+        stack = (q * np.array(spectra)[:, None, :]) @ q.swapaxes(-1, -2)
+        dec = sym_eig(stack, vectors)
+        alone = [sym_eig(a, vectors) for a in stack]
+        assert_array_equal(dec.rank(), [one.rank() for one in alone])
+        assert_array_equal(dec.cond(), [one.cond() for one in alone])
+        assert dec.rank().tolist() == [4, 4, 3, 0]
+        assert_allclose(dec.cond()[:3], [8.0, 1.0, 4e9], rtol=1e-4)
+        assert dec.cond()[3] == np.inf
+        # One matrix answers in Python scalars.
+        assert (type(alone[0].rank()), type(alone[0].cond())) == (int, float)
+
 
 def is_psd(a):
     return sym_eig(a).is_psd()

@@ -134,7 +134,9 @@ class TestProfile:
         for name in [f.name for f in fields(p)] + sorted(on_read):
             value = getattr(p, name)
             assert getattr(p, name) is value, name
-            for part in vars(value).values() if is_dataclass(value) else [value]:
+            parts = vars(value).values() if is_dataclass(value) else (
+                value if isinstance(value, tuple) else [value])
+            for part in parts:
                 if isinstance(part, np.ndarray):
                     assert not part.flags.writeable, name
         assert p.b_dec.vectors is not None and p.center is not None

@@ -8,6 +8,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,10 +32,11 @@ import edmp.cli
 from edmp.cli import main
 from edmp.linalg import PSD_SLACK, EigDecomp, sym_eig
 from edmp.matio import load_matrix, matrix_to_csv
-from edmp.model import UNIT_RADIUS, Sphericity, is_edm_array, sphericity
+from edmp.model import UNIT_RADIUS, is_edm_array, sphericities
 from edmp.oracle import (SDP_BRACKET, SDP_CAP, SDP_GAP, PerturbedLine, edm_from_points,
-                         gen_unit_profile)
+                         gen_unit_profile, pair_table)
 from edmp.verify import check_profile, default_templates
+from edmp.yielding import singleton_gap, theta_c
 
 from conftest import gen_nonspherical, perturbed_array
 
@@ -167,10 +169,27 @@ class TestGenerators:
         digest = hashlib.sha256()
         for seed in range(10):
             try:
-                digest.update(gen_unit_profile(InstanceSpec(n, r, structure, entry, seed)).d.d.tobytes())
+                prof = gen_unit_profile(InstanceSpec(n, r, structure, entry, seed))
+                digest.update(prof.d.d.tobytes())
             except NumericalFailure:
                 digest.update(b"did not converge")
         assert digest.hexdigest()[:16] == ACCEPTED[structure, n, r]
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_pair_table_matches_the_scalar_rules(self, n):
+        # At every pair of generic r = n-1 instances: the gap is singleton_gap
+        # of that entry alone, bit for bit, and the dip is |c w_l^2 theta_c|.
+        for seed in range(5):
+            prof = gen_unit_profile(InstanceSpec(n, n - 1, seed=seed))
+            i, j = np.triu_indices(n, 1)
+            gap, dip = pair_table(prof, i, j)
+            assert gap.shape == dip.shape == (n * (n - 1) // 2,)
+            bd, w = prof.B_dag, prof.w.tolist()
+            for k, l, pair_gap, pair_dip in zip(i.tolist(), j.tolist(), gap, dip):
+                c = w[k] / w[l]
+                assert pair_gap == singleton_gap(float(bd[k, k]), float(bd[l, l]), c)
+                theta = theta_c(prof, EntryIndex(k + 1, l + 1), c)
+                assert_allclose(pair_dip, abs(c * w[l] ** 2 * theta), rtol=1e-12, atol=0.0)
 
     def test_every_order_dimension_combination(self):
         # Generic generation is sound for every feasible (n, r) in range.
@@ -197,11 +216,25 @@ class TestNonspherical:
             gen_nonspherical(4, 3, seed=0)
 
 
+class SphereRow(NamedTuple):
+    e_dot_w: float
+    radius_sq: float | None
+    unit_residual: float
+    unit: bool
+
+
 def rows_of(columns):
-    """The Sphericity of each row of PerturbedLine.spheres' columns, as
-    model.sphericity reports one matrix: None where the radius is NaN."""
-    return [Sphericity(etw, None if math.isnan(rsq) else rsq, res, unit)
+    """Each row of sphericity columns as Python scalars: None where the radius is NaN."""
+    return [SphereRow(etw, None if math.isnan(rsq) else rsq, res, unit)
             for etw, rsq, res, unit in zip(*(col.tolist() for col in columns[:4]))]
+
+
+def sphere_row(a, w):
+    """The sphericity rule's row for one matrix a from its w (a w = e), as the
+    profile judges D."""
+    e = np.ones(len(a))
+    [row] = rows_of(sphericities(float(e @ w), float(e @ a @ e), len(a)))
+    return row
 
 
 class TestPerturbedW:
@@ -211,7 +244,7 @@ class TestPerturbedW:
         pert = perturbed_array(triangle, 0, 1, 1.0)
         whole = sym_eig(pert)
         assert_array_equal(spheres.eigenvalues, [whole.values])
-        assert rows_of(spheres) == [sphericity(pert, whole.pinv() @ np.ones(3))]
+        assert rows_of(spheres) == [sphere_row(pert, whole.pinv() @ np.ones(3))]
         # rho^2 = 1 / (2 e.w) is the hand value 3/4 at t = 1.
         assert_allclose(spheres.radius_sq, [0.75], atol=1e-12)
 
@@ -293,7 +326,7 @@ def single_matrix_verdicts(d, entry, t, tol):
     nonneg = a.min() >= -1e-12 * max(float(np.abs(a).max()), 1.0)
     edm = nonneg and sym_eig(-0.5 * j @ a @ j).is_psd()
     leq = sym_eig(2.0 - a).is_psd()
-    return edm, leq, sphericity(a, sym_eig(a).pinv(tol) @ np.ones(n))
+    return edm, leq, sphere_row(a, sym_eig(a).pinv(tol) @ np.ones(n))
 
 
 class TestPerturbedLine:
@@ -376,7 +409,7 @@ class FullOrderLine:
     def spheres(self, ts):
         a = self.stack(ts)
         w = sym_eig(a).pinv(self.prof.tol) @ np.ones(self.prof.n)
-        return [sphericity(a[k], w[k]) for k in range(len(a))]
+        return [sphere_row(a[k], w[k]) for k in range(len(a))]
 
 
 COMPRESSED = [(Structure.ZERO_GALE_PAIR, 32, 16), (Structure.MIRROR_PAIR, 32, 16),

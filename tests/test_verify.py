@@ -350,8 +350,14 @@ class TestTeqMembersBound:
         line = PerturbedLine(profile(d), entry)
         [values] = line.spheres([report.theta_c]).eigenvalues
         assert EigDecomp(values, None).cond() < 100.0
-        result = check_teq_members(line.spheres([0.0, moved]), DEFAULT_TOL)
+        spheres = line.spheres([0.0, moved])
+        result = check_teq_members(spheres, DEFAULT_TOL)
         assert not result.ok
         assert "unit residual 3.1" in result.detail
         assert "kappa 3.5" in result.detail
+        # The worst member, each one's kappa taken alone.
+        rows = [(residual, 1e-8 + len(values) * EigDecomp(values, None).cond() * 2.0**-52)
+                for residual, values in zip(spheres.unit_residual, spheres.eigenvalues)]
+        residual, bound = max(rows, key=lambda row: row[0] / row[1])
+        assert f"{residual:.3e} on reported members exceeds {bound:.3e}" in result.detail
         assert check_teq_members(line.spheres([0.0, report.theta_c]), DEFAULT_TOL).ok
